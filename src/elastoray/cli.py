@@ -341,7 +341,8 @@ def cmd_distance(m, args):
             res = rays.boundary_distance(m, mode, pts[i], pts[j],
                                          n_starts=args.starts)
             out[mode] = {"distance": res.distance, "miss": res.miss,
-                         "n_legs": res.n_legs, "connected": res.connected}
+                         "n_legs": res.n_legs, "connected": res.connected,
+                         "failed_legs": res.failed_legs}
             if not res.connected:
                 out[mode]["message"] = res.message
         return out

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .boundary import (BoundaryCovector, _mode_quadratic, boundary_covector,
                        char_roots)
@@ -622,7 +621,8 @@ class DistanceResult:
 
     ``connected`` is False when no ray hit the target within tolerance; the
     result then reports the best miss found instead of raising, and
-    ``distance`` is infinite.
+    ``distance`` is infinite.  ``failed_legs`` counts the shooting legs that
+    raised, by exception class name.
     """
 
     distance: float
@@ -633,6 +633,13 @@ class DistanceResult:
     n_legs: int
     connected: bool = True
     message: str = ""
+    failed_legs: dict = field(default_factory=dict)
+
+
+# damped Gauss-Newton shooting: iterations per start, and step halvings per
+# iteration before the start is abandoned
+_SHOOT_MAX_ITER = 12
+_SHOOT_MAX_HALVINGS = 10
 
 
 def boundary_distance(m, mode, x_from, y_to, tau=1.0, n_starts=64,
@@ -640,15 +647,19 @@ def boundary_distance(m, mode, x_from, y_to, tau=1.0, n_starts=64,
     """Mode travel time between boundary points by multi-start shooting.
 
     Entry covectors are parametrized by two tangential components at
-    ``x_from``; starts are spread over the hyperbolic disk, the best few are
-    refined by Nelder-Mead on the squared boundary miss, then polished with
-    a finite-difference Gauss-Newton iteration until the miss is below
-    ``miss_tol``.  The result is the infimum over the connecting rays found.
+    ``x_from``.  ``n_starts`` starts spread over the hyperbolic disk are
+    traced once each; the ``n_refine`` with the smallest boundary miss seed
+    a damped Gauss-Newton iteration on the miss vector.  Its Jacobian is
+    taken by forward differences, and its step is halved until the trial
+    leg reaches the boundary with a smaller miss; the iterations and the
+    halvings are capped, so a solve costs a bounded number of legs.  Each
+    start stops once its miss is below ``0.3 * miss_tol``.  The result is
+    the least travel time over the iterates that hit within ``miss_tol``.
 
-    ``warm_start`` takes a known-good tangential parameter pair and skips
-    both the start scan and the Nelder-Mead stage; the returned entry
-    covector exposes the pair for reuse via ``gamma_in`` (its xi_t in the
-    tangent basis at x_from).
+    ``warm_start`` takes a known-good tangential parameter pair and replaces
+    the start scan with that single start; the returned entry covector
+    exposes the pair for reuse via ``gamma_in`` (its xi_t in the tangent
+    basis at x_from).
     """
     x0 = m.domain.radial_project(np.asarray(x_from, dtype=np.float64))
     y1 = m.domain.radial_project(np.asarray(y_to, dtype=np.float64))
@@ -656,28 +667,23 @@ def boundary_distance(m, mode, x_from, y_to, tau=1.0, n_starts=64,
         raise DistanceError("endpoints coincide")
     nu = m.domain.normal(x0)
     e1, e2 = m.domain.tangent_basis(x0)
-    counter = [0]
+    n_legs = 0
+    failed = {}
 
-    def solve(w):
-        counter[0] += 1
-        xi_t = w[0] * e1 + w[1] * e2
-        gamma = BoundaryCovector(t=0.0, x=x0, tau=float(tau), xi_t=xi_t, nu=nu)
+    def shoot(w):
+        # one leg: (entry, miss, w, miss vector), or None when it raises
+        nonlocal n_legs
+        n_legs += 1
+        gamma = BoundaryCovector(t=0.0, x=x0, tau=float(tau),
+                                 xi_t=w[0] * e1 + w[1] * e2, nu=nu)
         try:
-            return trace_leg(m, gamma, mode, ctrl)
-        except ElastorayError:
+            entry = trace_leg(m, gamma, mode, ctrl)
+        except ElastorayError as exc:
+            name = type(exc).__name__
+            failed[name] = failed.get(name, 0) + 1
             return None
-
-    def miss_vec(w):
-        entry = solve(w)
-        if entry is None:
-            return None, None
-        return entry.gamma_out.x - y1, entry
-
-    def objective(w):
-        vec, _ = miss_vec(w)
-        if vec is None:
-            return 1e6 + float(w @ w)
-        return float(vec @ vec)
+        vec = entry.gamma_out.x - y1
+        return entry, float(np.linalg.norm(vec)), w, vec
 
     if warm_start is not None:
         starts = [np.asarray(warm_start, dtype=np.float64)]
@@ -704,62 +710,54 @@ def boundary_distance(m, mode, x_from, y_to, tau=1.0, n_starts=64,
             return hit_c
         return cand[1] < incumbent[1]
 
-    scored = sorted(((objective(w), i, w) for i, w in enumerate(starts)),
-                    key=lambda t: t[:2])
-    best = None
-    for score, _, w0 in scored[:max(n_refine, 1)]:
-        if score >= 1e6:
-            continue
-        if warm_start is None:
-            res = optimize.minimize(objective, w0, method="Nelder-Mead",
-                                    options={"xatol": 1e-8, "fatol": 1e-18,
-                                             "maxfev": 200})
-            w = np.asarray(res.x, dtype=np.float64)
-        else:
-            w = w0
-        # derivative-free Gauss-Newton polish on the miss vector
-        for _ in range(12):
-            vec, entry = miss_vec(w)
-            if vec is None:
-                break
-            miss = float(np.linalg.norm(vec))
-            if better((entry, miss), best):
-                best = (entry, miss, w.copy())
+    def descend(shot):
+        # damped Gauss-Newton from one traced start; the miss falls at every
+        # accepted step, so the last iterate is the one closest to a ray
+        for _ in range(_SHOOT_MAX_ITER):
+            _, miss, w, vec = shot
             if miss <= miss_tol * 0.3:
                 break
             h = 1e-7 * max(1.0, float(np.linalg.norm(w)))
-            cols = []
-            ok = True
-            for j in range(2):
-                wp = w.copy()
-                wp[j] += h
-                vp, _ = miss_vec(wp)
-                if vp is None:
-                    ok = False
-                    break
-                cols.append((vp - vec) / h)
-            if not ok:
+            cols = [shoot(w + h * unit) for unit in np.eye(2)]
+            if any(col is None for col in cols):
                 break
-            jac = np.stack(cols, axis=-1)
+            jac = np.stack([(col[3] - vec) / h for col in cols], axis=-1)
             step, *_ = np.linalg.lstsq(jac, -vec, rcond=None)
-            w = w + step
+            for k in range(_SHOOT_MAX_HALVINGS + 1):
+                trial = shoot(w + 0.5 ** k * step)
+                if trial is not None and trial[1] < miss:
+                    break
+            else:
+                break
+            shot = trial
+        return shot
 
+    scanned = [(shot[1], i, shot) for i, shot in enumerate(map(shoot, starts))
+               if shot is not None]
+    scanned.sort(key=lambda item: item[:2])
+    best = None
+    for _, _, start in scanned[:max(n_refine, 1)]:
+        shot = descend(start)
+        if better(shot, best):
+            best = shot
+
+    failed_legs = dict(sorted(failed.items()))
+    if best is not None and best[1] <= miss_tol:
+        entry, miss = best[:2]
+        return DistanceResult(distance=entry.travel_time, mode=mode,
+                              gamma_in=entry.gamma_in,
+                              gamma_out=entry.gamma_out, miss=miss,
+                              n_legs=n_legs, failed_legs=failed_legs)
     if best is None:
-        return DistanceResult(distance=math.inf, mode=mode, gamma_in=None,
-                              gamma_out=None, miss=math.inf,
-                              n_legs=counter[0], connected=False,
-                              message="no ray from any start reached the "
-                                      "boundary near the target")
-    entry, miss, w = best
-    if miss > miss_tol:
-        return DistanceResult(distance=math.inf, mode=mode, gamma_in=None,
-                              gamma_out=None, miss=miss, n_legs=counter[0],
-                              connected=False,
-                              message=f"best boundary miss {miss:.2e} above "
-                                      f"{miss_tol:.0e}")
-    return DistanceResult(distance=entry.travel_time, mode=mode,
-                          gamma_in=entry.gamma_in, gamma_out=entry.gamma_out,
-                          miss=miss, n_legs=counter[0])
+        miss, message = math.inf, ("no ray from any start reached the "
+                                   "boundary near the target")
+    else:
+        miss = best[1]
+        message = f"best boundary miss {miss:.2e} above {miss_tol:.0e}"
+    return DistanceResult(distance=math.inf, mode=mode, gamma_in=None,
+                          gamma_out=None, miss=miss, n_legs=n_legs,
+                          connected=False, message=message,
+                          failed_legs=failed_legs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Command line drivers: report schema, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -132,6 +136,9 @@ def test_distance_matrix(media_dir, tmp_path):
         for mode in ("S", "P"):
             assert row[mode]["connected"] is True
             assert row[mode]["miss"] <= 1e-9
+            failed = row[mode]["failed_legs"]
+            assert all(isinstance(v, int) and v > 0 for v in failed.values())
+            assert sum(failed.values()) < row[mode]["n_legs"]
         assert row["P"]["distance"] < row["S"]["distance"]
 
 
@@ -154,6 +161,25 @@ def test_reports_are_byte_deterministic(media_dir, tmp_path):
     _, _, out2 = run(media_dir, tmp_path, "recover", "--probes", "3",
                      name="b.json")
     assert out1.read_bytes() == out2.read_bytes()
+    _, _, out1 = run(media_dir, tmp_path, "distance", "--points", "2",
+                     "--starts", "8", name="c.json")
+    _, _, out2 = run(media_dir, tmp_path, "distance", "--points", "2",
+                     "--starts", "8", name="d.json")
+    assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_import_does_not_load_scipy():
+    # importing the package must stay cheap, since every CLI call pays for
+    # it: no scipy module at all, scipy.optimize included
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    code = ("import sys, elastoray; "
+            "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_thread_count_does_not_change_report(media_dir, tmp_path, monkeypatch):

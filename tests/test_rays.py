@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import elastoray as er
+from elastoray import rays
 
 SOUTH = np.array([0.0, 0.0, -1.0])
 SQ2 = np.sqrt(2.0)
@@ -308,6 +309,46 @@ def test_boundary_distance_not_connected_report(constant_medium):
     assert not res.connected
     assert res.message != ""
     assert res.distance == np.inf
+    # and costs no more legs than the capped iterations allow: per iteration
+    # two Jacobian legs and at most one trial per step halving
+    per_iter = 2 + rays._SHOOT_MAX_HALVINGS + 1
+    assert res.n_legs <= 4 + rays._SHOOT_MAX_ITER * per_iter
+
+
+def test_boundary_distance_closed_form_stressed(stressed_medium):
+    # constant Lame parameters and stress: rays are chords d run at the
+    # group velocity of g = xi.M xi, M = (a I + R) / rho, so the travel time
+    # is sqrt(d.M^-1 d) with a = mu for S and lam + 2 mu for P
+    m = stressed_medium
+    rng = np.random.default_rng(4242)
+    big_r = 0.1 * np.diag([1.0, 0.0, -1.0])
+    worst = 0.0
+    n_pairs = 0
+    while n_pairs < 4:
+        x0, y = m.domain.sample_boundary(2, rng)
+        d = y - x0
+        if not 0.6 <= np.linalg.norm(d) <= 1.8:
+            continue
+        n_pairs += 1
+        for mode, a in (("S", 1.0), ("P", 3.0)):
+            want = np.sqrt(d @ np.linalg.solve(a * np.eye(3) + big_r, d))
+            res = er.boundary_distance(m, mode, x0, y, n_starts=16,
+                                       n_refine=3)
+            assert res.connected
+            assert res.n_legs <= 120
+            worst = max(worst, abs(res.distance - want) / want)
+    assert worst <= 1e-9
+
+
+def test_boundary_distance_counts_failed_legs(constant_medium):
+    # a warm start beyond the hyperbolic disk launches no ray; the failed
+    # leg is counted by exception class instead of vanishing
+    y = np.array([1.0, 0.0, 0.0])
+    res = er.boundary_distance(constant_medium, "S", SOUTH, y,
+                               warm_start=[5.0, 0.0])
+    assert not res.connected
+    assert res.n_legs == 1
+    assert res.failed_legs == {"EvanescentModeError": 1}
 
 
 def test_generating_function_identity(constant_medium):
