@@ -13,9 +13,7 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -37,23 +35,6 @@ DEFAULT_TOL = {
     "drift": 1e-9,
     "recover": 1e-6,
 }
-
-
-def _n_threads():
-    try:
-        n = int(os.environ.get("ELASTORAY_THREADS", "1"))
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
-def _pmap(fn, items):
-    """Order-preserving map, threaded when ELASTORAY_THREADS > 1."""
-    n = _n_threads()
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def _jsonable(obj):
@@ -290,18 +271,22 @@ def cmd_trace(m, args):
     return results, failures
 
 
+def _leg_pairs(m, probes):
+    """{"S": entry, "P": entry} per probe, all legs traced as one batch; the
+    first failing leg, in probe order and S before P, raises."""
+    modes = ("S", "P")
+    entries, _ = rays.lens_map_table(
+        m, [mode for _ in probes for mode in modes],
+        [gamma for gamma in probes for _ in modes])
+    return [dict(zip(modes, entries[2 * i:2 * i + 2]))
+            for i in range(len(probes))]
+
+
 def cmd_lensmap(m, args):
     rng = np.random.default_rng(args.seed)
     probes = rays.probe_fan(m, args.fan_n, rng, tau=args.tau)
     failures = []
-
-    def one(gamma):
-        out = {}
-        for mode in ("S", "P"):
-            out[mode] = rays.trace_leg(m, gamma, mode)
-        return out
-
-    table = _pmap(one, probes)
+    table = _leg_pairs(m, probes)
     rows = []
     for i, pair in enumerate(table):
         rows.append({"probe_index": i, "S": pair["S"].to_dict(),
@@ -333,9 +318,7 @@ def cmd_distance(m, args):
     rows = []
     pairs = [(i, j) for i in range(args.points) for j in range(args.points)
              if i < j]
-
-    def one(pair):
-        i, j = pair
+    for i, j in pairs:
         out = {"from": pts[i].tolist(), "to": pts[j].tolist()}
         for mode in ("S", "P"):
             res = rays.boundary_distance(m, mode, pts[i], pts[j],
@@ -345,9 +328,6 @@ def cmd_distance(m, args):
                          "failed_legs": res.failed_legs}
             if not res.connected:
                 out[mode]["message"] = res.message
-        return out
-
-    for out in _pmap(one, pairs):
         rows.append(out)
         for mode in ("S", "P"):
             if not out[mode]["connected"]:
@@ -360,18 +340,7 @@ def cmd_recover(m, args):
     rng = np.random.default_rng(args.seed)
     probes = rays.probe_fan(m, args.probes, rng, tau=args.tau)
     tol = args.tol if args.tol is not None else DEFAULT_TOL["recover"]
-    # one report per probe keeps the merged record order independent of the
-    # worker count
-    parts = _pmap(lambda g: rays.recover_lens_maps(m, [g], depth=args.depth),
-                  probes)
-    report = rays.RecoveryReport(
-        records=[r for part in parts for r in part.records],
-        max_dx=max(p.max_dx for p in parts),
-        max_dxi=max(p.max_dxi for p in parts),
-        max_dt=max(p.max_dt for p in parts),
-        max_mute_residual=max(p.max_mute_residual for p in parts),
-        min_mode_separation=min(p.min_mode_separation for p in parts),
-        max_mode_separation=max(p.max_mode_separation for p in parts))
+    report = rays.recover_lens_maps(m, probes, depth=args.depth)
     failures = []
     for name in ("max_dx", "max_dxi", "max_dt"):
         val = getattr(report, name)
@@ -497,9 +466,8 @@ def cmd_selftest(m, args):
     # ray legs: drift, exact tau, reflection invariants
     probes = rays.probe_fan(m, 10, rng)
     drift_worst = 0.0
-    for gamma in probes:
-        for mode in ("S", "P"):
-            entry = rays.trace_leg(m, gamma, mode)
+    for gamma, pair in zip(probes, _leg_pairs(m, probes)):
+        for entry in pair.values():
             drift_worst = max(drift_worst, entry.drift_max)
             if entry.gamma_out.tau != gamma.tau:
                 failures.append("tau not exactly conserved along a leg")

@@ -1,0 +1,459 @@
+"""Batched ray engine: the fused Hamilton kernel and the Dormand-Prince march.
+
+A batch of legs is an (N, 6) state (x, xi) with one row per ray.  The
+kernel evaluates the Hamilton field of H = tau^2 - g_mode(x, xi) for the
+whole batch, S and P rows mixed, in one pass over the medium's fields.  The
+march takes Dormand-Prince 5(4) steps: each ray keeps its own step size,
+time cap and acceptance test (the local error estimate and an on-shell
+drift monitor), and a ray that fails leaves the batch without disturbing
+the others.  Exits are located together once every ray has crossed.
+
+Rows are computed independently and in a fixed order: no reduction runs
+over the batch axis and no BLAS call sums rows, so a ray traces bitwise
+alike alone or in any batch.  This holds for the built-in field and stress
+families; a user-defined field is evaluated through its own methods, which
+must not mix rows either.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import GlancingExitError, MaxStepsError, StepControlError
+from .medium import (ConstantField, ConstantStress, GaussianBumpField,
+                     PotentialStress)
+
+# Dormand-Prince 5(4) coefficients; the last row of _A is the 5th-order
+# solution, _E the 5th- minus 4th-order weights, and _D the weights of the
+# 4th-order continuous extension (Hairer, Norsett & Wanner, Solving ODEs I,
+# section II.6)
+_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
+      -1 / 40)
+_D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+      -10690763975 / 1880347072, 701980252875 / 199316789632,
+      -1453857185 / 822651844, 69997945 / 29380423)
+
+# rejected steps are counted by cause, in this order
+REJECT_CAUSES = ("error", "drift", "entry")
+
+
+def _dot3(a, b):
+    """Row-wise dot product of (N, 3) arrays, summed term by term."""
+    p = a * b
+    return p[:, 0] + p[:, 1] + p[:, 2]
+
+
+def _combine(coefs, arrays):
+    """sum_j c_j a_j over the nonzero c_j, accumulated in order."""
+    acc = None
+    for c, a in zip(coefs, arrays):
+        if c:
+            acc = c * a if acc is None else acc + c * a
+    return acc
+
+
+def _add(acc, term):
+    return term if acc is None else acc + term
+
+
+# ---------------------------------------------------------------------------
+# fused Hamilton kernel
+# ---------------------------------------------------------------------------
+
+def _bump(center, width):
+    """exp(-|x - c|^2 / (2 w^2)) and its gradient."""
+    c = np.array(center)
+    w2 = width * width
+
+    def evaluate(x):
+        d = x - c
+        e = np.exp(-_dot3(d, d) / (2.0 * w2))
+        return e, d * (-e / w2)[:, None]
+
+    return evaluate
+
+
+def _stress_term(stress):
+    """x -> (R, dR or None), or None for a stress that vanishes."""
+    if isinstance(stress, ConstantStress):
+        r = np.array(stress.r)
+        return (lambda x: (r, None)) if np.any(r) else None
+    if isinstance(stress, PotentialStress):
+        table = stress.table
+
+        def evaluate(x):
+            out = table(x)
+            n = len(out)
+            return (out[:, :9].reshape(n, 3, 3),
+                    out[:, 9:].reshape(n, 3, 3, 3))
+
+        return evaluate
+    return lambda x: (stress.matrix(x), stress.derivative(x))
+
+
+class Hamilton:
+    """Fused Hamilton field of H = tau^2 - g_mode(x, xi) for a batch of rays.
+
+    g = (a |xi|^2 + xi.R xi) / rho with a = mu on S rows and lam + 2 mu on
+    P rows.  Each field contributes one term: constant fields fold into
+    per-row constants, Gaussian bumps that share a center and width share
+    one exp, and any other scalar field is evaluated through its own
+    ``value_and_gradient`` (for a PolynomialField, one monomial table).  A
+    constant stress is one matrix, a PotentialStress one monomial table for
+    R and its derivative.  Calling the kernel maps an
+    (N, 6) state to (F, g) with F = (-dg/dxi, dg/dx).
+    """
+
+    def __init__(self, m, is_p):
+        const = np.zeros(3)              # weights in (a_S, a_P, rho)
+        bumps = {}
+        terms = []
+        for fld, w in ((m.mu, (1.0, 2.0, 0.0)), (m.lam, (0.0, 1.0, 0.0)),
+                       (m.rho, (0.0, 0.0, 1.0))):
+            w = np.array(w)
+            if isinstance(fld, ConstantField):
+                const += fld.value * w
+            elif isinstance(fld, GaussianBumpField):
+                const += fld.base * w
+                key = (tuple(fld.center.tolist()), fld.width)
+                bumps[key] = bumps.get(key, 0.0) + fld.amplitude * w
+            else:
+                terms.append((fld.value_and_gradient, w))
+        terms = [(_bump(*key), w) for key, w in bumps.items()] + terms
+        weights = np.array([w for _, w in terms]).reshape(len(terms), 3)
+        is_p = np.asarray(is_p, dtype=bool)
+        self._terms = [(ev, bool(w[0] or w[1]), w[2])
+                       for (ev, _), w in zip(terms, weights)]
+        self._a0 = np.where(is_p, const[1], const[0])
+        self._w_a = np.where(is_p[:, None], weights[:, 1], weights[:, 0])
+        self._rho0 = const[2]
+        self._stress = _stress_term(m.stress)
+
+    def rows(self, idx):
+        """The kernel of the sub-batch made of rows ``idx``."""
+        sub = object.__new__(Hamilton)
+        sub.__dict__.update(self.__dict__)
+        sub._a0 = self._a0[idx]
+        sub._w_a = self._w_a[idx]
+        return sub
+
+    def __call__(self, y):
+        x = y[:, :3]
+        xi = y[:, 3:]
+        a, da = self._a0, None
+        rho, drho = self._rho0, None
+        for b, (evaluate, in_a, w_rho) in enumerate(self._terms):
+            v, dv = evaluate(x)
+            if in_a:
+                w = self._w_a[:, b]
+                a = a + w * v
+                da = _add(da, w[:, None] * dv)
+            if w_rho:
+                rho = rho + w_rho * v
+                drho = _add(drho, w_rho * dv)
+        xx = _dot3(xi, xi)
+        mxi = a[:, None] * xi
+        num = a * xx
+        dnum = None if da is None else da * xx[:, None]
+        if self._stress is not None:
+            r, dr = self._stress(x)
+            if r.ndim == 2:
+                rxi = xi[:, :1] * r[:, 0] + xi[:, 1:2] * r[:, 1] \
+                    + xi[:, 2:] * r[:, 2]
+            else:
+                rxi = r[:, :, 0] * xi[:, :1] + r[:, :, 1] * xi[:, 1:2] \
+                    + r[:, :, 2] * xi[:, 2:]
+            mxi = mxi + rxi
+            num = num + _dot3(xi, rxi)
+            if dr is not None:
+                # sum_ij dR_ij/dx_k xi_i xi_j, one index at a time
+                t = dr[:, 0] * xi[:, 0, None, None] \
+                    + dr[:, 1] * xi[:, 1, None, None] \
+                    + dr[:, 2] * xi[:, 2, None, None]
+                dnum = _add(dnum, t[:, 0] * xi[:, :1] + t[:, 1] * xi[:, 1:2]
+                            + t[:, 2] * xi[:, 2:])
+        g = num / rho
+        if drho is not None:
+            dnum = _add(dnum, -g[:, None] * drho)
+        rho_c = rho[:, None] if np.ndim(rho) else rho
+        out = np.empty((len(y), 6))
+        out[:, :3] = (-2.0 / rho_c) * mxi          # dx/ds = -dg/dxi
+        out[:, 3:] = 0.0 if dnum is None else dnum / rho_c   # dxi/ds = dg/dx
+        return out, g
+
+
+# ---------------------------------------------------------------------------
+# the march
+# ---------------------------------------------------------------------------
+
+def dp_step(kern, y, k1, h):
+    """One Dormand-Prince 5(4) step of per-row size h from y, with k1 = f(y).
+
+    Returns the 5th-order solution, the seven stage derivatives (the last
+    one is f at the solution), g at the solution and the error estimate.
+    """
+    hc = h[:, None]
+    k = [k1]
+    for i in range(1, 6):
+        k.append(kern(y + hc * _combine(_A[i], k))[0])
+    y5 = y + hc * _combine(_A[6], k)
+    k7, g5 = kern(y5)
+    k.append(k7)
+    return y5, k, g5, hc * _combine(_E, k)
+
+
+class _Rows:
+    """Per-ray arrays of a batch, all indexed alike."""
+
+    def __init__(self, **arrays):
+        self.__dict__.update(arrays)
+
+    def take(self, mask):
+        return _Rows(**{name: a[mask] for name, a in vars(self).items()})
+
+    @staticmethod
+    def concat(parts):
+        return _Rows(**{name: np.concatenate([vars(p)[name] for p in parts])
+                        for name in vars(parts[0])})
+
+
+@dataclass
+class Leg:
+    """A marched leg that exited or reached its time cap."""
+
+    status: str            # "exited" or "time_capped"
+    s_exit: float
+    y_exit: np.ndarray
+    drift_max: float
+    n_steps: int
+    rejected: dict
+    samples: list | None = None
+
+
+def _leg(rows, j, status):
+    return Leg(status, float(rows.s[j]), rows.y[j], float(rows.drift_max[j]),
+               int(rows.n_steps[j]), dict(zip(REJECT_CAUSES, rows.rej[j].tolist())))
+
+
+def march(m, is_p, y0, tau, sgn, s_cap, ctrl, collect=False):
+    """Integrate a batch of legs from the boundary to their next boundary hit.
+
+    Row i starts on the boundary at y0[i] and marches in s with sign sgn[i]
+    (sign(tau) for forward-in-time legs) until it exits or reaches s_cap[i]
+    (+-inf for no cap).  Returns one Leg or ElastorayError per row.  A step
+    costs a fixed number of array operations whatever the batch size; a
+    ray's row leaves the arrays when the ray finishes or fails.
+    """
+    out = [None] * len(y0)
+    kern_all = Hamilton(m, is_p)
+    dom = m.domain
+    f0, g0 = kern_all(y0)
+    speed = np.sqrt(_dot3(f0[:, :3], f0[:, :3]))
+    gphi = dom.grad_phi(y0[:, :3])
+    tangential = (speed != 0.0) & (sgn * _dot3(gphi, f0[:, :3]) > (
+        -ctrl.tangent_tol * np.sqrt(_dot3(gphi, gphi)) * speed))
+    for i in np.flatnonzero(speed == 0.0):
+        out[i] = StepControlError("zero ray speed at launch")
+    for i in np.flatnonzero(tangential):
+        out[i] = GlancingExitError("launch direction tangential to the boundary")
+
+    ok = (speed != 0.0) & ~tangential
+    n = int(ok.sum())
+    h_max = (0.5 * float(np.min(dom.semi_axes)) / speed[ok]
+             if ctrl.h_max is None else np.full(n, float(ctrl.h_max)))
+    h = 1e-2 * h_max if ctrl.h_init is None else np.full(n, ctrl.h_init)
+    tau2 = tau[ok] * tau[ok]
+    rows = _Rows(ids=np.flatnonzero(ok), y=y0[ok], k1=f0[ok], tau2=tau2,
+                 sgn=sgn[ok], s=np.zeros(n), s_cap=s_cap[ok],
+                 h=sgn[ok] * np.minimum(np.abs(h), h_max), h_max=h_max,
+                 entered=np.zeros(n, dtype=bool),
+                 drift_max=np.abs(tau2 - g0[ok]) / tau2,
+                 n_steps=np.zeros(n, dtype=np.int64),
+                 rej=np.zeros((n, 3), dtype=np.int64))
+    history = [(rows.ids, rows.s, rows.y)] if collect else None
+    crossings = []
+
+    kern = kern_all.rows(rows.ids)
+    for _ in range(ctrl.max_steps):
+        if not len(rows.ids):
+            break
+        capped = rows.sgn * (rows.s + rows.h) >= rows.sgn * rows.s_cap
+        rows.h = np.where(capped, rows.s_cap - rows.s, rows.h)
+        done = capped & (np.abs(rows.h) < 1e-16 * np.maximum(
+            np.abs(rows.s_cap), 1.0))
+        if done.any():
+            for j in np.flatnonzero(done):
+                out[rows.ids[j]] = _leg(rows, j, "time_capped")
+            rows, capped = rows.take(~done), capped[~done]
+            kern = kern_all.rows(rows.ids)
+            if not len(rows.ids):
+                break
+
+        y5, k, g5, err = dp_step(kern, rows.y, rows.k1, rows.h)
+        q = err / (ctrl.atol + ctrl.rtol * np.maximum(np.abs(rows.y),
+                                                      np.abs(y5)))
+        q = q * q
+        err_norm = np.sqrt((q[:, 0] + q[:, 1] + q[:, 2] + q[:, 3] + q[:, 4]
+                            + q[:, 5]) / 6.0)
+        drift = np.abs(rows.tau2 - g5) / rows.tau2
+        with np.errstate(divide="ignore"):
+            fac = 0.9 * err_norm ** -0.2
+        bad_err = err_norm > 1.0
+        bad_drift = ~bad_err & (drift > ctrl.drift_tol)
+        accepted = ~(bad_err | bad_drift)
+        crossed = accepted & (dom.phi(y5[:, :3]) >= 0.0)
+        exited = crossed & rows.entered
+        no_entry = crossed & ~rows.entered
+        advance = accepted & ~crossed
+        rows.n_steps += advance | exited
+        rows.rej += np.stack([bad_err, bad_drift, no_entry], axis=1)
+
+        # rejected and failed-entry steps shrink, advancing ones grow
+        h = rows.h * np.where(advance, np.minimum(5.0, fac),
+                              np.where(bad_err, np.maximum(0.2, fac), 0.5))
+        h = np.where(advance, rows.sgn * np.minimum(np.abs(h), rows.h_max), h)
+        tiny = np.abs(h) < 1e-14 * rows.h_max
+        underflow = ~accepted & tiny
+        glanced = no_entry & tiny
+        finished = advance & capped
+        if exited.any():
+            c = rows.take(exited)
+            c.y5, c.k7, c.g5 = y5[exited], k[6][exited], g5[exited]
+            # the step's continuous extension of x, in theta in [0, 1]
+            hc = c.h[:, None]
+            r2 = c.y5[:, :3] - c.y[:, :3]
+            r3 = hc * c.k1[:, :3] - r2
+            r4 = r2 - hc * c.k7[:, :3] - r3
+            r5 = hc * _combine(_D, [kj[exited][:, :3] for kj in k])
+            c.dense = np.stack([r2, r3, r4, r5], axis=1)
+            crossings.append(c)
+
+        step = advance[:, None]
+        rows.s = np.where(advance, rows.s + rows.h, rows.s)
+        rows.y = np.where(step, y5, rows.y)
+        rows.k1 = np.where(step, k[6], rows.k1)
+        rows.drift_max = np.where(advance, np.maximum(rows.drift_max, drift),
+                                  rows.drift_max)
+        rows.entered = rows.entered | advance
+        rows.h = h
+        if history is not None and advance.any():
+            history.append((rows.ids[advance], rows.s[advance],
+                            rows.y[advance]))
+
+        gone = underflow | glanced | finished | exited
+        if gone.any():
+            for j in np.flatnonzero(underflow):
+                out[rows.ids[j]] = StepControlError(
+                    "step size underflow during drift control")
+            for j in np.flatnonzero(glanced):
+                out[rows.ids[j]] = GlancingExitError(
+                    "ray failed to enter the domain")
+            for j in np.flatnonzero(finished):
+                out[rows.ids[j]] = _leg(rows, j, "time_capped")
+            rows = rows.take(~gone)
+            kern = kern_all.rows(rows.ids)
+
+    for i in rows.ids:
+        out[i] = MaxStepsError(f"no boundary hit within {ctrl.max_steps} steps")
+    if crossings:
+        _locate_exits(kern_all, dom, ctrl, _Rows.concat(crossings), out)
+    if history is not None:
+        ids, s_all, y_all = (np.concatenate(part) for part in zip(*history))
+        for i, leg in enumerate(out):
+            if isinstance(leg, Leg):
+                mine = ids == i
+                leg.samples = list(zip(s_all[mine].tolist(), y_all[mine]))
+                if leg.status == "exited":
+                    leg.samples.append((leg.s_exit, leg.y_exit))
+    return out
+
+
+def _locate_exits(kern_all, dom, ctrl, c, out):
+    """Refine the boundary crossings of the steps in ``c``, all together.
+
+    An Illinois-modified regula falsi finds the crossing on each step's
+    continuous extension.  Exact substeps from the step's start then polish
+    it, each placed by a secant on phi clipped into the bracket, until
+    |phi| is within ``boundary_tol``; the returned state so carries full
+    integration accuracy.
+    """
+    n = len(c.ids)
+    x0 = c.y[:, :3]
+    r2, r3, r4, r5 = (c.dense[:, i] for i in range(4))
+    phi_start = dom.phi(x0)
+    lo, hi = np.zeros(n), np.ones(n)
+    f_lo, f_hi = phi_start, dom.phi(c.y5[:, :3])
+    side = np.zeros(n)
+    theta = np.ones(n)
+    live = np.ones(n, dtype=bool)
+    for _ in range(100):
+        cand = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        th = cand[:, None]
+        f_c = dom.phi(x0 + th * (r2 + (1.0 - th) * (r3 + th * (
+            r4 + (1.0 - th) * r5))))
+        theta = np.where(live, cand, theta)
+        live &= (np.abs(f_c) > 1e-3 * ctrl.boundary_tol) & (hi - lo > 1e-15)
+        if not live.any():
+            break
+        below = f_c < 0.0
+        # Illinois: halve the far end's value when the same end moves twice
+        f_hi = np.where(below & (side < 0), 0.5 * f_hi, f_hi)
+        f_lo = np.where(~below & (side > 0), 0.5 * f_lo, f_lo)
+        lo, f_lo = np.where(below, cand, lo), np.where(below, f_c, f_lo)
+        hi, f_hi = np.where(below, hi, cand), np.where(below, f_hi, f_c)
+        side = np.where(below, -1.0, 1.0)
+
+    # exact-substep polish: eta in (0, h], phi(0) < 0 <= phi(h)
+    h = c.h
+    eta = theta * h
+    eta_lo, eta_hi = np.zeros(n), h.copy()
+    prev_eta, prev_phi = np.zeros(n), phi_start.copy()
+    best_eta, best_y, best_g = h.copy(), c.y5.copy(), c.g5.copy()
+    best_f, best_phi = c.k7.copy(), dom.phi(c.y5[:, :3])
+    live = np.ones(n, dtype=bool)
+    for _ in range(80):
+        idx = np.flatnonzero(live)
+        if not len(idx):
+            break
+        e = eta[idx]
+        y_e, k, g_e, _ = dp_step(kern_all.rows(c.ids[idx]), c.y[idx],
+                                 c.k1[idx], e)
+        p = dom.phi(y_e[:, :3])
+        better = np.abs(p) < np.abs(best_phi[idx])
+        j = idx[better]
+        best_eta[j], best_y[j], best_g[j] = e[better], y_e[better], g_e[better]
+        best_f[j], best_phi[j] = k[6][better], p[better]
+        below = p < 0.0
+        lo = np.where(below, e, eta_lo[idx])
+        hi = np.where(below, eta_hi[idx], e)
+        e0, p0 = prev_eta[idx], prev_phi[idx]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cand = np.where(p != p0, e - p * (e - e0) / (p - p0), np.nan)
+        inside = ((np.minimum(np.abs(lo), np.abs(hi)) < np.abs(cand))
+                  & (np.abs(cand) < np.maximum(np.abs(lo), np.abs(hi))))
+        eta[idx] = np.where(inside, cand, 0.5 * (lo + hi))
+        eta_lo[idx], eta_hi[idx] = lo, hi
+        prev_eta[idx], prev_phi[idx] = e, p
+        live[idx[(np.abs(p) <= ctrl.boundary_tol)
+                 | (np.abs(hi - lo) < 1e-16 * np.abs(h[idx]))]] = False
+
+    gphi = dom.grad_phi(best_y[:, :3])
+    glancing = np.abs(_dot3(gphi, best_f[:, :3])) < (
+        ctrl.tangent_tol * np.sqrt(_dot3(gphi, gphi))
+        * np.sqrt(_dot3(best_f[:, :3], best_f[:, :3])))
+    c.s, c.y = c.s + best_eta, best_y
+    c.drift_max = np.maximum(c.drift_max, np.abs(c.tau2 - best_g) / c.tau2)
+    for j in range(n):
+        out[c.ids[j]] = (GlancingExitError("ray leaves the domain tangentially")
+                         if glancing[j] else _leg(c, j, "exited"))

@@ -99,6 +99,50 @@ class Poly3:
                                                          self.coefs.tolist())}
 
 
+class _MonomialTable:
+    """Several trivariate polynomials evaluated from one table of monomials.
+
+    Column c of ``table(x)`` is sum_k coefs[k, c] x^exps[k], with shape
+    (..., C).  Each monomial is built once by repeated multiplication and the
+    terms are accumulated one after another, so the value at a point does not
+    depend on the other points of the batch.
+    """
+
+    def __init__(self, polys):
+        keys = sorted({tuple(e) for p in polys for e in p.exps.tolist()})
+        index = {k: i for i, k in enumerate(keys)}
+        self.exps = keys
+        self.coefs = np.zeros((len(keys), len(polys)))
+        for col, p in enumerate(polys):
+            for e, c in zip(p.exps.tolist(), p.coefs):
+                self.coefs[index[tuple(e)], col] += c
+
+    def columns(self, cols):
+        """The table restricted to some columns, dropping unused monomials."""
+        sub = object.__new__(_MonomialTable)
+        coefs = self.coefs[:, cols]
+        used = np.any(coefs != 0.0, axis=1)
+        sub.exps = [e for e, u in zip(self.exps, used) if u]
+        sub.coefs = coefs[used]
+        return sub
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        flat = x.reshape(-1, 3)
+        out = np.zeros((len(flat), self.coefs.shape[1]))
+        powers = [[None, flat[:, a]] for a in range(3)]   # powers[a][e]
+        for e, coef in zip(self.exps, self.coefs):
+            mono = None
+            for a in range(3):
+                if e[a]:
+                    p = powers[a]
+                    while len(p) <= e[a]:
+                        p.append(p[-1] * flat[:, a])
+                    mono = p[e[a]] if mono is None else mono * p[e[a]]
+            out += coef if mono is None else mono[:, None] * coef
+        return out.reshape(x.shape[:-1] + (self.coefs.shape[1],))
+
+
 # ---------------------------------------------------------------------------
 # scalar coefficient fields
 # ---------------------------------------------------------------------------
@@ -142,7 +186,11 @@ class ConstantField(ScalarField):
 
 
 class PolynomialField(ScalarField):
-    """Polynomial of total degree at most 4."""
+    """Polynomial of total degree at most 4.
+
+    The value and the three partials are the four columns of one monomial
+    table, so a point's value does not depend on the other points of a batch.
+    """
 
     family = "polynomial"
 
@@ -153,14 +201,17 @@ class PolynomialField(ScalarField):
             raise MediumFormatError(
                 f"polynomial degree {poly.degree} exceeds {MAX_POLY_DEGREE}")
         self.poly = poly
-        self._partials = [poly.diff(a) for a in range(3)]
+        self._table = _MonomialTable([poly] + [poly.diff(a) for a in range(3)])
 
     def __call__(self, x):
-        return self.poly(x)
+        return self.value_and_gradient(x)[0]
 
     def gradient(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return np.stack([p(x) for p in self._partials], axis=-1)
+        return self.value_and_gradient(x)[1]
+
+    def value_and_gradient(self, x):
+        out = self._table(x)
+        return out[..., 0], out[..., 1:]
 
     def to_dict(self):
         return {"family": "polynomial", "coefficients": self.poly.to_dict()}
@@ -279,6 +330,8 @@ class PotentialStress(ResidualStressField):
 
     This family is symmetric and divergence-free by construction:
     div(Hess psi) = grad(Laplace psi) cancels the second term exactly.
+    ``table`` evaluates R and its derivative together as 36 columns;
+    ``matrix`` and ``derivative`` are slices of it.
     """
 
     kind = "potential"
@@ -303,7 +356,7 @@ class PotentialStress(ResidualStressField):
             for key, c in zip(map(tuple, hess[i][i].exps), hess[i][i].coefs):
                 lap_terms[key] = lap_terms.get(key, 0.0) + c
         lap = Poly3(lap_terms)
-        self._r = [[None] * 3 for _ in range(3)]
+        r = [[None] * 3 for _ in range(3)]
         for i in range(3):
             for j in range(3):
                 terms = {tuple(k): c for k, c in zip(map(tuple, hess[i][j].exps),
@@ -311,30 +364,22 @@ class PotentialStress(ResidualStressField):
                 if i == j:
                     for key, c in zip(map(tuple, lap.exps), lap.coefs):
                         terms[key] = terms.get(key, 0.0) - c
-                self._r[i][j] = Poly3(terms)
-        self._dr = [[[self._r[i][j].diff(k) for k in range(3)]
-                     for j in range(3)] for i in range(3)]
+                r[i][j] = Poly3(terms)
+        entries = [r[i][j] for i in range(3) for j in range(3)]
+        entries += [r[i][j].diff(k) for i in range(3) for j in range(3)
+                    for k in range(3)]
+        # R in columns 0..8, dR_ij/dx_k in columns 9..35, row-major
+        self.table = _MonomialTable(entries)
+        self._r_table = self.table.columns(slice(0, 9))
+        self._dr_table = self.table.columns(slice(9, 36))
 
     def matrix(self, x):
         x = np.asarray(x, dtype=np.float64)
-        out = np.empty(x.shape[:-1] + (3, 3))
-        for i in range(3):
-            for j in range(i, 3):
-                v = self._r[i][j](x)
-                out[..., i, j] = v
-                out[..., j, i] = v
-        return out
+        return self._r_table(x).reshape(x.shape[:-1] + (3, 3))
 
     def derivative(self, x):
         x = np.asarray(x, dtype=np.float64)
-        out = np.empty(x.shape[:-1] + (3, 3, 3))
-        for i in range(3):
-            for j in range(i, 3):
-                for k in range(3):
-                    v = self._dr[i][j][k](x)
-                    out[..., i, j, k] = v
-                    out[..., j, i, k] = v
-        return out
+        return self._dr_table(x).reshape(x.shape[:-1] + (3, 3, 3))
 
     def to_dict(self):
         return {"kind": "potential", "coefficients": self.psi.to_dict()}
@@ -388,8 +433,10 @@ class Domain:
         self._inv_a2.setflags(write=False)
 
     def phi(self, x):
+        # summed term by term: a point's value never depends on its batch
         x = np.asarray(x, dtype=np.float64)
-        return np.sum(x * x * self._inv_a2, axis=-1) - 1.0
+        q = x * x * self._inv_a2
+        return q[..., 0] + q[..., 1] + q[..., 2] - 1.0
 
     def grad_phi(self, x):
         x = np.asarray(x, dtype=np.float64)

@@ -2,25 +2,34 @@
 
 Rays are integral curves of the Hamilton field of H = tau^2 - g_mode(x, xi)
 in the flow parameter s, with dt/ds = 2 tau, so tau is exactly constant and
-t is an exact linear function of s.  Legs are traced with an embedded
-adaptive Runge-Kutta 5(4) pair whose acceptance test combines the local
-error estimate with an on-shell drift monitor; boundary exits are located by
-bisection on the step interpolant followed by exact-substep refinement.
+t is an exact linear function of s.
+
+Every leg goes through one batched engine (``engine.march``): a fused
+kernel evaluates the Hamilton field of a whole batch of rays, S and P
+mixed, and a Dormand-Prince 5(4) march advances them together, each ray
+with its own step size, time cap and acceptance test (the local error
+estimate plus an on-shell drift monitor).  A ray that fails leaves the
+batch without disturbing the others, and a ray traces bitwise alike alone
+or in any batch.  A boundary exit is found by an Illinois-modified regula
+falsi on the crossing step's native continuous extension, then polished by
+secant-placed exact substeps from the step's start to the boundary
+tolerance.  Lens-map fans, each level of a broken transport, the recovery
+experiment and the distance start scan are each traced as one batch;
+``trace_state`` and ``trace_leg`` are batches of one.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import (BoundaryCovector, _mode_quadratic, boundary_covector,
+from .boundary import (BoundaryCovector, _roots_for_mode, boundary_covector,
                        char_roots)
+from .engine import march
 from .errors import (DistanceError, ElastorayError, EvanescentModeError,
-                     GlancingError, GlancingExitError, MaxStepsError,
-                     StepControlError)
+                     GlancingError, GlancingExitError)
 from .polarization import muting_annihilation_check
 
 __all__ = [
@@ -66,21 +75,6 @@ class StepControl:
 
 DEFAULT_STEP = StepControl()
 
-# Dormand-Prince 5(4) coefficients
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-       187 / 2100, 1 / 40)
-
 
 @dataclass(frozen=True)
 class RayState:
@@ -101,7 +95,13 @@ class RayState:
 
 @dataclass
 class LensMapEntry:
-    """One traced leg: entry and exit boundary covectors and the travel time."""
+    """One traced leg: entry and exit boundary covectors and the travel time.
+
+    ``n_steps`` counts the accepted steps and ``rejected_steps`` the
+    rejected ones, by cause: the error estimate, the on-shell drift, or a
+    first step that failed to enter the domain.  Their total is the number
+    of attempts that ``StepControl.max_steps`` bounds.
+    """
 
     gamma_in: BoundaryCovector
     gamma_out: BoundaryCovector
@@ -110,6 +110,7 @@ class LensMapEntry:
     n_steps: int = 0
     drift_max: float = 0.0
     samples: np.ndarray | None = None   # dense (s, t, x1..x3, xi1..xi3) rows
+    rejected_steps: dict = field(default_factory=dict)
 
     def to_dict(self):
         g0, g1 = self.gamma_in, self.gamma_out
@@ -121,224 +122,13 @@ class LensMapEntry:
             "t_out": g1.t, "x_out": g1.x.tolist(),
             "xi_t_out": g1.xi_t.tolist(),
             "n_steps": self.n_steps, "drift_max": self.drift_max,
+            "rejected_steps": dict(self.rejected_steps),
         }
 
 
-def _make_rhs(m, mode):
-    """Hamilton field of tau^2 - g_mode in (x, xi); returns (f, g value)."""
-    rho_f, mu_f, lam_f = m.rho, m.mu, m.lam
-    stress = m.stress
-
-    if mode == "S":
-        def coeff(x):
-            return mu_f.value_and_gradient(x)
-    else:
-        def coeff(x):
-            lv, lg = lam_f.value_and_gradient(x)
-            mv, mg = mu_f.value_and_gradient(x)
-            return lv + 2.0 * mv, lg + 2.0 * mg
-
-    def rhs(y):
-        x = y[:3]
-        xi = y[3:]
-        a, da = coeff(x)
-        rho, drho = rho_f.value_and_gradient(x)
-        r = stress.matrix(x)
-        dr = stress.derivative(x)
-        rxi = r @ xi
-        mxi = a * xi + rxi
-        xx = xi @ xi
-        g = (a * xx + xi @ rxi) / rho
-        dg_dx = (da * xx + np.einsum("ijk,i,j->k", dr, xi, xi) - g * drho) / rho
-        out = np.empty(6)
-        out[:3] = (-2.0 / rho) * mxi   # dx/ds = -dg/dxi
-        out[3:] = dg_dx                # dxi/ds = +dg/dx
-        return out, float(g)
-
-    return rhs
-
-
-def _single_step(rhs, y, h):
-    """One 5th-order step of size h; returns (y_new, k_last, g_new, err_vec)."""
-    k = [None] * 7
-    k[0], _ = rhs(y)
-    for i in range(1, 6):
-        yi = y + h * sum(a * k[j] for j, a in enumerate(_A[i]))
-        k[i], _ = rhs(yi)
-    y5 = y + h * sum(b * k[i] for i, b in enumerate(_B5) if b)
-    k[6], g5 = rhs(y5)
-    y4 = y + h * sum(b * k[i] for i, b in enumerate(_B4) if b)
-    return y5, k[6], g5, y5 - y4
-
-
-@dataclass
-class _MarchResult:
-    status: str            # "exited" or "time_capped"
-    s_exit: float
-    y_exit: np.ndarray
-    g_exit: float
-    drift_max: float
-    n_steps: int
-    samples: list
-
-
-def _march(m, mode, y0, tau, sgn, ctrl, s_cap=None, collect=False):
-    """Integrate from the boundary into the domain until the next boundary hit.
-
-    ``sgn`` is the sign of the s-march (sign(tau) for forward-in-time legs).
-    """
-    rhs = _make_rhs(m, mode)
-    phi = m.domain.phi
-    grad_phi = m.domain.grad_phi
-
-    f0, g0 = rhs(y0)
-    tau2 = tau * tau
-    speed = np.linalg.norm(f0[:3])
-    if speed == 0.0:
-        raise StepControlError("zero ray speed at launch")
-    gphi = grad_phi(y0[:3])
-    dphi = sgn * float(gphi @ f0[:3])
-    if dphi > -ctrl.tangent_tol * np.linalg.norm(gphi) * speed:
-        raise GlancingExitError("launch direction tangential to the boundary")
-
-    h_max = ctrl.h_max
-    if h_max is None:
-        h_max = 0.5 * float(np.min(m.domain.semi_axes)) / speed
-    h = ctrl.h_init if ctrl.h_init is not None else 1e-2 * h_max
-    h = sgn * min(abs(h), h_max)
-
-    s = 0.0
-    y = y0
-    k1 = f0
-    entered = False
-    drift_max = abs(tau2 - g0) / tau2
-    samples = [(s, y.copy())] if collect else []
-    n_steps = 0
-    h_floor = 1e-14 * h_max
-
-    for _ in range(ctrl.max_steps):
-        capped = False
-        if s_cap is not None and sgn * (s + h) >= sgn * s_cap:
-            h = s_cap - s
-            capped = True
-            if abs(h) < 1e-16 * max(abs(s_cap), 1.0):
-                return _MarchResult("time_capped", s, y, g0, drift_max,
-                                    n_steps, samples)
-
-        y5, k7, g5, err = _single_step(rhs, y, h)
-        scale = ctrl.atol + ctrl.rtol * np.maximum(np.abs(y), np.abs(y5))
-        err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
-        drift = abs(tau2 - g5) / tau2
-        if err_norm > 1.0 or drift > ctrl.drift_tol:
-            h *= max(0.2, 0.9 * err_norm ** -0.2) if err_norm > 1.0 else 0.5
-            if abs(h) < h_floor:
-                raise StepControlError("step size underflow during drift control")
-            continue
-
-        n_steps += 1
-        phi_new = float(phi(y5[:3]))
-        if entered and phi_new >= 0.0:
-            return _locate_exit(m, rhs, ctrl, tau2, s, y, k1, h, y5,
-                                drift_max, n_steps, samples, sgn)
-        if not entered:
-            if phi_new >= 0.0:
-                h *= 0.5
-                if abs(h) < h_floor:
-                    raise GlancingExitError("ray failed to enter the domain")
-                continue
-            entered = True
-
-        s += h
-        y = y5
-        k1 = k7
-        g0 = g5
-        drift_max = max(drift_max, drift)
-        if collect:
-            samples.append((s, y.copy()))
-        if capped:
-            return _MarchResult("time_capped", s, y, g5, drift_max,
-                                n_steps, samples)
-        if err_norm > 0:
-            h *= min(5.0, 0.9 * err_norm ** -0.2)
-        else:
-            h *= 5.0
-        h = sgn * min(abs(h), h_max)
-
-    raise MaxStepsError(f"no boundary hit within {ctrl.max_steps} steps")
-
-
-def _hermite(y0, f0, y1, f1, h, theta):
-    t2 = theta * theta
-    t3 = t2 * theta
-    return ((2 * t3 - 3 * t2 + 1) * y0 + (t3 - 2 * t2 + theta) * h * f0
-            + (-2 * t3 + 3 * t2) * y1 + (t3 - t2) * h * f1)
-
-
-def _locate_exit(m, rhs, ctrl, tau2, s, y, k1, h, y_next, drift_max,
-                 n_steps, samples, sgn):
-    """Refine the boundary crossing inside the step [s, s + h].
-
-    First bisect on the cubic Hermite interpolant of the accepted step, then
-    polish with exact substeps from the step's left endpoint so the returned
-    state carries full integration accuracy.
-    """
-    phi = m.domain.phi
-    k_next, _ = rhs(y_next)
-
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if float(phi(_hermite(y, k1, y_next, k_next, h, mid)[:3])) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    theta = 0.5 * (lo + hi)
-
-    # exact-substep refinement: eta in (0, h], phi(0) < 0 <= phi(h)
-    eta_lo, eta_hi = 0.0, h
-    phi_lo = float(phi(y[:3]))
-    best_eta, best_y, best_g, best_phi = h, y_next, None, float(phi(y_next[:3]))
-    eta = theta * h
-    prev = (0.0, phi_lo)
-    for _ in range(80):
-        y_eta, _, g_eta, _ = _single_step(rhs, y, eta)
-        p_eta = float(phi(y_eta[:3]))
-        if abs(p_eta) < abs(best_phi):
-            best_eta, best_y, best_g, best_phi = eta, y_eta, g_eta, p_eta
-        if abs(p_eta) <= ctrl.boundary_tol:
-            break
-        if p_eta < 0.0:
-            eta_lo = eta
-        else:
-            eta_hi = eta
-        # secant proposal clipped into the bracket, midpoint fallback
-        e0, p0 = prev
-        prev = (eta, p_eta)
-        if p_eta != p0:
-            cand = eta - p_eta * (eta - e0) / (p_eta - p0)
-        else:
-            cand = 0.5 * (eta_lo + eta_hi)
-        inside = (min(abs(eta_lo), abs(eta_hi)) < abs(cand)
-                  < max(abs(eta_lo), abs(eta_hi)))
-        eta = cand if inside else 0.5 * (eta_lo + eta_hi)
-        if abs(eta_hi - eta_lo) < 1e-16 * abs(h):
-            break
-
-    if best_g is None:
-        _, _, best_g, _ = _single_step(rhs, y, best_eta)
-    f_exit, _ = rhs(best_y)
-    gphi = m.domain.grad_phi(best_y[:3])
-    dphi = float(gphi @ f_exit[:3])
-    speed = float(np.linalg.norm(f_exit[:3]))
-    if abs(dphi) < ctrl.tangent_tol * np.linalg.norm(gphi) * speed:
-        raise GlancingExitError("ray leaves the domain tangentially")
-
-    drift_max = max(drift_max, abs(tau2 - best_g) / tau2)
-    if samples:
-        samples.append((s + best_eta, best_y.copy()))
-    return _MarchResult("exited", s + best_eta, best_y, best_g, drift_max,
-                        n_steps, samples)
-
+# ---------------------------------------------------------------------------
+# legs: batched tracing and its scalar views
+# ---------------------------------------------------------------------------
 
 def _exit_covector(m, t, tau, y_exit):
     x = m.domain.radial_project(y_exit[:3])
@@ -346,6 +136,70 @@ def _exit_covector(m, t, tau, y_exit):
     xi = y_exit[3:]
     xi_t = xi - float(xi @ nu) * nu
     return BoundaryCovector(t=t, x=x, tau=tau, xi_t=xi_t, nu=nu), xi
+
+
+def _finish_leg(m, state, leg, collect):
+    """(exit RayState, LensMapEntry, "exited") of a marched leg."""
+    dt = 2.0 * state.tau * leg.s_exit
+    gamma_out, xi_full = _exit_covector(m, state.t + dt, state.tau, leg.y_exit)
+    exit_state = RayState(t=state.t + dt, x=gamma_out.x, xi=xi_full,
+                          tau=state.tau, mode=state.mode)
+    samples = None
+    if collect:
+        rows = [(s, state.t + 2.0 * state.tau * s, *y[:3], *y[3:])
+                for s, y in leg.samples]
+        samples = np.array(rows)
+    gamma_in = boundary_covector(m, state.t, state.x, state.tau, state.xi)
+    entry = LensMapEntry(gamma_in=gamma_in, gamma_out=gamma_out,
+                         mode=state.mode, travel_time=dt,
+                         n_steps=leg.n_steps, drift_max=leg.drift_max,
+                         samples=samples, rejected_steps=leg.rejected)
+    return exit_state, entry, "exited"
+
+
+def _trace_states(m, states, ctrl=None, t_cap=None, collect=False,
+                  time_direction=1):
+    """Trace interior-directed boundary states as one batch.
+
+    Returns, per state, what trace_state would return, or the ElastorayError
+    it would raise.
+    """
+    if ctrl is None:
+        ctrl = DEFAULT_STEP
+    direction = 1 if time_direction >= 0 else -1
+    out = [None] * len(states)
+    run = []
+    sgn = []
+    s_cap = []
+    for i, state in enumerate(states):
+        sg = (1.0 if state.tau > 0 else -1.0) * direction
+        cap = sg * math.inf
+        if t_cap is not None:
+            cap = (t_cap - state.t) / (2.0 * state.tau)
+            if sg * cap <= 0:
+                out[i] = (None, None, "time_capped")
+                continue
+        run.append(i)
+        sgn.append(sg)
+        s_cap.append(cap)
+    if not run:
+        return out
+    picked = [states[i] for i in run]
+    legs = march(m, np.array([st.mode != "S" for st in picked]),
+                 np.array([np.concatenate([st.x, st.xi]) for st in picked]),
+                 np.array([st.tau for st in picked]), np.array(sgn),
+                 np.array(s_cap), ctrl, collect=collect)
+    for i, state, leg in zip(run, picked, legs):
+        if isinstance(leg, ElastorayError):
+            out[i] = leg
+        elif leg.status == "time_capped":
+            out[i] = (None, None, "time_capped")
+        else:
+            try:
+                out[i] = _finish_leg(m, state, leg, collect)
+            except ElastorayError as exc:
+                out[i] = exc
+    return out
 
 
 def trace_state(m, state, ctrl=None, t_cap=None, collect=False,
@@ -356,34 +210,10 @@ def trace_state(m, state, ctrl=None, t_cap=None, collect=False,
     status is "exited" or "time_capped"; on a time cap both payloads are
     None.
     """
-    if ctrl is None:
-        ctrl = DEFAULT_STEP
-    y0 = np.concatenate([state.x, state.xi])
-    sgn = (1.0 if state.tau > 0 else -1.0) * (1 if time_direction >= 0 else -1)
-    s_cap = None
-    if t_cap is not None:
-        s_cap = (t_cap - state.t) / (2.0 * state.tau)
-        if sgn * s_cap <= 0:
-            return None, None, "time_capped"
-    res = _march(m, state.mode, y0, state.tau, sgn, ctrl, s_cap=s_cap,
-                 collect=collect)
-    if res.status == "time_capped":
-        return None, None, "time_capped"
-    dt = 2.0 * state.tau * res.s_exit
-    gamma_out, xi_full = _exit_covector(m, state.t + dt, state.tau, res.y_exit)
-    exit_state = RayState(t=state.t + dt, x=gamma_out.x, xi=xi_full,
-                          tau=state.tau, mode=state.mode)
-    samples = None
-    if collect:
-        rows = [(s, state.t + 2.0 * state.tau * s, *y[:3], *y[3:])
-                for s, y in res.samples]
-        samples = np.array(rows)
-    gamma_in = boundary_covector(m, state.t, state.x, state.tau, state.xi)
-    entry = LensMapEntry(gamma_in=gamma_in, gamma_out=gamma_out,
-                         mode=state.mode, travel_time=dt,
-                         n_steps=res.n_steps, drift_max=res.drift_max,
-                         samples=samples)
-    return exit_state, entry, "exited"
+    out = _trace_states(m, [state], ctrl, t_cap, collect, time_direction)[0]
+    if isinstance(out, ElastorayError):
+        raise out
+    return out
 
 
 def launch_state(m, gamma, mode, time_direction=1, glancing_tol=1e-10):
@@ -400,32 +230,59 @@ def launch_state(m, gamma, mode, time_direction=1, glancing_tol=1e-10):
     return RayState(t=gamma.t, x=gamma.x, xi=xi, tau=gamma.tau, mode=mode)
 
 
+def _trace_legs(m, gammas, modes, ctrl=None, collect=False, time_direction=1):
+    """LensMapEntry, or the ElastorayError raised, per (gamma, mode) leg.
+
+    All legs that launch are traced as one batch.
+    """
+    out = [None] * len(gammas)
+    states = []
+    launched = []
+    for i, (gamma, mode) in enumerate(zip(gammas, modes, strict=True)):
+        try:
+            states.append(launch_state(m, gamma, mode, time_direction))
+            launched.append(i)
+        except ElastorayError as exc:
+            out[i] = exc
+    traced = _trace_states(m, states, ctrl, collect=collect,
+                           time_direction=time_direction)
+    for i, res in zip(launched, traced):
+        if isinstance(res, ElastorayError):
+            out[i] = res
+        elif res[2] != "exited":
+            out[i] = ElastorayError("unexpected time cap on an uncapped leg")
+        else:
+            out[i] = res[1]
+    return out
+
+
 def trace_leg(m, gamma, mode, ctrl=None, collect=False, time_direction=1):
     """Trace the single interior leg leaving gamma in the given mode."""
-    state = launch_state(m, gamma, mode, time_direction)
-    _, entry, status = trace_state(m, state, ctrl, collect=collect,
-                                   time_direction=time_direction)
-    if status != "exited":
-        raise ElastorayError("unexpected time cap on an uncapped leg")
-    return entry
+    out = _trace_legs(m, [gamma], [mode], ctrl, collect, time_direction)[0]
+    if isinstance(out, ElastorayError):
+        raise out
+    return out
 
 
 def lens_map_table(m, mode, gammas, ctrl=None, skip_errors=False):
     """Lens-map entries for a fan of boundary covectors (None on failure).
 
-    With ``skip_errors`` failing probes yield None and the error strings are
-    returned alongside; otherwise the first failure raises.
+    ``mode`` is one mode for the whole fan or a sequence with one mode per
+    covector; the fan is traced as one batch.  With ``skip_errors`` failing
+    probes yield None and the error strings are returned alongside;
+    otherwise the first failure, in fan order, raises.
     """
+    modes = [mode] * len(gammas) if isinstance(mode, str) else list(mode)
     entries = []
     failures = []
-    for i, gamma in enumerate(gammas):
-        try:
-            entries.append(trace_leg(m, gamma, mode, ctrl))
-        except ElastorayError as exc:
+    for i, out in enumerate(_trace_legs(m, gammas, modes, ctrl)):
+        if isinstance(out, ElastorayError):
             if not skip_errors:
-                raise
+                raise out
             entries.append(None)
-            failures.append(f"probe {i}: {type(exc).__name__}: {exc}")
+            failures.append(f"probe {i}: {type(out).__name__}: {out}")
+        else:
+            entries.append(out)
     return entries, failures
 
 
@@ -512,33 +369,30 @@ def reflect(m, state, glancing_tol=1e-10):
     """Reflect an outgoing boundary state into all hyperbolic branches.
 
     The reflected branches share (t, x, tau, xi_t) with the incident state
-    and use each mode's forward root.  Evanescent branches (complex roots)
-    are reported, not traced.  A glancing incident mode raises GlancingError;
-    a glancing converted mode is reported and dropped.
+    and use each mode's forward root, as ``char_roots`` selects it.
+    Evanescent branches (complex roots) are reported, not traced.  A
+    glancing incident mode raises GlancingError; a glancing converted mode
+    is reported and dropped.
     """
     gamma = boundary_covector(m, state.t, state.x, state.tau, state.xi)
     states = []
     evanescent = []
     glancing = []
     for mode in ("S", "P"):
-        big_a, bh, c, scale2 = (float(v) for v in
-                                _mode_quadratic(m, mode, gamma))
-        d4 = bh * bh - big_a * c
-        if abs(d4) < glancing_tol * scale2:
+        try:
+            roots = _roots_for_mode(m, mode, gamma, glancing_tol)
+        except GlancingError as exc:
             if mode == state.mode:
                 raise GlancingError(
                     f"incident mode {mode} glancing at reflection point",
-                    discriminant=d4)
+                    discriminant=exc.discriminant) from None
             glancing.append(mode)
             continue
-        if d4 < 0:
+        if not roots.real:
             evanescent.append(mode)
             continue
-        s = math.sqrt(d4)
-        z_fwd = (bh - math.copysign(s, gamma.tau)) / big_a
-        xi = gamma.xi_t - z_fwd * gamma.nu
-        states.append(RayState(t=state.t, x=gamma.x, xi=xi, tau=state.tau,
-                               mode=mode))
+        states.append(RayState(t=state.t, x=gamma.x, xi=roots.xi_forward,
+                               tau=state.tau, mode=mode))
     return ReflectionResult(states=states, evanescent=evanescent,
                             glancing=glancing)
 
@@ -559,56 +413,93 @@ class TransportResult:
     reports: list
 
 
+def _transport(m, sources, depth, t_max, ctrl):
+    """Broken transport of several sources together, breadth first.
+
+    ``sources`` holds (gamma, initial_modes) pairs.  Each BFS level, over
+    all sources, is traced as one batch, and each source's rays are handled
+    in the order a one-source queue would pop them, so its events, reports
+    and time ties come out as in a sequential search.  Returns, per source,
+    (TransportResult, the uncaught ElastorayError or None).  A source stops
+    at its first uncaught error: the earliest-queued ray that raised.
+    """
+    events = [[] for _ in sources]
+    reports = [[] for _ in sources]
+    errors = [None] * len(sources)
+    level = []
+    for i, (gamma, modes) in enumerate(sources):
+        try:
+            level += [(i, launch_state(m, gamma, mode), 0, mode)
+                      for mode in modes]
+        except ElastorayError as exc:
+            errors[i] = exc
+
+    while level:
+        traced = _trace_states(m, [item[1] for item in level], ctrl,
+                               t_cap=t_max)
+        queued = []
+        for (i, state, n_refl, lineage), out in zip(level, traced):
+            if errors[i] is not None:
+                continue
+            notes = reports[i]
+            if isinstance(out, GlancingExitError):
+                notes.append(f"{lineage}: tangential exit dropped ({out})")
+                continue
+            if isinstance(out, ElastorayError):
+                errors[i] = out
+                continue
+            exit_state, entry, status = out
+            if status == "time_capped":
+                notes.append(f"{lineage}: time cap reached before boundary")
+                continue
+            if t_max is not None and entry.gamma_out.t > t_max + 1e-12:
+                notes.append(f"{lineage}: arrival beyond time cap dropped")
+                continue
+            events[i].append((entry.gamma_out, state.mode, n_refl))
+            if n_refl >= depth:
+                continue
+            try:
+                refl = reflect(m, exit_state)
+            except GlancingError as exc:
+                notes.append(f"{lineage}: glancing reflection halted branch "
+                             f"({exc})")
+                continue
+            except ElastorayError as exc:
+                errors[i] = exc
+                continue
+            for mode in refl.evanescent:
+                notes.append(f"{lineage}: converted {mode} branch evanescent")
+            for mode in refl.glancing:
+                notes.append(f"{lineage}: converted {mode} branch glancing")
+            for new_state in refl.states:
+                queued.append((i, new_state, n_refl + 1,
+                               f"{lineage}->{new_state.mode}"))
+        level = [item for item in queued if errors[item[0]] is None]
+
+    results = []
+    for found, notes, error in zip(events, reports, errors):
+        order = sorted(range(len(found)), key=lambda k: (found[k][0].t, k))
+        out = [WFEvent(gamma=found[k][0], mode=found[k][1], order_index=rank,
+                       n_reflections=found[k][2])
+               for rank, k in enumerate(order)]
+        results.append((TransportResult(events=out, reports=notes), error))
+    return results
+
+
 def broken_transport(m, gamma, initial_modes=("S", "P"), depth=3, t_max=None,
                      ctrl=None):
     """Propagate gamma through up to ``depth`` reflections, collecting events.
 
-    Breadth-first over reflected branches; events are sorted by arrival time
-    (ties by creation order, so the result is deterministic).  Branches that
-    exceed ``t_max``, exit tangentially, or hit a glancing reflection are
-    dropped with a report.
+    Breadth-first over reflected branches, one batch per level; events are
+    sorted by arrival time (ties by creation order, so the result is
+    deterministic).  Branches that exceed ``t_max``, exit tangentially, or
+    hit a glancing reflection are dropped with a report.
     """
-    events = []
-    reports = []
-    queue = deque()
-    for mode in initial_modes:
-        queue.append((launch_state(m, gamma, mode), 0, mode))
-
-    while queue:
-        state, n_refl, lineage = queue.popleft()
-        try:
-            exit_state, entry, status = trace_state(m, state, ctrl,
-                                                    t_cap=t_max)
-        except GlancingExitError as exc:
-            reports.append(f"{lineage}: tangential exit dropped ({exc})")
-            continue
-        if status == "time_capped":
-            reports.append(f"{lineage}: time cap reached before boundary")
-            continue
-        if t_max is not None and entry.gamma_out.t > t_max + 1e-12:
-            reports.append(f"{lineage}: arrival beyond time cap dropped")
-            continue
-        events.append((entry.gamma_out, state.mode, n_refl))
-        if n_refl >= depth:
-            continue
-        try:
-            refl = reflect(m, exit_state)
-        except GlancingError as exc:
-            reports.append(f"{lineage}: glancing reflection halted branch ({exc})")
-            continue
-        for mode in refl.evanescent:
-            reports.append(f"{lineage}: converted {mode} branch evanescent")
-        for mode in refl.glancing:
-            reports.append(f"{lineage}: converted {mode} branch glancing")
-        for new_state in refl.states:
-            queue.append((new_state, n_refl + 1,
-                          f"{lineage}->{new_state.mode}"))
-
-    order = sorted(range(len(events)), key=lambda i: (events[i][0].t, i))
-    out = [WFEvent(gamma=events[i][0], mode=events[i][1], order_index=k,
-                   n_reflections=events[i][2])
-           for k, i in enumerate(order)]
-    return TransportResult(events=out, reports=reports)
+    result, error = _transport(m, [(gamma, tuple(initial_modes))], depth,
+                               t_max, ctrl)[0]
+    if error is not None:
+        raise error
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +531,10 @@ class DistanceResult:
 # iteration before the start is abandoned
 _SHOOT_MAX_ITER = 12
 _SHOOT_MAX_HALVINGS = 10
+# a descent whose next Gauss-Newton iterate lands this close (relative to
+# max(1, |w*|)) to the parameters w* of an earlier descent's converged shot
+# ends on that shot
+_SHOOT_SAME_RAY = 1e-6
 
 
 def boundary_distance(m, mode, x_from, y_to, tau=1.0, n_starts=64,
@@ -648,13 +543,15 @@ def boundary_distance(m, mode, x_from, y_to, tau=1.0, n_starts=64,
 
     Entry covectors are parametrized by two tangential components at
     ``x_from``.  ``n_starts`` starts spread over the hyperbolic disk are
-    traced once each; the ``n_refine`` with the smallest boundary miss seed
-    a damped Gauss-Newton iteration on the miss vector.  Its Jacobian is
+    traced as one batch; the ``n_refine`` with the smallest boundary miss
+    seed a damped Gauss-Newton iteration on the miss vector.  Its Jacobian is
     taken by forward differences, and its step is halved until the trial
     leg reaches the boundary with a smaller miss; the iterations and the
     halvings are capped, so a solve costs a bounded number of legs.  Each
-    start stops once its miss is below ``0.3 * miss_tol``.  The result is
-    the least travel time over the iterates that hit within ``miss_tol``.
+    start stops once its miss is below ``0.3 * miss_tol``; a later start
+    also stops, adopting the earlier shot, once its Gauss-Newton iterate
+    heads for a ray an earlier start converged to.  The result is the least
+    travel time over the iterates that hit within ``miss_tol``.
 
     ``warm_start`` takes a known-good tangential parameter pair and replaces
     the start scan with that single start; the returned entry covector
@@ -670,20 +567,25 @@ def boundary_distance(m, mode, x_from, y_to, tau=1.0, n_starts=64,
     n_legs = 0
     failed = {}
 
-    def shoot(w):
-        # one leg: (entry, miss, w, miss vector), or None when it raises
+    def shoot_all(ws):
+        # one batch of legs: per w (entry, miss, w, miss vector), or None
+        # when its leg raises
         nonlocal n_legs
-        n_legs += 1
-        gamma = BoundaryCovector(t=0.0, x=x0, tau=float(tau),
-                                 xi_t=w[0] * e1 + w[1] * e2, nu=nu)
-        try:
-            entry = trace_leg(m, gamma, mode, ctrl)
-        except ElastorayError as exc:
-            name = type(exc).__name__
-            failed[name] = failed.get(name, 0) + 1
-            return None
-        vec = entry.gamma_out.x - y1
-        return entry, float(np.linalg.norm(vec)), w, vec
+        n_legs += len(ws)
+        gammas = [BoundaryCovector(t=0.0, x=x0, tau=float(tau),
+                                   xi_t=w[0] * e1 + w[1] * e2, nu=nu)
+                  for w in ws]
+        shots = []
+        for w, entry in zip(ws, _trace_legs(m, gammas, [mode] * len(ws),
+                                            ctrl)):
+            if isinstance(entry, ElastorayError):
+                name = type(entry).__name__
+                failed[name] = failed.get(name, 0) + 1
+                shots.append(None)
+                continue
+            vec = entry.gamma_out.x - y1
+            shots.append((entry, float(np.linalg.norm(vec)), w, vec))
+        return shots
 
     if warm_start is not None:
         starts = [np.asarray(warm_start, dtype=np.float64)]
@@ -710,6 +612,8 @@ def boundary_distance(m, mode, x_from, y_to, tau=1.0, n_starts=64,
             return hit_c
         return cand[1] < incumbent[1]
 
+    converged = []      # shots earlier descents ended on below the target
+
     def descend(shot):
         # damped Gauss-Newton from one traced start; the miss falls at every
         # accepted step, so the last iterate is the one closest to a ray
@@ -718,13 +622,19 @@ def boundary_distance(m, mode, x_from, y_to, tau=1.0, n_starts=64,
             if miss <= miss_tol * 0.3:
                 break
             h = 1e-7 * max(1.0, float(np.linalg.norm(w)))
-            cols = [shoot(w + h * unit) for unit in np.eye(2)]
+            cols = shoot_all([w + h * unit for unit in np.eye(2)])
             if any(col is None for col in cols):
                 break
             jac = np.stack([(col[3] - vec) / h for col in cols], axis=-1)
             step, *_ = np.linalg.lstsq(jac, -vec, rcond=None)
+            # heading for a ray an earlier descent already found: adopt it
+            for prior in converged:
+                gap = float(np.linalg.norm(w + step - prior[2]))
+                if gap <= _SHOOT_SAME_RAY * max(
+                        1.0, float(np.linalg.norm(prior[2]))):
+                    return prior
             for k in range(_SHOOT_MAX_HALVINGS + 1):
-                trial = shoot(w + 0.5 ** k * step)
+                trial = shoot_all([w + 0.5 ** k * step])[0]
                 if trial is not None and trial[1] < miss:
                     break
             else:
@@ -732,12 +642,14 @@ def boundary_distance(m, mode, x_from, y_to, tau=1.0, n_starts=64,
             shot = trial
         return shot
 
-    scanned = [(shot[1], i, shot) for i, shot in enumerate(map(shoot, starts))
+    scanned = [(shot[1], i, shot) for i, shot in enumerate(shoot_all(starts))
                if shot is not None]
     scanned.sort(key=lambda item: item[:2])
     best = None
     for _, _, start in scanned[:max(n_refine, 1)]:
         shot = descend(start)
+        if shot[1] <= miss_tol * 0.3 and not any(shot is c for c in converged):
+            converged.append(shot)
         if better(shot, best):
             best = shot
 
@@ -804,23 +716,36 @@ def recover_lens_maps(m, probes, depth=1, ctrl=None):
     For each probe the shear map value is read off as the least-time event
     of a shear-only launch (justified quantitatively by the muting residual,
     recorded per probe) and likewise for the compressional map; both are
-    compared against directly traced legs.
+    compared against directly traced legs.  The transports of all probes
+    and both modes are traced together, one batch per level, and the direct
+    legs as one more batch, so the comparison also checks that a leg traces
+    alike in different batches.  Errors are raised in the order a
+    probe-by-probe loop would meet them.
     """
+    modes = ("S", "P")
+    launches = [(gamma, mode) for gamma in probes for mode in modes]
+    runs = _transport(m, [(gamma, (mode,)) for gamma, mode in launches],
+                      depth, None, ctrl)
+    directs = _trace_legs(m, [gamma for gamma, _ in launches],
+                          [mode for _, mode in launches], ctrl)
     records = []
     max_dx = max_dxi = max_dt = max_mute = 0.0
     min_sep = math.inf
     max_sep = 0.0
-    for gamma in probes:
+    for k, gamma in enumerate(probes):
         mute_res = muting_annihilation_check(m, gamma)
         max_mute = max(max_mute, mute_res)
         times = {}
-        for mode in ("S", "P"):
-            result = broken_transport(m, gamma, (mode,), depth=depth,
-                                      ctrl=ctrl)
+        for j, mode in enumerate(modes):
+            result, error = runs[len(modes) * k + j]
+            if error is not None:
+                raise error
             if not result.events:
                 raise ElastorayError(f"no events for mode {mode} launch")
             event = result.events[0]
-            direct = trace_leg(m, gamma, mode, ctrl)
+            direct = directs[len(modes) * k + j]
+            if isinstance(direct, ElastorayError):
+                raise direct
             dx = float(np.linalg.norm(event.gamma.x - direct.gamma_out.x))
             dxi = float(np.linalg.norm(event.gamma.xi_t
                                        - direct.gamma_out.xi_t))

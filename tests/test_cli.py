@@ -107,6 +107,8 @@ def test_trace_csv_samples(media_dir, tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "s,t,x1,x2,x3,xi1,xi2,xi3"
     assert len(lines) > 2
+    assert set(doc["results"]["leg"]["rejected_steps"]) == {"error", "drift",
+                                                          "entry"}
 
 
 def test_trace_broken_transport(media_dir, tmp_path):
@@ -124,6 +126,12 @@ def test_lensmap_both_modes(media_dir, tmp_path):
     rows = doc["results"]["rows"]
     assert len(rows) == 8
     assert all({"S", "P"} <= set(r) for r in rows)
+    # rejected steps are counted per leg, by cause
+    for r in rows:
+        for mode in ("S", "P"):
+            counts = r[mode]["rejected_steps"]
+            assert set(counts) == {"error", "drift", "entry"}
+            assert all(isinstance(v, int) and v >= 0 for v in counts.values())
 
 
 def test_distance_matrix(media_dir, tmp_path):

@@ -7,6 +7,8 @@ from numpy.testing import assert_allclose
 
 import elastoray as er
 from elastoray import rays
+from elastoray.boundary import _mode_quadratic
+from elastoray.engine import Hamilton
 
 SOUTH = np.array([0.0, 0.0, -1.0])
 SQ2 = np.sqrt(2.0)
@@ -441,3 +443,270 @@ def test_probe_fan_is_hyperbolic(stressed_medium, rng):
         lab = er.classify(stressed_medium, g)
         assert lab.combined == "hyperbolic"
         assert g.xi_t_norm > 0.0
+
+
+# ------------------------------------------------------------ batched engine
+
+@pytest.fixture(scope="module")
+def polynomial_medium():
+    # polynomial rho, lam and mu under a constant stress
+    return er.Medium(
+        rho=er.PolynomialField({(0, 0, 0): 1.0, (1, 1, 0): 0.05,
+                                (0, 0, 2): -0.04}),
+        lam=er.PolynomialField({(0, 0, 0): 1.2, (0, 0, 1): -0.06,
+                                (1, 1, 1): 0.04}),
+        mu=er.PolynomialField({(0, 0, 0): 1.0, (1, 0, 0): 0.03,
+                               (2, 0, 0): 0.08, (0, 1, 1): -0.05}),
+        stress=er.ConstantStress(0.05 * np.diag([1.0, -1.0, 0.0])),
+        class_params=er.ClassParams(L=3.5, eps=0.2, delta=0.5))
+
+
+MEDIA = ("constant_medium", "stressed_medium", "potential_medium",
+         "bump_medium", "polynomial_medium")
+
+
+def assert_same_leg(a, b, tol=1e-13):
+    assert np.abs(a.gamma_out.x - b.gamma_out.x).max() <= tol
+    assert np.abs(a.gamma_out.xi_t - b.gamma_out.xi_t).max() <= tol
+    assert abs(a.travel_time - b.travel_time) <= tol
+    assert a.n_steps == b.n_steps
+    assert a.rejected_steps == b.rejected_steps
+
+
+@pytest.mark.parametrize("name", MEDIA)
+def test_kernel_matches_metric_gradient(name, request):
+    # the fused kernel, S and P rows mixed, against the symbol layer's
+    # value and gradients of the dual metric
+    m = request.getfixturevalue(name)
+    rng = np.random.default_rng(67)
+    x = m.domain.sample_interior(12, rng)
+    xi = rng.standard_normal((12, 3))
+    modes = ["S", "P"] * 6
+    f, g = Hamilton(m, np.array([md == "P" for md in modes]))(
+        np.hstack([x, xi]))
+    for i, mode in enumerate(modes):
+        val, d_x, d_xi = er.metric_inv_grad(m, mode, x[i], xi[i])
+        assert g[i] == pytest.approx(val, rel=1e-13)
+        assert_allclose(f[i, :3], -d_xi, rtol=1e-13, atol=1e-13)
+        assert_allclose(f[i, 3:], d_x, rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("name", MEDIA)
+def test_batched_legs_match_batches_of_one(name, request):
+    m = request.getfixturevalue(name)
+    probes = er.probe_fan(m, 8, np.random.default_rng(71))
+    gammas = [g for g in probes for _ in "SP"]
+    modes = ["S", "P"] * len(probes)
+    ones = [er.trace_leg(m, g, mode) for g, mode in zip(gammas, modes)]
+    sixteen, errors = er.lens_map_table(m, modes, gammas)
+    three, _ = er.lens_map_table(m, modes[5:8], gammas[5:8])
+    assert errors == [] and len(sixteen) == 16
+    for batch, first in ((sixteen, 0), (three, 5)):
+        for k, entry in enumerate(batch):
+            assert_same_leg(entry, ones[first + k])
+    assert all(set(e.rejected_steps) == {"error", "drift", "entry"}
+               for e in sixteen)
+
+
+def test_batched_time_cap_and_reverse_legs(bump_medium):
+    m = bump_medium
+    probes = er.probe_fan(m, 6, np.random.default_rng(73))
+    states = [er.launch_state(m, g, mode) for g in probes for mode in "SP"]
+    arrivals = sorted(er.trace_state(m, st)[0].t for st in states)
+    t_cap = 0.5 * (arrivals[2] + arrivals[-3])
+    batch = rays._trace_states(m, states, t_cap=t_cap)
+    assert {out[2] for out in batch} == {"exited", "time_capped"}
+    for state, out in zip(states, batch):
+        single = er.trace_state(m, state, t_cap=t_cap)
+        assert out[2] == single[2]
+        if out[2] == "exited":
+            assert_same_leg(out[1], single[1])
+        else:
+            assert out[:2] == (None, None) == single[:2]
+    # legs traced against time from the exits, batched and one by one
+    exits = [er.trace_leg(m, g, mode) for g in probes for mode in "SP"]
+    back = rays._trace_legs(m, [e.gamma_out for e in exits],
+                            [e.mode for e in exits], time_direction=-1)
+    for entry, out in zip(exits, back):
+        assert_same_leg(out, er.trace_leg(m, entry.gamma_out, entry.mode,
+                                          time_direction=-1))
+        assert out.travel_time < 0.0
+
+
+def test_failing_ray_leaves_the_batch(bump_medium):
+    m = bump_medium
+    # legs take 41 to 60 steps here: a budget of 52 attempts lets some exit
+    probes = er.probe_fan(m, 8, np.random.default_rng(71))
+    gammas = [g for g in probes for _ in "SP"]
+    modes = ["S", "P"] * len(probes)
+    ctrl = er.StepControl(max_steps=52)
+    batch = rays._trace_legs(m, gammas, modes, ctrl)
+    kinds = set()
+    for g, mode, out in zip(gammas, modes, batch):
+        if isinstance(out, er.MaxStepsError):
+            kinds.add("raised")
+            with pytest.raises(er.MaxStepsError):
+                er.trace_leg(m, g, mode, ctrl=ctrl)
+        else:
+            kinds.add("exited")
+            assert_same_leg(out, er.trace_leg(m, g, mode, ctrl=ctrl))
+    assert kinds == {"raised", "exited"}
+    # three steps: the long diametral leg raises, legs that start just
+    # before the time cap still finish
+    g = er.boundary_covector(m, 0.0, SOUTH, 1.0, np.zeros(3))
+    long = er.launch_state(m, g, "S")
+    short = [er.launch_state(m, er.boundary_covector(
+        m, 1.0 - 1e-3 * k, SOUTH, 1.0, np.zeros(3)), mode)
+        for k, mode in ((1, "S"), (2, "P"))]
+    out = rays._trace_states(m, [short[0], long, short[1]],
+                             er.StepControl(max_steps=3), t_cap=1.0)
+    assert isinstance(out[1], er.MaxStepsError)
+    assert out[0][2] == out[2][2] == "time_capped"
+
+
+def test_step_counts_add_up_to_attempts(constant_medium):
+    # a grazing launch whose first steps fail to enter the domain: accepted
+    # and rejected steps are disjoint and together use the step budget
+    m = constant_medium
+    g = er.incidence_covector(m, SOUTH, "S", np.deg2rad(89.99))
+    entry = er.trace_leg(m, g, "S")
+    assert entry.rejected_steps["entry"] > 0
+    attempts = entry.n_steps + sum(entry.rejected_steps.values())
+    again = er.trace_leg(m, g, "S", ctrl=er.StepControl(max_steps=attempts))
+    assert_same_leg(again, entry, tol=0.0)
+    with pytest.raises(er.MaxStepsError):
+        er.trace_leg(m, g, "S", ctrl=er.StepControl(max_steps=attempts - 1))
+
+
+def sequential_transport(m, gamma, initial_modes=("S", "P"), depth=3,
+                         t_max=None):
+    """Breadth-first transport one ray at a time, through batches of one."""
+    events = []
+    reports = []
+    queue = [(er.launch_state(m, gamma, mode), 0, mode)
+             for mode in initial_modes]
+    while queue:
+        state, n_refl, lineage = queue.pop(0)
+        try:
+            exit_state, entry, status = er.trace_state(m, state, t_cap=t_max)
+        except er.GlancingExitError as exc:
+            reports.append(f"{lineage}: tangential exit dropped ({exc})")
+            continue
+        if status == "time_capped":
+            reports.append(f"{lineage}: time cap reached before boundary")
+            continue
+        if t_max is not None and entry.gamma_out.t > t_max + 1e-12:
+            reports.append(f"{lineage}: arrival beyond time cap dropped")
+            continue
+        events.append((entry.gamma_out, state.mode, n_refl))
+        if n_refl >= depth:
+            continue
+        try:
+            refl = er.reflect(m, exit_state)
+        except er.GlancingError as exc:
+            reports.append(f"{lineage}: glancing reflection halted branch "
+                           f"({exc})")
+            continue
+        reports += [f"{lineage}: converted {md} branch evanescent"
+                    for md in refl.evanescent]
+        reports += [f"{lineage}: converted {md} branch glancing"
+                    for md in refl.glancing]
+        queue += [(s, n_refl + 1, f"{lineage}->{s.mode}")
+                  for s in refl.states]
+    order = sorted(range(len(events)), key=lambda i: (events[i][0].t, i))
+    return [events[i] for i in order], reports
+
+
+@pytest.mark.parametrize("name,depth,t_max", [
+    ("stressed_medium", 3, None), ("bump_medium", 2, None),
+    ("potential_medium", 3, 4.0)])
+def test_transport_matches_sequential_search(name, depth, t_max, request):
+    m = request.getfixturevalue(name)
+    for g in er.probe_fan(m, 2, np.random.default_rng(79)):
+        res = er.broken_transport(m, g, depth=depth, t_max=t_max)
+        want, reports = sequential_transport(m, g, depth=depth, t_max=t_max)
+        assert res.reports == reports
+        assert len(res.events) == len(want)
+        for k, (ev, (gamma, mode, n_refl)) in enumerate(zip(res.events, want)):
+            assert (ev.mode, ev.n_reflections, ev.order_index) == \
+                (mode, n_refl, k)
+            assert ev.gamma.t == gamma.t
+            assert np.array_equal(ev.gamma.x, gamma.x)
+            assert np.array_equal(ev.gamma.xi_t, gamma.xi_t)
+
+
+def test_transport_raises_uncaught_leg_error(bump_medium):
+    # every leg exceeds a 3-step budget; the step error is not a report
+    g = er.boundary_covector(bump_medium, 0.0, SOUTH, 1.0, np.zeros(3))
+    with pytest.raises(er.MaxStepsError):
+        er.broken_transport(bump_medium, g, depth=1,
+                            ctrl=er.StepControl(max_steps=3))
+
+
+# -------------------------------------------------------- root selection
+
+def test_reflect_matches_char_roots(stressed_medium):
+    # reflect takes each mode's forward root from the stable pairing of
+    # char_roots, also where C = B(xi_t, xi_t) - tau^2 vanishes and the
+    # naive formula (Bh - sign(tau) s) / A cancels
+    m = stressed_medium
+    rng = np.random.default_rng(83)
+    states = []
+    near_zero_c = 0
+    for x in m.domain.sample_boundary(24, rng):
+        nu = m.domain.normal(x)
+        u = rng.standard_normal(3)
+        u -= (u @ nu) * nu
+        u /= np.linalg.norm(u)
+        tau = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+        for mode in ("S", "P"):
+            b_uu = er.metric_bilinear(m, mode, x, u, u)
+            for frac in (rng.uniform(0.1, 0.9), 1.0):   # 1.0: C ~ 0
+                xi_t = frac * abs(tau) / np.sqrt(b_uu) * u
+                states.append(er.RayState(t=0.0, x=x, xi=xi_t + 0.4 * nu,
+                                          tau=tau, mode=mode))
+    n_checked = 0
+    for st in states:
+        gamma = er.boundary_covector(m, st.t, st.x, st.tau, st.xi)
+        try:
+            roots = er.char_roots(m, gamma)
+            res = er.reflect(m, st)
+        except er.GlancingError:
+            continue
+        big_a, bh, c, scale2 = _mode_quadratic(m, st.mode, gamma)
+        near_zero_c += abs(c) <= 1e-8 * scale2
+        for s in res.states:
+            z = roots.mode(s.mode).z_forward
+            assert np.array_equal(s.xi, gamma.xi_t - z.real * gamma.nu)
+            n_checked += 1
+    assert n_checked >= 60 and near_zero_c >= 20
+
+
+# ------------------------------------------------- distance deduplication
+
+@pytest.mark.parametrize("name,modes", [("stressed_medium", "SP"),
+                                        ("bump_medium", "S")])
+def test_boundary_distance_adopts_converged_descent(name, modes, request,
+                                                   monkeypatch):
+    m = request.getfixturevalue(name)
+    rng = np.random.default_rng(4242)
+    legs = {True: 0, False: 0}
+    n_pairs = 0
+    while n_pairs < 2:
+        x0, y = m.domain.sample_boundary(2, rng)
+        if not 0.6 <= np.linalg.norm(y - x0) <= 1.8:
+            continue
+        n_pairs += 1
+        for mode in modes:
+            res = {}
+            for dedup in (True, False):
+                with monkeypatch.context() as mp:
+                    if not dedup:
+                        mp.setattr(rays, "_SHOOT_SAME_RAY", -1.0)
+                    res[dedup] = er.boundary_distance(m, mode, x0, y,
+                                                      n_starts=16, n_refine=3)
+                legs[dedup] += res[dedup].n_legs
+            assert res[True].connected == res[False].connected
+            assert res[True].distance == pytest.approx(res[False].distance,
+                                                       rel=1e-9)
+    assert legs[True] < legs[False]
