@@ -21,18 +21,22 @@ from .errors import (ContourError, DegenerateDirectionError,
                      FrameDegenerateError, GlancingError, LopatinskiError,
                      NotOnBoundaryError, SingularResidueError)
 from .medium import check_class_membership
-from .symbols import (adot, principal_symbol_matrix, traction_normal_derivative,
+from .symbols import (BOUNDARY_TOL, MODES, _mode_coeff, _mode_form, adot,
+                      principal_symbol_matrix, traction_normal_derivative,
                       traction_symbol)
 
 __all__ = [
     "BoundaryCovector",
     "boundary_covector",
+    "e_symbol",
     "RegionLabel",
     "classify",
     "ModeRoots",
     "CharRoots",
     "char_roots",
     "discriminant_margin",
+    "mode_quadratics",
+    "forward_roots",
     "LopatinskiReport",
     "lopatinski_margin",
     "sample_boundary_covectors",
@@ -47,7 +51,6 @@ __all__ = [
 ]
 
 GLANCING_TOL = 1e-10
-BOUNDARY_TOL = 1e-10
 
 # Sign of the normal-derivative term in the traction route of the DN symbol,
 # fixed once by calibration against the eigenvector route on the constant
@@ -86,6 +89,11 @@ class BoundaryCovector:
         return abs(self.tau) >= delta * self.xi_t_norm
 
 
+def e_symbol(gamma):
+    """Tangential frequency weight e(gamma) = sqrt(tau^2 + |xi_t|^2)."""
+    return float(np.sqrt(gamma.tau ** 2 + np.dot(gamma.xi_t, gamma.xi_t)))
+
+
 def boundary_covector(m, t, x, tau, xi, boundary_tol=BOUNDARY_TOL):
     """Build a validated BoundaryCovector, projecting xi onto the tangent plane."""
     x = np.asarray(x, dtype=np.float64)
@@ -104,29 +112,47 @@ def boundary_covector(m, t, x, tau, xi, boundary_tol=BOUNDARY_TOL):
 # mode quadratics and roots
 # ---------------------------------------------------------------------------
 
-def _mode_quadratic_batch(m, mode, x, nu, xi_t, tau):
-    """Coefficients (A, Bh, C) of the root quadratic, batched, plus a scale.
+def mode_quadratics(m, x, nu, xi_t, tau):
+    """Coefficients (A, Bh, C, scale2) of both modes' root quadratics.
 
-    A = B(nu,nu), Bh = B(xi_t,nu), C = B(xi_t,xi_t) - tau^2.  The returned
-    scale2 is homogeneous of the same degree as the discriminant Bh^2 - A C
-    and never vanishes for valid covectors.
+    A = B(nu,nu), Bh = B(xi_t,nu), C = B(xi_t,xi_t) - tau^2, with B the mode
+    form and the mode on a leading (S, P) axis; the fields are evaluated
+    once for both modes.  Batched over leading axes of the arguments.  The
+    returned scale2 is homogeneous of the same degree as the discriminant
+    Bh^2 - A C and never vanishes for valid covectors.
     """
-    a = m.mu(x) if mode == "S" else m.lam(x) + 2.0 * m.mu(x)
+    a = np.array([_mode_coeff(m, mode, x) for mode in MODES])
     rho = m.rho(x)
     r = m.stress.matrix(x)
-    rnu = np.einsum("...ij,...j->...i", r, nu)
-    big_a = (a * np.sum(nu * nu, axis=-1) + np.sum(nu * rnu, axis=-1)) / rho
-    bh = (a * np.sum(xi_t * nu, axis=-1) + np.sum(xi_t * rnu, axis=-1)) / rho
-    rxi = np.einsum("...ij,...j->...i", r, xi_t)
-    bxx = (a * np.sum(xi_t * xi_t, axis=-1) + np.sum(xi_t * rxi, axis=-1)) / rho
+    big_a = _mode_form(a, r, rho, nu, nu)
+    bh = _mode_form(a, r, rho, xi_t, nu)
+    bxx = _mode_form(a, r, rho, xi_t, xi_t)
     c = bxx - tau ** 2
     scale2 = bh * bh + np.abs(big_a) * (np.abs(bxx) + tau ** 2)
     return big_a, bh, c, scale2
 
 
-def _mode_quadratic(m, mode, gamma):
-    return _mode_quadratic_batch(m, mode, gamma.x, gamma.nu, gamma.xi_t,
-                                 gamma.tau)
+def forward_roots(big_a, bh, c, tau):
+    """Forward and backward roots of A z^2 - 2 Bh z + C = 0, elementwise.
+
+    Returns (z_forward, z_backward, real, d4) as arrays, with d4 = Bh^2 - A C.
+    Real roots are paired stably (the large-magnitude root first, the other
+    from the product C / A), so neither cancels as C -> 0; the forward one
+    has tau (Bh - A z) > 0.  A complex pair puts the root with positive
+    imaginary part forward.
+    """
+    d4 = bh * bh - big_a * c
+    real = d4 > 0
+    s = np.sqrt(np.abs(d4))
+    # rows with A <= 0 (inadmissible samples) only give inf / nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z_big = np.where(bh >= 0, bh + s, bh - s) / big_a   # nonzero if real
+        z_small = c / (big_a * z_big)
+        big_fwd = tau * (bh - big_a * z_big) > 0
+        z_cplx = bh / big_a + 1j * (s / big_a)
+    z_fwd = np.where(real, np.where(big_fwd, z_big, z_small), z_cplx)
+    z_bwd = np.where(real, np.where(big_fwd, z_small, z_big), z_cplx.conj())
+    return z_fwd, z_bwd, real, d4
 
 
 @dataclass(frozen=True)
@@ -157,17 +183,14 @@ def classify(m, gamma, params=None, glancing_tol=GLANCING_TOL):
     elliptic region is contained in the P elliptic region, so the combined
     label is determined by (S label, P label).
     """
+    big_a, bh, c, scale2 = mode_quadratics(m, gamma.x, gamma.nu, gamma.xi_t,
+                                           gamma.tau)
+    d4 = forward_roots(big_a, bh, c, gamma.tau)[3]
     labels = {}
-    discs = {}
-    scales = {}
-    for mode in ("S", "P"):
-        big_a, bh, c, scale2 = _mode_quadratic(m, mode, gamma)
-        d4 = bh * bh - big_a * c
-        discs[mode] = float(d4)
-        scales[mode] = float(scale2)
-        if abs(d4) < glancing_tol * scale2:
+    for k, mode in enumerate(MODES):
+        if abs(d4[k]) < glancing_tol * scale2[k]:
             labels[mode] = "glancing"
-        elif d4 > 0:
+        elif d4[k] > 0:
             labels[mode] = "hyperbolic"
         else:
             labels[mode] = "elliptic"
@@ -186,8 +209,8 @@ def classify(m, gamma, params=None, glancing_tol=GLANCING_TOL):
     in_gd = gamma.in_gamma_delta(params.delta) if params is not None else None
     return RegionLabel(s_label=labels["S"], p_label=labels["P"],
                        combined=combined, in_gamma_delta=in_gd,
-                       s_discriminant=discs["S"], p_discriminant=discs["P"],
-                       s_scale2=scales["S"], p_scale2=scales["P"])
+                       s_discriminant=float(d4[0]), p_discriminant=float(d4[1]),
+                       s_scale2=float(scale2[0]), p_scale2=float(scale2[1]))
 
 
 @dataclass(frozen=True)
@@ -223,44 +246,6 @@ class CharRoots:
         return self.s if mode == "S" else self.p
 
 
-def _roots_for_mode(m, mode, gamma, glancing_tol):
-    big_a, bh, c, scale2 = (float(v) for v in _mode_quadratic(m, mode, gamma))
-    d4 = bh * bh - big_a * c
-    if abs(d4) < glancing_tol * scale2:
-        raise GlancingError(f"mode {mode} is glancing at this covector",
-                            discriminant=d4)
-    rho = float(m.rho(gamma.x))
-    if d4 > 0:
-        s = np.sqrt(d4)
-        # stable pairing: compute the large-magnitude root first
-        if bh >= 0:
-            z_big = (bh + s) / big_a
-        else:
-            z_big = (bh - s) / big_a
-        z_small = c / (big_a * z_big) if z_big != 0.0 else (2 * bh / big_a - z_big)
-        za, zb = z_big, z_small
-        # forward iff tau * B(xi_t - z nu, nu) = tau * (Bh - A z) > 0
-        if gamma.tau * (bh - big_a * za) > 0:
-            z_fwd, z_bwd = za, zb
-        else:
-            z_fwd, z_bwd = zb, za
-        real = True
-    else:
-        s = np.sqrt(-d4)
-        z_fwd = complex(bh, s) / big_a
-        z_bwd = complex(bh, -s) / big_a
-        real = False
-    c_fwd = 2.0 * rho * (bh - big_a * z_fwd)
-    c_bwd = 2.0 * rho * (bh - big_a * z_bwd)
-    xi_fwd = gamma.xi_t - z_fwd * gamma.nu
-    xi_bwd = gamma.xi_t - z_bwd * gamma.nu
-    return ModeRoots(mode=mode, real=real,
-                     z_forward=complex(z_fwd), z_backward=complex(z_bwd),
-                     c_forward=complex(c_fwd), c_backward=complex(c_bwd),
-                     xi_forward=np.asarray(xi_fwd), xi_backward=np.asarray(xi_bwd),
-                     discriminant=d4)
-
-
 def discriminant_margin(m, gamma):
     """min over modes of |discriminant| / scale2; zero exactly at glancing.
 
@@ -269,12 +254,37 @@ def discriminant_margin(m, gamma):
     form should require a floor on this margin (sqrt of it bounds the
     relative root gap).
     """
-    vals = []
-    for mode in ("S", "P"):
-        big_a, bh, c, scale2 = (float(v) for v in
-                                _mode_quadratic(m, mode, gamma))
-        vals.append(abs(bh * bh - big_a * c) / scale2)
-    return min(vals)
+    big_a, bh, c, scale2 = mode_quadratics(m, gamma.x, gamma.nu, gamma.xi_t,
+                                           gamma.tau)
+    d4 = forward_roots(big_a, bh, c, gamma.tau)[3]
+    return float(np.min(np.abs(d4) / scale2))
+
+
+def _mode_roots(m, gamma, glancing_tol=GLANCING_TOL):
+    """ModeRoots of the S and P modes at gamma, in that order; a glancing
+    mode gives its GlancingError instead."""
+    big_a, bh, c, scale2 = mode_quadratics(m, gamma.x, gamma.nu, gamma.xi_t,
+                                           gamma.tau)
+    z_fwd, z_bwd, real, d4 = forward_roots(big_a, bh, c, gamma.tau)
+    rho = float(m.rho(gamma.x))
+    out = []
+    for k, mode in enumerate(MODES):
+        if abs(d4[k]) < glancing_tol * scale2[k]:
+            out.append(GlancingError(f"mode {mode} is glancing at this covector",
+                                     discriminant=float(d4[k])))
+            continue
+        # real roots stay real scalars, so their covectors are real arrays
+        zs = [z.real.item() if real[k] else z.item()
+              for z in (z_fwd[k], z_bwd[k])]
+        c_z = [complex(2.0 * rho * (float(bh[k]) - float(big_a[k]) * z))
+               for z in zs]
+        xi_z = [gamma.xi_t - z * gamma.nu for z in zs]
+        out.append(ModeRoots(mode=mode, real=bool(real[k]),
+                             z_forward=complex(zs[0]), z_backward=complex(zs[1]),
+                             c_forward=c_z[0], c_backward=c_z[1],
+                             xi_forward=xi_z[0], xi_backward=xi_z[1],
+                             discriminant=float(d4[k])))
+    return out
 
 
 def char_roots(m, gamma, glancing_tol=GLANCING_TOL):
@@ -283,15 +293,19 @@ def char_roots(m, gamma, glancing_tol=GLANCING_TOL):
     Raises GlancingError when either mode is glancing.  The residual of the
     scalar symbol at each returned root is at machine level by construction.
     """
-    s_roots = _roots_for_mode(m, "S", gamma, glancing_tol)
-    p_roots = _roots_for_mode(m, "P", gamma, glancing_tol)
-    dot = complex(adot(s_roots.xi_forward, p_roots.xi_forward))
-    ns = np.sqrt(abs(adot(s_roots.xi_forward, s_roots.xi_forward)))
-    npn = np.sqrt(abs(adot(p_roots.xi_forward, p_roots.xi_forward)))
+    s_roots, p_roots = _mode_roots(m, gamma, glancing_tol)
+    for roots in (s_roots, p_roots):
+        if isinstance(roots, GlancingError):
+            raise roots
+    dot = adot(s_roots.xi_forward, p_roots.xi_forward)
+    ns = np.sqrt(np.abs(adot(s_roots.xi_forward, s_roots.xi_forward)))
+    npn = np.sqrt(np.abs(adot(p_roots.xi_forward, p_roots.xi_forward)))
     if ns == 0.0 or npn == 0.0:
         raise SingularResidueError("analytically null selected covector")
-    return CharRoots(gamma=gamma, s=s_roots, p=p_roots, xi_dot=dot,
-                     normalized_product=float(abs(dot) / (ns * npn)))
+    # numpy's complex modulus, as in lopatinski_margin (Python's abs of a
+    # complex can differ from it in the last bit)
+    return CharRoots(gamma=gamma, s=s_roots, p=p_roots, xi_dot=complex(dot),
+                     normalized_product=float(np.abs(dot) / (ns * npn)))
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +331,7 @@ def sample_boundary_covectors(m, n, rng, delta, ratio_hi=None):
     xi_t = v / np.linalg.norm(v, axis=-1, keepdims=True)
     if ratio_hi is None:
         pts = m.domain.grid(9)
-        c2 = (m.lam(pts) + 2.0 * m.mu(pts)) * (1.0 + 0.5) / m.rho(pts)
+        c2 = _mode_coeff(m, "P", pts) * (1.0 + 0.5) / m.rho(pts)
         ratio_hi = max(3.0 * float(np.sqrt(c2.max())), 2.0 * delta)
     u = np.exp(rng.uniform(np.log(delta), np.log(ratio_hi), n))
     tau = u * rng.choice([-1.0, 1.0], n)
@@ -368,26 +382,13 @@ def lopatinski_margin(m, params=None, sample_count=10000, seed=0,
     x, nu, xi_t, tau = sample_boundary_covectors(m, sample_count, rng,
                                                  params.delta)
 
-    sel = {}
-    valid = np.ones(sample_count, dtype=bool)
-    glancing = np.zeros(sample_count, dtype=bool)
-    real_mask = {}
-    for mode in ("S", "P"):
-        big_a, bh, c, scale2 = _mode_quadratic_batch(m, mode, x, nu, xi_t, tau)
-        d4 = bh * bh - big_a * c
-        valid &= big_a > 0
-        glancing |= np.abs(d4) < glancing_margin * scale2
-        s = np.sqrt(np.abs(d4))
-        real = d4 > 0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            z_real = (bh - np.sign(tau) * s) / big_a
-            z_cplx = (bh + 1j * s) / big_a
-        sel[mode] = np.where(real, z_real.astype(complex), z_cplx)
-        real_mask[mode] = real
-
-    use = valid & ~glancing
-    xi_s = xi_t.astype(complex) - sel["S"][:, None] * nu
-    xi_p = xi_t.astype(complex) - sel["P"][:, None] * nu
+    big_a, bh, c, scale2 = mode_quadratics(m, x, nu, xi_t, tau)
+    z_fwd, z_bwd, real, d4 = forward_roots(big_a, bh, c, tau)
+    glancing = np.any(np.abs(d4) < glancing_margin * scale2, axis=0)
+    use = np.all(big_a > 0, axis=0) & ~glancing
+    del big_a, bh, c, scale2, z_bwd, d4    # freed before the (n, 3) arrays
+    xi_s = xi_t - z_fwd[0][:, None] * nu
+    xi_p = xi_t - z_fwd[1][:, None] * nu
     dot = np.sum(xi_s * xi_p, axis=-1)
     ns = np.sqrt(np.abs(np.sum(xi_s * xi_s, axis=-1)))
     npn = np.sqrt(np.abs(np.sum(xi_p * xi_p, axis=-1)))
@@ -403,9 +404,9 @@ def lopatinski_margin(m, params=None, sample_count=10000, seed=0,
     argmin = BoundaryCovector(t=0.0, x=x[imin], tau=float(tau[imin]),
                               xi_t=xi_t[imin], nu=nu[imin])
 
-    hyp = real_mask["S"] & real_mask["P"] & denom_ok
-    mix = real_mask["S"] & ~real_mask["P"] & denom_ok
-    ell = ~real_mask["S"] & denom_ok
+    hyp = real[0] & real[1] & denom_ok
+    mix = real[0] & ~real[1] & denom_ok
+    ell = ~real[0] & denom_ok
     counts = {"hyperbolic": int(hyp.sum()), "mixed": int(mix.sum()),
               "elliptic": int(ell.sum())}
 
@@ -505,16 +506,7 @@ def residue_quadrature(m, gamma, nodes=256, glancing_tol=GLANCING_TOL):
     z = center + radius * ring
 
     xi = gamma.xi_t[None, :].astype(complex) - z[:, None] * gamma.nu[None, :]
-    lam = float(m.lam(gamma.x))
-    mu = float(m.mu(gamma.x))
-    rho = float(m.rho(gamma.x))
-    r = m.stress.matrix(gamma.x)
-    xx = np.sum(xi * xi, axis=-1)
-    rxx = np.einsum("ni,ij,nj->n", xi, r.astype(complex), xi)
-    p = ((rho * gamma.tau ** 2 - mu * xx - rxx)[:, None, None]
-         * np.eye(3, dtype=complex)
-         - (lam + mu) * xi[:, :, None] * xi[:, None, :])
-    p_inv = np.linalg.inv(p)
+    p_inv = np.linalg.inv(principal_symbol_matrix(m, gamma.x, gamma.tau, xi))
 
     weight = (radius / nodes) * ring
     a0 = np.einsum("n,nij->ij", weight, p_inv)
@@ -587,19 +579,19 @@ def dn_symbol(m, gamma, glancing_tol=GLANCING_TOL):
 # companion first-order reduction
 # ---------------------------------------------------------------------------
 
-def _kernel_basis(xi, p_root):
-    """Basis of ker p at a characteristic root covector (real xi)."""
-    xi = np.real_if_close(xi)
-    if p_root:
-        return [np.asarray(xi, dtype=complex) / np.linalg.norm(xi)]
+def _kernel_basis(xi, mode):
+    """Orthonormal real basis of ker p at a real characteristic covector xi:
+    the line of xi for P, the plane {a : a . xi = 0} for S."""
+    if mode == "P":
+        return [xi / np.linalg.norm(xi)]
     k = int(np.argmin(np.abs(xi)))
     e = np.zeros(3)
     e[k] = 1.0
     v1 = np.cross(xi, e)
-    v1 = v1 / np.linalg.norm(v1)
+    v1 /= np.linalg.norm(v1)
     v2 = np.cross(xi, v1)
-    v2 = v2 / np.linalg.norm(v2)
-    return [v1.astype(complex), v2.astype(complex)]
+    v2 /= np.linalg.norm(v2)
+    return [v1, v2]
 
 
 @dataclass
@@ -627,18 +619,14 @@ def companion_symbol_check(m, gamma, zeta=None, glancing_tol=GLANCING_TOL):
     the characteristic roots with multiplicity (2, 2, 1, 1); over each real
     root the kernel of (z - g) is {(|eta| a, z a) : p(z) a = 0}.
     """
-    eta2 = gamma.tau ** 2 + float(np.dot(gamma.xi_t, gamma.xi_t))
-    if eta2 <= 0.0:
+    eta = e_symbol(gamma)
+    if eta <= 0.0:
         raise FrameDegenerateError("tangential frequency vanishes")
-    eta = float(np.sqrt(eta2))
 
-    def p_of(z):
-        return principal_symbol_matrix(m, gamma.x, gamma.tau,
-                                       gamma.xi_t - z * gamma.nu)
-
-    p_0 = p_of(0.0)
-    p_plus = p_of(1.0)
-    p_minus = p_of(-1.0)
+    # p(z) at z = 0, 1, -1
+    p_0, p_plus, p_minus = principal_symbol_matrix(
+        m, gamma.x, gamma.tau,
+        gamma.xi_t - np.array([[0.0], [1.0], [-1.0]]) * gamma.nu)
     c0 = p_0
     c1 = 0.5 * (p_plus - p_minus)
     c2 = 0.5 * (p_plus + p_minus) - p_0
@@ -655,12 +643,8 @@ def companion_symbol_check(m, gamma, zeta=None, glancing_tol=GLANCING_TOL):
                  roots.s.z_backward, roots.s.z_backward,
                  roots.p.z_forward, roots.p.z_backward]
 
-    if zeta is None:
-        probes = [z for z in {roots.s.z_forward, roots.p.z_forward,
-                              roots.s.z_backward, roots.p.z_backward}]
-        probes.append(0.7 * eta)
-    else:
-        probes = [zeta]
+    # the residual is a maximum, so the order of the distinct roots is moot
+    probes = [zeta] if zeta is not None else [*set(all_roots), 0.7 * eta]
     identity_residual = 0.0
     eye6 = np.eye(6, dtype=complex)
     for z in probes:
@@ -683,7 +667,7 @@ def companion_symbol_check(m, gamma, zeta=None, glancing_tol=GLANCING_TOL):
 
     kernel_ok = True
     kernel_dims = {}
-    for mode_roots, is_p in ((roots.s, False), (roots.p, True)):
+    for mode_roots in (roots.s, roots.p):
         if not mode_roots.real:
             continue
         for tag, z, xi in ((f"{mode_roots.mode}+", mode_roots.z_forward,
@@ -691,7 +675,7 @@ def companion_symbol_check(m, gamma, zeta=None, glancing_tol=GLANCING_TOL):
                            (f"{mode_roots.mode}-", mode_roots.z_backward,
                             mode_roots.xi_backward)):
             zr = z.real
-            basis = _kernel_basis(xi.real, is_p)
+            basis = _kernel_basis(xi.real, mode_roots.mode)
             cand = np.stack([np.concatenate([eta * a, zr * a]) for a in basis],
                             axis=-1)
             q_cand, _ = np.linalg.qr(cand)

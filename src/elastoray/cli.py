@@ -221,12 +221,7 @@ def cmd_frame(m, args):
             rows.append({**_gamma_dict(gamma), "skipped": str(exc)})
             continue
         n_checked += 1
-        resid = 0.0
-        total = np.zeros((6, 6), dtype=complex)
-        for tag, proj in frame.projectors.items():
-            resid = max(resid, float(np.linalg.norm(proj @ proj - proj)))
-            total += proj
-        resid = max(resid, float(np.linalg.norm(total - np.eye(6))))
+        resid = frame.projector_residual
         row = {**_gamma_dict(gamma), "kind": frame.kind, "cond": frame.cond,
                "ranks": {tag: int(b.shape[1]) for tag, b in frame.bases.items()},
                "projector_residual": resid}
@@ -431,13 +426,7 @@ def cmd_selftest(m, args):
         try:
             frame = pol.polarization_frame(m, gamma)
             n_frame += 1
-            total = np.zeros((6, 6), dtype=complex)
-            for proj in frame.projectors.values():
-                worst["frame"] = max(worst["frame"], float(
-                    np.linalg.norm(proj @ proj - proj)))
-                total += proj
-            worst["frame"] = max(worst["frame"],
-                                 float(np.linalg.norm(total - np.eye(6))))
+            worst["frame"] = max(worst["frame"], frame.projector_residual)
             if np.linalg.norm(gamma.xi_t) > 0:
                 worst["mute"] = max(worst["mute"],
                                     pol.muting_annihilation_check(m, gamma,

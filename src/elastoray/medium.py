@@ -539,10 +539,6 @@ class Medium:
             if np.any(v <= 0):
                 raise MediumFormatError(f"{name} must be positive on the domain")
 
-    def lame_p(self, x):
-        """lambda + 2 mu, the compressional stiffness."""
-        return self.lam(x) + 2.0 * self.mu(x)
-
 
 @dataclass
 class ClassReport:
@@ -650,7 +646,7 @@ def medium_from_dict(d):
                       domain=domain, class_params=cp)
     except MediumFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise MediumFormatError(f"bad medium description: {exc}") from exc
 
 

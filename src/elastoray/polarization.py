@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import char_roots
+from .boundary import _kernel_basis, char_roots, e_symbol
 from .errors import DegenerateMutingError, FrameConditionError, GlancingError
-from .symbols import adot, traction_symbol
+from .symbols import traction_symbol
 
 __all__ = [
     "e_symbol",
@@ -28,23 +28,6 @@ __all__ = [
 ]
 
 COND_LIMIT = 1e8
-
-
-def e_symbol(gamma):
-    """Tangential frequency weight e(gamma) = sqrt(tau^2 + |xi_t|^2)."""
-    return float(np.sqrt(gamma.tau ** 2 + np.dot(gamma.xi_t, gamma.xi_t)))
-
-
-def _shear_kernel_basis(xi):
-    """Orthonormal real basis of {a : a . xi = 0} for a real covector xi."""
-    k = int(np.argmin(np.abs(xi)))
-    e = np.zeros(3)
-    e[k] = 1.0
-    v1 = np.cross(xi, e)
-    v1 /= np.linalg.norm(v1)
-    v2 = np.cross(xi, v1)
-    v2 /= np.linalg.norm(v2)
-    return [v1, v2]
 
 
 @dataclass
@@ -75,6 +58,16 @@ class PolarizationFrame:
     def s_projector(self):
         return self.projectors["S+"] + self.projectors["S-"]
 
+    @property
+    def projector_residual(self):
+        """Largest of ||P^2 - P|| over the blocks and ||sum of P - Id||."""
+        resid = 0.0
+        total = np.zeros((6, 6), dtype=complex)
+        for proj in self.projectors.values():
+            resid = max(resid, float(np.linalg.norm(proj @ proj - proj)))
+            total += proj
+        return max(resid, float(np.linalg.norm(total - np.eye(6))))
+
 
 def polarization_frame(m, gamma, glancing_tol=1e-10, cond_limit=COND_LIMIT):
     """Assemble the polarization bundles and projectors at gamma.
@@ -94,27 +87,23 @@ def polarization_frame(m, gamma, glancing_tol=1e-10, cond_limit=COND_LIMIT):
         return np.concatenate([e * np.asarray(a, dtype=complex),
                                (s @ a).astype(complex)])
 
+    kind = "hyperbolic" if roots.p.real else "mixed"
     bases = {}
-    for tag, xi in (("S+", roots.s.xi_forward), ("S-", roots.s.xi_backward)):
-        xi_r = xi.real
-        cols = [column(xi_r, a) for a in _shear_kernel_basis(xi_r)]
-        bases[tag] = np.stack(cols, axis=-1)
-
-    if roots.p.real:
-        kind = "hyperbolic"
-        for tag, xi in (("P+", roots.p.xi_forward), ("P-", roots.p.xi_backward)):
+    for mode_roots in (roots.s, roots.p) if roots.p.real else (roots.s,):
+        for sign, xi in (("+", mode_roots.xi_forward),
+                         ("-", mode_roots.xi_backward)):
             xi_r = xi.real
-            a = xi_r / np.linalg.norm(xi_r)
-            bases[tag] = column(xi_r, a)[:, None]
-    else:
-        kind = "mixed"
+            bases[mode_roots.mode + sign] = np.stack(
+                [column(xi_r, a) for a in _kernel_basis(xi_r, mode_roots.mode)],
+                axis=-1)
+    if kind == "mixed":
         cols = []
         for xi in (roots.p.xi_forward, roots.p.xi_backward):
             a = xi / np.sqrt(np.sum(np.abs(xi) ** 2))
             cols.append(column(xi, a))
         bases["P"] = np.stack(cols, axis=-1)
 
-    order = ["S+", "S-", "P+", "P-"] if kind == "hyperbolic" else ["S+", "S-", "P"]
+    order = list(bases)     # S+, S-, then P+, P- or the merged P
     v = np.concatenate([bases[tag] for tag in order], axis=-1)
     cond = float(np.linalg.cond(v))
     if cond > cond_limit:

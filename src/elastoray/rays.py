@@ -25,12 +25,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import (BoundaryCovector, _roots_for_mode, boundary_covector,
-                       char_roots)
+from .boundary import (BoundaryCovector, _mode_roots, boundary_covector,
+                       char_roots, mode_quadratics)
 from .engine import march
 from .errors import (DistanceError, ElastorayError, EvanescentModeError,
                      GlancingError, GlancingExitError)
 from .polarization import muting_annihilation_check
+from .symbols import MODES, _mode_coeff
 
 __all__ = [
     "StepControl",
@@ -132,10 +133,7 @@ class LensMapEntry:
 
 def _exit_covector(m, t, tau, y_exit):
     x = m.domain.radial_project(y_exit[:3])
-    nu = m.domain.normal(x)
-    xi = y_exit[3:]
-    xi_t = xi - float(xi @ nu) * nu
-    return BoundaryCovector(t=t, x=x, tau=tau, xi_t=xi_t, nu=nu), xi
+    return boundary_covector(m, t, x, tau, y_exit[3:]), y_exit[3:]
 
 
 def _finish_leg(m, state, leg, collect):
@@ -225,8 +223,7 @@ def launch_state(m, gamma, mode, time_direction=1, glancing_tol=1e-10):
     roots = char_roots(m, gamma, glancing_tol).mode(mode)
     if not roots.real:
         raise EvanescentModeError(f"mode {mode} is evanescent at this covector")
-    z = roots.z_forward if time_direction >= 0 else roots.z_backward
-    xi = gamma.xi_t - z.real * gamma.nu
+    xi = roots.xi_forward if time_direction >= 0 else roots.xi_backward
     return RayState(t=gamma.t, x=gamma.x, xi=xi, tau=gamma.tau, mode=mode)
 
 
@@ -304,8 +301,7 @@ def incidence_covector(m, x, mode, theta, tau=1.0, direction=None, t=0.0):
     u = np.asarray(direction, dtype=np.float64)
     u = u - float(u @ nu) * nu
     u /= np.linalg.norm(u)
-    a = float(m.mu(x)) if mode == "S" else float(m.lam(x) + 2.0 * m.mu(x))
-    c = math.sqrt(a / float(m.rho(x)))
+    c = math.sqrt(float(_mode_coeff(m, mode, x)) / float(m.rho(x)))
     xi_t = (abs(tau) * math.sin(theta) / c) * u
     # the ray leaves along +u when xi_t points along -u for tau > 0
     if tau > 0:
@@ -315,10 +311,9 @@ def incidence_covector(m, x, mode, theta, tau=1.0, direction=None, t=0.0):
 
 def _hyperbolic_radius(m, mode, x, nu, u, tau):
     """Largest |xi_t| along u keeping the mode hyperbolic at (x, tau)."""
-    from .symbols import metric_bilinear
-    b_nn = float(metric_bilinear(m, mode, x, nu, nu))
-    b_uu = float(metric_bilinear(m, mode, x, u, u))
-    b_un = float(metric_bilinear(m, mode, x, u, nu))
+    # at tau = 0 the quadratic's C is B(u, u) exactly
+    b_nn, b_un, b_uu, _ = (float(v[MODES.index(mode)])
+                           for v in mode_quadratics(m, x, nu, u, 0.0))
     denom = b_nn * b_uu - b_un * b_un
     if denom <= 0:
         raise ElastorayError("degenerate tangential direction")
@@ -378,21 +373,18 @@ def reflect(m, state, glancing_tol=1e-10):
     states = []
     evanescent = []
     glancing = []
-    for mode in ("S", "P"):
-        try:
-            roots = _roots_for_mode(m, mode, gamma, glancing_tol)
-        except GlancingError as exc:
+    for mode, roots in zip(MODES, _mode_roots(m, gamma, glancing_tol)):
+        if isinstance(roots, GlancingError):
             if mode == state.mode:
                 raise GlancingError(
                     f"incident mode {mode} glancing at reflection point",
-                    discriminant=exc.discriminant) from None
+                    discriminant=roots.discriminant)
             glancing.append(mode)
-            continue
-        if not roots.real:
+        elif not roots.real:
             evanescent.append(mode)
-            continue
-        states.append(RayState(t=state.t, x=gamma.x, xi=roots.xi_forward,
-                               tau=state.tau, mode=mode))
+        else:
+            states.append(RayState(t=state.t, x=gamma.x, xi=roots.xi_forward,
+                                   tau=state.tau, mode=mode))
     return ReflectionResult(states=states, evanescent=evanescent,
                             glancing=glancing)
 

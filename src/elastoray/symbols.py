@@ -32,7 +32,7 @@ BOUNDARY_TOL = 1e-10
 
 def adot(a, b):
     """Analytic dot product sum_i a_i b_i (no conjugation)."""
-    return np.sum(np.asarray(a) * np.asarray(b), axis=-1)
+    return (np.asarray(a) * np.asarray(b)).sum(axis=-1)
 
 
 def _check_mode(mode):
@@ -52,21 +52,11 @@ def _mode_coeff(m, mode, x):
     return m.lam(x) + 2.0 * m.mu(x)
 
 
-def metric_inv(m, mode, x, xi, check_domain=True):
-    """Dual mode metric (a(x) xi.xi + R xi.xi) / rho(x), analytic in xi.
-
-    Vanishes iff xi = 0 for admissible media.  ``x`` must lie in the closed
-    domain (checked unless ``check_domain`` is False).
-    """
-    _check_mode(mode)
-    if check_domain:
-        _check_domain(m, x)
-    x = np.asarray(x, dtype=np.float64)
-    xi = np.asarray(xi)
-    a = _mode_coeff(m, mode, x)
-    r = m.stress.matrix(x)
-    rxi = np.einsum("...ij,...j->...i", r, xi)
-    return (a * adot(xi, xi) + adot(xi, rxi)) / m.rho(x)
+def _mode_form(a, r, rho, eta, zeta):
+    """(a eta.zeta + R eta.zeta) / rho from evaluated fields; ``a`` may carry
+    a leading mode axis."""
+    rz = np.einsum("...ij,...j->...i", r, zeta)
+    return (a * adot(eta, zeta) + adot(eta, rz)) / rho
 
 
 def metric_bilinear(m, mode, x, eta, zeta, check_domain=False):
@@ -74,10 +64,18 @@ def metric_bilinear(m, mode, x, eta, zeta, check_domain=False):
     _check_mode(mode)
     if check_domain:
         _check_domain(m, x)
-    a = _mode_coeff(m, mode, x)
-    r = m.stress.matrix(x)
-    rz = np.einsum("...ij,...j->...i", r, zeta)
-    return (a * adot(eta, zeta) + adot(eta, rz)) / m.rho(x)
+    return _mode_form(_mode_coeff(m, mode, x), m.stress.matrix(x), m.rho(x),
+                      eta, zeta)
+
+
+def metric_inv(m, mode, x, xi, check_domain=True):
+    """Dual mode metric g_mode(x, xi) = B(xi, xi), analytic in xi.
+
+    Vanishes iff xi = 0 for admissible media.  ``x`` must lie in the closed
+    domain (checked unless ``check_domain`` is False).
+    """
+    return metric_bilinear(m, mode, np.asarray(x, dtype=np.float64), xi, xi,
+                           check_domain)
 
 
 def metric_inv_grad(m, mode, x, xi, check_domain=True):
@@ -115,20 +113,12 @@ def principal_symbol(m, x, tau, xi):
     p = q_S (Id - pi) + q_P pi, p_tilde = q_P (Id - pi) + q_S pi, and
     pi = (xi (x) xi) / (xi . xi).  They satisfy p_tilde p = q_S q_P Id and
     det p = q_S^2 q_P.  Raises for xi . xi = 0 (pi is undefined there).
+    A batch of one of ``principal_symbol_batch``.
     """
     _check_domain(m, x)
-    xi = np.asarray(xi)
-    xx = adot(xi, xi)
-    if abs(xx) < 1e-300:
-        raise DegenerateDirectionError("xi . xi = 0: projector undefined")
-    rho = m.rho(x)
-    q_s = rho * (tau ** 2 - metric_inv(m, "S", x, xi, check_domain=False))
-    q_p = rho * (tau ** 2 - metric_inv(m, "P", x, xi, check_domain=False))
-    eye = np.eye(3, dtype=np.result_type(xi, float))
-    pi = np.outer(xi, xi) / xx
-    p = q_s * (eye - pi) + q_p * pi
-    p_tilde = q_p * (eye - pi) + q_s * pi
-    return p, p_tilde, q_s, q_p
+    batch = principal_symbol_batch(m, np.asarray(x, dtype=np.float64)[None],
+                                   np.array([tau]), np.asarray(xi)[None])
+    return tuple(v[0] for v in batch)
 
 
 def principal_symbol_matrix(m, x, tau, xi):
@@ -136,7 +126,8 @@ def principal_symbol_matrix(m, x, tau, xi):
 
     p = rho tau^2 Id - (lambda + mu) xi (x) xi - (mu xi.xi + R xi.xi) Id.
     Defined for every complex covector, including analytic null directions;
-    used as the independent route for contour quadrature checks.
+    used as the independent route for contour quadrature checks.  Broadcasts
+    over leading axes of ``x``, ``tau`` and ``xi`` (shape (..., 3)).
     """
     x = np.asarray(x, dtype=np.float64)
     xi = np.asarray(xi)
@@ -144,36 +135,47 @@ def principal_symbol_matrix(m, x, tau, xi):
     mu = m.mu(x)
     rho = m.rho(x)
     r = m.stress.matrix(x)
-    rxx = adot(xi, r @ xi)
+    rxx = np.einsum("...i,...ij,...j->...", xi, r, xi)
     eye = np.eye(3, dtype=np.result_type(xi, float))
-    return ((rho * tau ** 2 - mu * adot(xi, xi) - rxx) * eye
-            - (lam + mu) * np.outer(xi, xi))
+    diag = rho * tau ** 2 - mu * adot(xi, xi) - rxx
+    return (diag[..., None, None] * eye
+            - np.asarray(lam + mu)[..., None, None]
+            * xi[..., :, None] * xi[..., None, :])
 
 
 def principal_symbol_batch(m, x, tau, xi):
-    """Vectorized principal symbol over a batch of real cotangent points.
+    """Vectorized principal symbol over a batch of cotangent points.
 
-    ``x`` and ``xi`` have shape (n, 3), ``tau`` shape (n,).  Returns stacked
-    (p, p_tilde, q_S, q_P) with matrix shape (n, 3, 3).
+    ``x`` and ``xi`` have shape (n, 3), ``tau`` shape (n,); ``xi`` may be
+    complex (analytic continuation).  Returns stacked (p, p_tilde, q_S, q_P)
+    with matrix shape (n, 3, 3).
     """
     x = np.asarray(x, dtype=np.float64)
-    xi = np.asarray(xi, dtype=np.float64)
+    xi = np.asarray(xi)
+    xi = xi.astype(np.result_type(xi, np.float64))
     tau = np.asarray(tau, dtype=np.float64)
     xx = np.sum(xi * xi, axis=-1)
     if np.any(np.abs(xx) < 1e-300):
         raise DegenerateDirectionError("batch contains xi . xi = 0")
     rho = m.rho(x)
-    mu = m.mu(x)
-    lam = m.lam(x)
     r = m.stress.matrix(x)
     rxx = np.einsum("...i,...ij,...j->...", xi, r, xi)
-    q_s = rho * tau ** 2 - mu * xx - rxx
-    q_p = rho * tau ** 2 - (lam + 2.0 * mu) * xx - rxx
+    q_s, q_p = (rho * tau ** 2 - _mode_coeff(m, mode, x) * xx - rxx
+                for mode in MODES)
     eye = np.eye(3)
     pi = xi[..., :, None] * xi[..., None, :] / xx[..., None, None]
     p = q_s[..., None, None] * (eye - pi) + q_p[..., None, None] * pi
     p_tilde = q_p[..., None, None] * (eye - pi) + q_s[..., None, None] * pi
     return p, p_tilde, q_s, q_p
+
+
+def _boundary_fields(m, x, boundary_tol, what):
+    """Unit normal and lambda, mu, R at a boundary point; raises off it."""
+    x = np.asarray(x, dtype=np.float64)
+    if not m.domain.on_boundary(x, tol=boundary_tol):
+        raise NotOnBoundaryError(f"{what} needs a boundary point, |phi| = "
+                                 f"{abs(float(m.domain.phi(x))):.2e}")
+    return m.domain.normal(x), m.lam(x), m.mu(x), m.stress.matrix(x)
 
 
 def traction_symbol(m, x, xi, boundary_tol=BOUNDARY_TOL):
@@ -183,15 +185,8 @@ def traction_symbol(m, x, xi, boundary_tol=BOUNDARY_TOL):
                + (R xi . nu) Id,
     with nu the outward unit normal.  Analytic in xi.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if not m.domain.on_boundary(x, tol=boundary_tol):
-        raise NotOnBoundaryError(
-            f"traction symbol needs a boundary point, |phi| = {abs(float(m.domain.phi(x))):.2e}")
+    nu, lam, mu, r = _boundary_fields(m, x, boundary_tol, "traction symbol")
     xi = np.asarray(xi)
-    nu = m.domain.normal(x)
-    lam = m.lam(x)
-    mu = m.mu(x)
-    r = m.stress.matrix(x)
     eye = np.eye(3, dtype=np.result_type(xi, float))
     return (lam * np.outer(nu, xi) + mu * np.outer(xi, nu)
             + (mu * adot(xi, nu) + adot(r @ xi, nu)) * eye)
@@ -203,12 +198,7 @@ def traction_normal_derivative(m, x, boundary_tol=BOUNDARY_TOL):
     Equals (lambda + mu) (nu (x) nu) + (mu + R nu . nu) Id; elliptic for
     admissible media (eigenvalues lambda + 2 mu + R nu.nu and mu + R nu.nu).
     """
-    x = np.asarray(x, dtype=np.float64)
-    if not m.domain.on_boundary(x, tol=boundary_tol):
-        raise NotOnBoundaryError("normal traction derivative needs a boundary point")
-    nu = m.domain.normal(x)
-    lam = m.lam(x)
-    mu = m.mu(x)
-    r = m.stress.matrix(x)
+    nu, lam, mu, r = _boundary_fields(m, x, boundary_tol,
+                                      "normal traction derivative")
     return ((lam + mu) * np.outer(nu, nu)
             + (mu + adot(nu, r @ nu)) * np.eye(3))

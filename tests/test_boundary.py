@@ -134,7 +134,7 @@ def test_forward_root_enters_domain(constant_medium, stressed_medium):
                     continue
                 x = g.x
                 rmat = m.stress.matrix(x) if m.stress is not None else np.zeros((3, 3))
-                a = m.mu(x) if mode == "S" else m.lame_p(x)
+                a = m.mu(x) if mode == "S" else m.lam(x) + 2.0 * m.mu(x)
                 big_m = a * np.eye(3) + rmat
                 for xi, sgn in ((mr.xi_forward, -1.0), (mr.xi_backward, 1.0)):
                     v = -(big_m @ np.real(xi)) / (m.rho(x) * g.tau)  # dx/dt
@@ -342,3 +342,188 @@ def test_companion_degenerate_frame(constant_medium):
     bad = er.BoundaryCovector(0.0, NORTH, 0.0, np.zeros(3), NORTH)
     with pytest.raises(er.FrameDegenerateError):
         er.companion_symbol_check(constant_medium, bad)
+
+
+# ------------------------------------ differential: the replaced root codes
+
+# Frozen copies of the root code that ``mode_quadratics`` and
+# ``forward_roots`` replaced: the per-mode quadratic, the scalar stable
+# pairing, and the naive root (Bh - sign(tau) s) / A that the Lopatinski
+# scan used, which cancels as C -> 0.
+
+def _ref_quadratic(m, mode, x, nu, xi_t, tau):
+    a = m.mu(x) if mode == "S" else m.lam(x) + 2.0 * m.mu(x)
+    rho = m.rho(x)
+    r = m.stress.matrix(x)
+    rnu = np.einsum("...ij,...j->...i", r, nu)
+    big_a = (a * np.sum(nu * nu, axis=-1) + np.sum(nu * rnu, axis=-1)) / rho
+    bh = (a * np.sum(xi_t * nu, axis=-1) + np.sum(xi_t * rnu, axis=-1)) / rho
+    rxi = np.einsum("...ij,...j->...i", r, xi_t)
+    bxx = (a * np.sum(xi_t * xi_t, axis=-1) + np.sum(xi_t * rxi, axis=-1)) / rho
+    c = bxx - tau ** 2
+    scale2 = bh * bh + np.abs(big_a) * (np.abs(bxx) + tau ** 2)
+    return big_a, bh, c, scale2
+
+
+def _ref_roots(m, mode, gamma, glancing_tol=er.boundary.GLANCING_TOL):
+    """(z_fwd, z_bwd, c_fwd, c_bwd, xi_fwd, xi_bwd, real, d4), or None when
+    the mode is glancing."""
+    big_a, bh, c, scale2 = (float(v) for v in _ref_quadratic(
+        m, mode, gamma.x, gamma.nu, gamma.xi_t, gamma.tau))
+    d4 = bh * bh - big_a * c
+    if abs(d4) < glancing_tol * scale2:
+        return None
+    rho = float(m.rho(gamma.x))
+    if d4 > 0:
+        s = np.sqrt(d4)
+        z_big = (bh + s) / big_a if bh >= 0 else (bh - s) / big_a
+        z_small = (c / (big_a * z_big) if z_big != 0.0
+                   else (2 * bh / big_a - z_big))
+        if gamma.tau * (bh - big_a * z_big) > 0:
+            z_fwd, z_bwd = z_big, z_small
+        else:
+            z_fwd, z_bwd = z_small, z_big
+    else:
+        s = np.sqrt(-d4)
+        z_fwd = complex(bh, s) / big_a
+        z_bwd = complex(bh, -s) / big_a
+    return (z_fwd, z_bwd, 2.0 * rho * (bh - big_a * z_fwd),
+            2.0 * rho * (bh - big_a * z_bwd), gamma.xi_t - z_fwd * gamma.nu,
+            gamma.xi_t - z_bwd * gamma.nu, d4 > 0, d4)
+
+
+def _ref_naive_forward(big_a, bh, c, tau):
+    d4 = bh * bh - big_a * c
+    s = np.sqrt(np.abs(d4))
+    z_real = (bh - np.sign(tau) * s) / big_a
+    return np.where(d4 > 0, z_real.astype(complex), (bh + 1j * s) / big_a)
+
+
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _differential_fan(m, seed, n=30):
+    """(x, nu, xi_t, tau): n covectors from the cone sampler, then the same
+    base points and directions rescaled to C = B(xi_t, xi_t) - tau^2 = 0,
+    once for each mode."""
+    rng = np.random.default_rng(seed)
+    x, nu, xi_t, tau = er.sample_boundary_covectors(m, n, rng, 0.5)
+    parts = [xi_t]
+    for mode in ("S", "P"):
+        b_uu = er.metric_bilinear(m, mode, x, xi_t, xi_t)
+        parts.append((np.abs(tau) / np.sqrt(b_uu))[:, None] * xi_t)
+    return (np.tile(x, (3, 1)), np.tile(nu, (3, 1)), np.concatenate(parts),
+            np.tile(tau, 3))
+
+
+@pytest.mark.parametrize("name", ["constant", "constant_stress",
+                                  "gaussian_bump", "potential_stress"])
+def test_roots_match_replaced_root_code(name, media_dir, monkeypatch):
+    m = er.load_medium(media_dir / f"{name}.json")
+    x, nu, xi_t, tau = _differential_fan(m, seed=len(name))
+    stressed = name in ("constant_stress", "potential_stress")
+    products = {}
+    near_zero_c = set()
+    for i in range(len(tau)):
+        gamma = er.BoundaryCovector(t=0.0, x=x[i], tau=tau[i], xi_t=xi_t[i],
+                                    nu=nu[i])
+        quad = {mode: [float(v) for v in _ref_quadratic(
+            m, mode, gamma.x, gamma.nu, gamma.xi_t, gamma.tau)]
+            for mode in "SP"}
+        if any(abs(q[2]) <= 1e-8 * q[3] for q in quad.values()):
+            near_zero_c.add(i)
+        ref = {mode: _ref_roots(m, mode, gamma) for mode in "SP"}
+
+        # classify: same discriminants, scales and labels
+        label = er.classify(m, gamma)
+        for mode, (big_a, bh, c, scale2) in quad.items():
+            d4 = bh * bh - big_a * c
+            assert getattr(label, f"{mode.lower()}_discriminant") == d4
+            assert getattr(label, f"{mode.lower()}_scale2") == scale2
+            expect = ("glancing" if ref[mode] is None
+                      else "hyperbolic" if d4 > 0 else "elliptic")
+            assert getattr(label, f"{mode.lower()}_label") == expect
+
+        # reflect: every hyperbolic branch leaves on the stable forward root
+        for mode in "SP":
+            out = er.RayState(t=0.0, x=x[i], xi=xi_t[i], tau=tau[i], mode=mode)
+            g_out = er.boundary_covector(m, 0.0, x[i], tau[i], xi_t[i])
+            ref_out = {md: _ref_roots(m, md, g_out) for md in "SP"}
+            if ref_out[mode] is None:
+                with pytest.raises(er.GlancingError):
+                    er.reflect(m, out)
+                continue
+            res = er.reflect(m, out)
+            assert res.glancing == [md for md in "SP" if ref_out[md] is None]
+            assert res.evanescent == [md for md in "SP" if ref_out[md]
+                                      and not ref_out[md][6]]
+            assert [st.mode for st in res.states] == [
+                md for md in "SP" if ref_out[md] and ref_out[md][6]]
+            for st in res.states:
+                assert _same(st.xi, ref_out[st.mode][4])
+
+        # char_roots: the stable pairing, bitwise, or the same GlancingError
+        if ref["S"] is None or ref["P"] is None:
+            with pytest.raises(er.GlancingError):
+                er.char_roots(m, gamma)
+            continue
+        roots = er.char_roots(m, gamma)
+        for mode in "SP":
+            got = roots.mode(mode)
+            z_fwd, z_bwd, c_fwd, c_bwd, xi_fwd, xi_bwd, real, d4 = ref[mode]
+            assert got.real == real and got.discriminant == d4
+            assert got.z_forward == z_fwd and got.z_backward == z_bwd
+            assert got.c_forward == c_fwd and got.c_backward == c_bwd
+            assert _same(got.xi_forward, xi_fwd)
+            assert _same(got.xi_backward, xi_bwd)
+        products[i] = roots.normalized_product
+
+    if stressed:
+        # C = 0 without glancing needs B(xi_t, nu) != 0, i.e. R != 0
+        assert len(near_zero_c & set(products)) >= 20
+    else:
+        assert len(near_zero_c) >= 20
+
+    # The Lopatinski scan selects its roots with char_roots' pairing.  A
+    # Python-float tau (a BoundaryCovector's) squares through libm pow, an
+    # array of them through x * x, and the two differ in the last bit for a
+    # few tau; only there may the scan's product differ from char_roots'.
+    same_c = np.array([float(t) ** 2 for t in tau]) == tau ** 2
+    big_a, d4, scale2 = (np.array(v) for v in zip(*(
+        (q[0], q[1] * q[1] - q[0] * q[2], q[3])
+        for q in (_ref_quadratic(m, mode, x, nu, xi_t, tau) for mode in "SP"))))
+    usable = np.flatnonzero(np.all(big_a > 0, axis=0)
+                            & np.all(np.abs(d4) >= 1e-3 * scale2, axis=0))
+    fan_of = {"fan": (x, nu, xi_t, tau)}
+    monkeypatch.setattr(er.boundary, "sample_boundary_covectors",
+                        lambda m, n, rng, delta: fan_of["fan"])
+    scan = er.lopatinski_margin(m, sample_count=len(tau))
+    assert scan.n_used == len(usable)
+    expect = min(products[i] for i in usable)
+    if same_c[usable].all():
+        assert scan.min_normalized == expect
+    else:
+        assert scan.min_normalized == pytest.approx(expect, rel=1e-14)
+    # one covector at a time, bitwise, where the naive root would cancel;
+    # at char_roots' own glancing tolerance, so weak stress counts too
+    n_checked = naive_differs = 0
+    for i in sorted(near_zero_c & set(products)):
+        if not same_c[i]:
+            continue
+        fan_of["fan"] = (x[i:i + 1], nu[i:i + 1], xi_t[i:i + 1], tau[i:i + 1])
+        one = er.lopatinski_margin(m, sample_count=1,
+                                   glancing_margin=er.boundary.GLANCING_TOL)
+        assert one.min_normalized == products[i]
+        n_checked += 1
+        gamma = er.BoundaryCovector(t=0.0, x=x[i], tau=tau[i], xi_t=xi_t[i],
+                                    nu=nu[i])
+        roots = er.char_roots(m, gamma)
+        naive = [_ref_naive_forward(*_ref_quadratic(
+            m, mode, gamma.x, gamma.nu, gamma.xi_t, gamma.tau)[:3], gamma.tau)
+            for mode in "SP"]
+        naive_differs += (naive[0] != roots.s.z_forward
+                          or naive[1] != roots.p.z_forward)
+    if stressed:
+        assert n_checked >= 20 and naive_differs >= 10

@@ -60,6 +60,35 @@ def test_corrupt_medium_is_config_error(tmp_path, capsys):
     assert capsys.readouterr().err != ""
 
 
+GOOD_DOC = {"rho": 1.0, "lambda": 1.0, "mu": 1.0}
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2], "str", 3, None,
+    {**GOOD_DOC, "domain": [1]},
+    {**GOOD_DOC, "mu": {"family": "polynomial", "coefficients": [1]}},
+    {**GOOD_DOC, "residual_stress": {"kind": "potential", "coefficients": [1]}},
+], ids=["list", "string", "number", "null", "domain-list",
+        "field-coefficients-list", "stress-coefficients-list"])
+def test_non_object_medium_blocks_are_config_errors(doc, tmp_path):
+    # a JSON value of the wrong type anywhere in the medium file is unusable
+    # input: exit 2 with a one-line diagnostic, never a traceback
+    path = tmp_path / "medium.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "elastoray.cli", "--medium", str(path),
+         "--out", str(tmp_path / "out.json"), "validate"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_classify_report_and_csv(media_dir, tmp_path):
     csv_path = tmp_path / "labels.csv"
     rc, doc, _ = run(media_dir, tmp_path, "classify", "--fan-n", "20",

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 import elastoray as er
 from elastoray import rays
-from elastoray.boundary import _mode_quadratic
+from elastoray.boundary import mode_quadratics
 from elastoray.engine import Hamilton
 
 SOUTH = np.array([0.0, 0.0, -1.0])
@@ -673,7 +673,9 @@ def test_reflect_matches_char_roots(stressed_medium):
             res = er.reflect(m, st)
         except er.GlancingError:
             continue
-        big_a, bh, c, scale2 = _mode_quadratic(m, st.mode, gamma)
+        k = "SP".index(st.mode)
+        big_a, bh, c, scale2 = (v[k] for v in mode_quadratics(
+            m, gamma.x, gamma.nu, gamma.xi_t, gamma.tau))
         near_zero_c += abs(c) <= 1e-8 * scale2
         for s in res.states:
             z = roots.mode(s.mode).z_forward
