@@ -21,7 +21,7 @@ from .errors import (ContourError, DegenerateDirectionError,
                      FrameDegenerateError, GlancingError, LopatinskiError,
                      NotOnBoundaryError, SingularResidueError)
 from .medium import check_class_membership
-from .symbols import (BOUNDARY_TOL, MODES, _mode_coeff, _mode_form, adot,
+from .symbols import (MODES, _mode_coeff, _mode_form, adot,
                       principal_symbol_matrix, traction_normal_derivative,
                       traction_symbol)
 
@@ -94,10 +94,10 @@ def e_symbol(gamma):
     return float(np.sqrt(gamma.tau ** 2 + np.dot(gamma.xi_t, gamma.xi_t)))
 
 
-def boundary_covector(m, t, x, tau, xi, boundary_tol=BOUNDARY_TOL):
+def boundary_covector(m, t, x, tau, xi):
     """Build a validated BoundaryCovector, projecting xi onto the tangent plane."""
     x = np.asarray(x, dtype=np.float64)
-    if not m.domain.on_boundary(x, tol=boundary_tol):
+    if not m.domain.on_boundary(x):
         raise NotOnBoundaryError(
             f"covector base point off the boundary: |phi| = {abs(float(m.domain.phi(x))):.2e}")
     nu = m.domain.normal(x)
@@ -176,10 +176,10 @@ class RegionLabel:
                 "p_discriminant": self.p_discriminant}
 
 
-def classify(m, gamma, params=None, glancing_tol=GLANCING_TOL):
+def classify(m, gamma, params=None):
     """Classify gamma into hyperbolic / mixed / elliptic / glancing regions.
 
-    A mode is glancing when |Bh^2 - A C| < glancing_tol * scale2.  The S
+    A mode is glancing when |Bh^2 - A C| < GLANCING_TOL * scale2.  The S
     elliptic region is contained in the P elliptic region, so the combined
     label is determined by (S label, P label).
     """
@@ -188,7 +188,7 @@ def classify(m, gamma, params=None, glancing_tol=GLANCING_TOL):
     d4 = forward_roots(big_a, bh, c, gamma.tau)[3]
     labels = {}
     for k, mode in enumerate(MODES):
-        if abs(d4[k]) < glancing_tol * scale2[k]:
+        if abs(d4[k]) < GLANCING_TOL * scale2[k]:
             labels[mode] = "glancing"
         elif d4[k] > 0:
             labels[mode] = "hyperbolic"
@@ -260,7 +260,7 @@ def discriminant_margin(m, gamma):
     return float(np.min(np.abs(d4) / scale2))
 
 
-def _mode_roots(m, gamma, glancing_tol=GLANCING_TOL):
+def _mode_roots(m, gamma):
     """ModeRoots of the S and P modes at gamma, in that order; a glancing
     mode gives its GlancingError instead."""
     big_a, bh, c, scale2 = mode_quadratics(m, gamma.x, gamma.nu, gamma.xi_t,
@@ -269,7 +269,7 @@ def _mode_roots(m, gamma, glancing_tol=GLANCING_TOL):
     rho = float(m.rho(gamma.x))
     out = []
     for k, mode in enumerate(MODES):
-        if abs(d4[k]) < glancing_tol * scale2[k]:
+        if abs(d4[k]) < GLANCING_TOL * scale2[k]:
             out.append(GlancingError(f"mode {mode} is glancing at this covector",
                                      discriminant=float(d4[k])))
             continue
@@ -287,13 +287,13 @@ def _mode_roots(m, gamma, glancing_tol=GLANCING_TOL):
     return out
 
 
-def char_roots(m, gamma, glancing_tol=GLANCING_TOL):
+def char_roots(m, gamma):
     """Characteristic roots, selected covectors, and the Lopatinski product.
 
     Raises GlancingError when either mode is glancing.  The residual of the
     scalar symbol at each returned root is at machine level by construction.
     """
-    s_roots, p_roots = _mode_roots(m, gamma, glancing_tol)
+    s_roots, p_roots = _mode_roots(m, gamma)
     for roots in (s_roots, p_roots):
         if isinstance(roots, GlancingError):
             raise roots
@@ -312,12 +312,12 @@ def char_roots(m, gamma, glancing_tol=GLANCING_TOL):
 # Lopatinski margin sampling
 # ---------------------------------------------------------------------------
 
-def sample_boundary_covectors(m, n, rng, delta, ratio_hi=None):
+def sample_boundary_covectors(m, n, rng, delta):
     """Random boundary covector batch inside the time-like cone Gamma_delta.
 
     Returns arrays (x, nu, xi_t, tau) with |xi_t| = 1 and |tau| / |xi_t|
-    log-uniform in [delta, ratio_hi].  The upper end defaults to three times
-    the largest compressional speed, which covers the hyperbolic region.
+    log-uniform from delta up to three times the largest compressional
+    speed, which covers the hyperbolic region.
     """
     x = m.domain.sample_boundary(n, rng)
     nu = m.domain.normal(x)
@@ -329,11 +329,10 @@ def sample_boundary_covectors(m, n, rng, delta, ratio_hi=None):
         v[bad] -= np.sum(v[bad] * nu[bad], axis=-1, keepdims=True) * nu[bad]
         bad = np.linalg.norm(v, axis=-1) < 1e-8
     xi_t = v / np.linalg.norm(v, axis=-1, keepdims=True)
-    if ratio_hi is None:
-        pts = m.domain.grid(9)
-        c2 = _mode_coeff(m, "P", pts) * (1.0 + 0.5) / m.rho(pts)
-        ratio_hi = max(3.0 * float(np.sqrt(c2.max())), 2.0 * delta)
-    u = np.exp(rng.uniform(np.log(delta), np.log(ratio_hi), n))
+    pts = m.domain.grid(9)
+    c2 = _mode_coeff(m, "P", pts) * (1.0 + 0.5) / m.rho(pts)
+    top = max(3.0 * float(np.sqrt(c2.max())), 2.0 * delta)
+    u = np.exp(rng.uniform(np.log(delta), np.log(top), n))
     tau = u * rng.choice([-1.0, 1.0], n)
     return x, nu, xi_t, tau
 
@@ -452,8 +451,8 @@ class ResidueData:
     roots: CharRoots
 
 
-def residue_matrices(m, gamma, glancing_tol=GLANCING_TOL):
-    roots = char_roots(m, gamma, glancing_tol)
+def residue_matrices(m, gamma):
+    roots = char_roots(m, gamma)
     z_s, z_p = roots.s.z_forward, roots.p.z_forward
     scale = max(abs(z_s), abs(z_p), 1e-30)
     if abs(z_s - z_p) < 1e-12 * scale:
@@ -481,7 +480,7 @@ class QuadratureResult:
     windings: dict
 
 
-def residue_quadrature(m, gamma, nodes=256, glancing_tol=GLANCING_TOL):
+def residue_quadrature(m, gamma, nodes=256):
     """Contour-integral evaluation of the residue matrices.
 
     Trapezoidal rule on a circle enclosing exactly the selected roots; the
@@ -490,7 +489,7 @@ def residue_quadrature(m, gamma, nodes=256, glancing_tol=GLANCING_TOL):
     all four roots are evaluated from the same quadrature and must certify
     the selection, otherwise ContourError is raised.
     """
-    roots = char_roots(m, gamma, glancing_tol)
+    roots = char_roots(m, gamma)
     z_s, z_p = roots.s.z_forward, roots.p.z_forward
     rejected = [roots.s.z_backward, roots.p.z_backward]
     center = 0.5 * (z_s + z_p)
@@ -546,8 +545,8 @@ class DnSymbol:
     roots: CharRoots
 
 
-def dn_symbol(m, gamma, glancing_tol=GLANCING_TOL):
-    residue = residue_matrices(m, gamma, glancing_tol)
+def dn_symbol(m, gamma):
+    residue = residue_matrices(m, gamma)
     roots = residue.roots
     xi_s = roots.s.xi_forward
     xi_p = roots.p.xi_forward
@@ -606,7 +605,7 @@ class CompanionReport:
     g: np.ndarray
 
 
-def companion_symbol_check(m, gamma, zeta=None, glancing_tol=GLANCING_TOL):
+def companion_symbol_check(m, gamma, zeta=None):
     """Build the companion symbol and verify its defining identities.
 
     With p(z) the principal symbol along xi_t - z nu, normalized to a monic
@@ -638,7 +637,7 @@ def companion_symbol_check(m, gamma, zeta=None, glancing_tol=GLANCING_TOL):
     g = np.block([[zero, eta * eye], [-p2 / eta, -p1]])
     gp = np.block([[-p1, -eta * eye], [p2 / eta, zero]])
 
-    roots = char_roots(m, gamma, glancing_tol)
+    roots = char_roots(m, gamma)
     all_roots = [roots.s.z_forward, roots.s.z_forward,
                  roots.s.z_backward, roots.s.z_backward,
                  roots.p.z_forward, roots.p.z_backward]

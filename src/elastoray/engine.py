@@ -270,13 +270,13 @@ def march(m, is_p, y0, tau, sgn, s_cap, ctrl, collect=False):
 
     ok = (speed != 0.0) & ~tangential
     n = int(ok.sum())
-    h_max = (0.5 * float(np.min(dom.semi_axes)) / speed[ok]
-             if ctrl.h_max is None else np.full(n, float(ctrl.h_max)))
-    h = 1e-2 * h_max if ctrl.h_init is None else np.full(n, ctrl.h_init)
+    # no step crosses more than half the shortest semi-axis at the launch
+    # speed, and the first step is 1 % of that
+    h_limit = 0.5 * float(np.min(dom.semi_axes)) / speed[ok]
     tau2 = tau[ok] * tau[ok]
     rows = _Rows(ids=np.flatnonzero(ok), y=y0[ok], k1=f0[ok], tau2=tau2,
                  sgn=sgn[ok], s=np.zeros(n), s_cap=s_cap[ok],
-                 h=sgn[ok] * np.minimum(np.abs(h), h_max), h_max=h_max,
+                 h=sgn[ok] * (1e-2 * h_limit), h_limit=h_limit,
                  entered=np.zeros(n, dtype=bool),
                  drift_max=np.abs(tau2 - g0[ok]) / tau2,
                  n_steps=np.zeros(n, dtype=np.int64),
@@ -322,8 +322,9 @@ def march(m, is_p, y0, tau, sgn, s_cap, ctrl, collect=False):
         # rejected and failed-entry steps shrink, advancing ones grow
         h = rows.h * np.where(advance, np.minimum(5.0, fac),
                               np.where(bad_err, np.maximum(0.2, fac), 0.5))
-        h = np.where(advance, rows.sgn * np.minimum(np.abs(h), rows.h_max), h)
-        tiny = np.abs(h) < 1e-14 * rows.h_max
+        h = np.where(advance, rows.sgn * np.minimum(np.abs(h), rows.h_limit),
+                     h)
+        tiny = np.abs(h) < 1e-14 * rows.h_limit
         underflow = ~accepted & tiny
         glanced = no_entry & tiny
         finished = advance & capped
@@ -385,7 +386,7 @@ def _locate_exits(kern_all, dom, ctrl, c, out):
     An Illinois-modified regula falsi finds the crossing on each step's
     continuous extension.  Exact substeps from the step's start then polish
     it, each placed by a secant on phi clipped into the bracket, until
-    |phi| is within ``boundary_tol``; the returned state so carries full
+    |phi| is within ``exit_tol``; the returned state so carries full
     integration accuracy.
     """
     n = len(c.ids)
@@ -403,7 +404,7 @@ def _locate_exits(kern_all, dom, ctrl, c, out):
         f_c = dom.phi(x0 + th * (r2 + (1.0 - th) * (r3 + th * (
             r4 + (1.0 - th) * r5))))
         theta = np.where(live, cand, theta)
-        live &= (np.abs(f_c) > 1e-3 * ctrl.boundary_tol) & (hi - lo > 1e-15)
+        live &= (np.abs(f_c) > 1e-3 * ctrl.exit_tol) & (hi - lo > 1e-15)
         if not live.any():
             break
         below = f_c < 0.0
@@ -445,7 +446,7 @@ def _locate_exits(kern_all, dom, ctrl, c, out):
         eta[idx] = np.where(inside, cand, 0.5 * (lo + hi))
         eta_lo[idx], eta_hi[idx] = lo, hi
         prev_eta[idx], prev_phi[idx] = e, p
-        live[idx[(np.abs(p) <= ctrl.boundary_tol)
+        live[idx[(np.abs(p) <= ctrl.exit_tol)
                  | (np.abs(hi - lo) < 1e-16 * np.abs(h[idx]))]] = False
 
     gphi = dom.grad_phi(best_y[:, :3])

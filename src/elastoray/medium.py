@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,10 @@ __all__ = [
 ]
 
 MAX_POLY_DEGREE = 4
+# |div R| above this on the class-membership grid fails the divergence check
+DIVERGENCE_TOL = 1e-10
+# points per axis of the grid on which a new Medium checks rho, lambda, mu > 0
+POSITIVITY_GRID = 7
 
 
 # ---------------------------------------------------------------------------
@@ -51,13 +56,15 @@ class Poly3:
     """Trivariate polynomial with broadcast evaluation and exact differentiation.
 
     Terms are stored as an (K, 3) integer exponent array and a (K,) coefficient
-    array, sorted by exponent for deterministic serialization.
+    array, sorted by exponent for deterministic serialization.  A term key
+    is three non-negative integer exponents, as a sequence or as the string
+    "i,j,k"; any other key raises MediumFormatError.
     """
 
     __slots__ = ("exps", "coefs")
 
     def __init__(self, terms):
-        items = [(tuple(int(e) for e in k), float(c)) for k, c in dict(terms).items()
+        items = [(_exponents(k), float(c)) for k, c in dict(terms).items()
                  if c != 0.0]
         items.sort(key=lambda kv: kv[0])
         if items:
@@ -76,11 +83,7 @@ class Poly3:
         return int(self.exps.sum(axis=1).max())
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if len(self.coefs) == 0:
-            return np.zeros(x.shape[:-1], dtype=np.float64)
-        mono = np.prod(x[..., None, :] ** self.exps, axis=-1)
-        return mono @ self.coefs
+        return _MonomialTable([self])(x)[..., 0]
 
     def diff(self, axis):
         terms = {}
@@ -97,6 +100,24 @@ class Poly3:
     def to_dict(self):
         return {",".join(map(str, k)): c for k, c in zip(map(tuple, self.exps),
                                                          self.coefs.tolist())}
+
+    @classmethod
+    def from_dict(cls, d):
+        """Inverse of ``to_dict``: keys "i,j,k" map to coefficients."""
+        return cls(d)
+
+
+def _exponents(key):
+    """The exponent triple of a Poly3 term key."""
+    try:
+        e = (tuple(int(s) for s in key.split(",")) if isinstance(key, str)
+             else tuple(operator.index(v) for v in key))
+    except (TypeError, ValueError):
+        e = ()
+    if len(e) != 3 or min(e) < 0:
+        raise MediumFormatError(f"polynomial term key {key!r} is not three "
+                                "non-negative integer exponents")
+    return e
 
 
 class _MonomialTable:
@@ -263,9 +284,7 @@ def scalar_field(spec):
     if family == "constant":
         return ConstantField(spec["value"])
     if family == "polynomial":
-        terms = {tuple(int(s) for s in key.split(",")): float(c)
-                 for key, c in spec["coefficients"].items()}
-        return PolynomialField(Poly3(terms))
+        return PolynomialField(Poly3.from_dict(spec["coefficients"]))
     if family == "gaussian_bump":
         return GaussianBumpField(spec["base"], spec["amplitude"],
                                  spec.get("center", (0.0, 0.0, 0.0)),
@@ -402,15 +421,17 @@ def residual_stress(spec):
     if kind == "constant":
         return ConstantStress(spec["matrix"])
     if kind == "potential":
-        terms = {tuple(int(s) for s in key.split(",")): float(c)
-                 for key, c in spec["coefficients"].items()}
-        return PotentialStress(Poly3(terms))
+        return PotentialStress(Poly3.from_dict(spec["coefficients"]))
     raise MediumFormatError(f"unknown residual stress kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
 # domain geometry
 # ---------------------------------------------------------------------------
+
+DOMAIN_TOL = 1e-9
+BOUNDARY_TOL = 1e-10
+
 
 class Domain:
     """Bounded strictly star-shaped domain {phi < 0} with smooth boundary.
@@ -448,11 +469,13 @@ class Domain:
         n = np.linalg.norm(g, axis=-1, keepdims=True)
         return g / n
 
-    def contains(self, x, tol=1e-9):
-        return self.phi(x) <= tol
+    def contains(self, x):
+        """In the closed domain: phi(x) <= DOMAIN_TOL."""
+        return self.phi(x) <= DOMAIN_TOL
 
-    def on_boundary(self, x, tol=1e-10):
-        return np.abs(self.phi(x)) <= tol
+    def on_boundary(self, x):
+        """On the boundary: |phi(x)| <= BOUNDARY_TOL."""
+        return np.abs(self.phi(x)) <= BOUNDARY_TOL
 
     def boundary_point(self, direction):
         """Radial map: the boundary point along ``direction`` from the origin."""
@@ -530,8 +553,8 @@ class Medium:
         self.class_params = class_params
         self._check_positivity()
 
-    def _check_positivity(self, resolution=7):
-        pts = self.domain.grid(resolution)
+    def _check_positivity(self):
+        pts = self.domain.grid(POSITIVITY_GRID)
         for name, f in (("rho", self.rho), ("lambda", self.lam), ("mu", self.mu)):
             v = f(pts)
             if not np.all(np.isfinite(v)):
@@ -579,8 +602,7 @@ class ClassReport:
         }
 
 
-def check_class_membership(m, params=None, grid_resolution=21,
-                           divergence_tol=1e-10):
+def check_class_membership(m, params=None, grid_resolution=21):
     """Check the ellipticity, smallness, and admissibility conditions on a grid.
 
     The residual stress size |R| is measured in the spectral norm.  Spectral
@@ -615,7 +637,7 @@ def check_class_membership(m, params=None, grid_resolution=21,
         stress_ok=stress_margin >= 0.0, stress_margin=stress_margin,
         positivity_ok=positivity_margin > 0.0,
         positivity_margin=positivity_margin,
-        divergence_ok=divergence_max <= divergence_tol,
+        divergence_ok=divergence_max <= DIVERGENCE_TOL,
         divergence_max=divergence_max,
         n_points=len(pts),
     )

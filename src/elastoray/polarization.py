@@ -27,7 +27,10 @@ __all__ = [
     "muting_annihilation_check",
 ]
 
+# a stacked basis with a larger condition number raises FrameConditionError
 COND_LIMIT = 1e8
+# the muting direction is undefined when |nu x xi_t| <= MUTING_TOL |xi_t|
+MUTING_TOL = 1e-12
 
 
 @dataclass
@@ -69,14 +72,14 @@ class PolarizationFrame:
         return max(resid, float(np.linalg.norm(total - np.eye(6))))
 
 
-def polarization_frame(m, gamma, glancing_tol=1e-10, cond_limit=COND_LIMIT):
+def polarization_frame(m, gamma):
     """Assemble the polarization bundles and projectors at gamma.
 
     Requires gamma hyperbolic for S (raises GlancingError otherwise, via the
     root computation).  Raises FrameConditionError when the stacked basis is
     too ill-conditioned to invert reliably (near-glancing covectors).
     """
-    roots = char_roots(m, gamma, glancing_tol)
+    roots = char_roots(m, gamma)
     if not roots.s.real:
         raise GlancingError("polarization frame needs an S-hyperbolic covector",
                             discriminant=roots.s.discriminant)
@@ -106,9 +109,9 @@ def polarization_frame(m, gamma, glancing_tol=1e-10, cond_limit=COND_LIMIT):
     order = list(bases)     # S+, S-, then P+, P- or the merged P
     v = np.concatenate([bases[tag] for tag in order], axis=-1)
     cond = float(np.linalg.cond(v))
-    if cond > cond_limit:
+    if cond > COND_LIMIT:
         raise FrameConditionError(
-            f"polarization basis condition number {cond:.2e} exceeds {cond_limit:.0e}")
+            f"polarization basis condition number {cond:.2e} exceeds {COND_LIMIT:.0e}")
     v_inv = np.linalg.inv(v)
 
     projectors = {}
@@ -124,7 +127,7 @@ def polarization_frame(m, gamma, glancing_tol=1e-10, cond_limit=COND_LIMIT):
                              projectors=projectors, cond=cond)
 
 
-def mute_symbol(gamma, degeneracy_tol=1e-12):
+def mute_symbol(gamma):
     """Rank-one shear-horizontal muting projector m = w (x) w.
 
     w is the unit vector along nu x xi_t, orthogonal to both the normal and
@@ -134,7 +137,7 @@ def mute_symbol(gamma, degeneracy_tol=1e-12):
     w = np.cross(gamma.nu, gamma.xi_t)
     n = np.linalg.norm(w)
     scale = max(np.linalg.norm(gamma.xi_t), 1e-300)
-    if n <= degeneracy_tol * scale:
+    if n <= MUTING_TOL * scale:
         raise DegenerateMutingError(
             "muting direction undefined: xi_t parallel to nu (normal incidence)")
     w = w / n

@@ -61,17 +61,16 @@ class StepControl:
 
     ``drift_tol`` bounds |tau^2 - g(x, xi)| / tau^2 along accepted steps;
     steps violating it are rejected and halved even when the embedded error
-    estimate would accept them.
+    estimate would accept them.  ``exit_tol`` bounds |phi| at a located
+    boundary exit.  Step sizes follow from the domain and the launch speed.
     """
 
     rtol: float = 1e-10
     atol: float = 1e-12
     max_steps: int = 100000
     drift_tol: float = 1e-9
-    boundary_tol: float = 1e-12
+    exit_tol: float = 1e-12
     tangent_tol: float = 1e-6
-    h_init: float | None = None
-    h_max: float | None = None
 
 
 DEFAULT_STEP = StepControl()
@@ -214,13 +213,16 @@ def trace_state(m, state, ctrl=None, t_cap=None, collect=False,
     return out
 
 
-def launch_state(m, gamma, mode, time_direction=1, glancing_tol=1e-10):
+def launch_state(m, gamma, mode, time_direction=1):
     """Interior-directed RayState at gamma for the given mode.
 
     Uses the forward characteristic root (backward when tracing against
-    time).  Raises EvanescentModeError when the mode is elliptic at gamma.
+    time).  Raises GlancingError when the mode is glancing at gamma and
+    EvanescentModeError when it is elliptic; the other mode may be either.
     """
-    roots = char_roots(m, gamma, glancing_tol).mode(mode)
+    roots = _mode_roots(m, gamma)[MODES.index(mode)]
+    if isinstance(roots, GlancingError):
+        raise roots
     if not roots.real:
         raise EvanescentModeError(f"mode {mode} is evanescent at this covector")
     xi = roots.xi_forward if time_direction >= 0 else roots.xi_backward
@@ -243,13 +245,9 @@ def _trace_legs(m, gammas, modes, ctrl=None, collect=False, time_direction=1):
             out[i] = exc
     traced = _trace_states(m, states, ctrl, collect=collect,
                            time_direction=time_direction)
+    # uncapped legs exit or raise
     for i, res in zip(launched, traced):
-        if isinstance(res, ElastorayError):
-            out[i] = res
-        elif res[2] != "exited":
-            out[i] = ElastorayError("unexpected time cap on an uncapped leg")
-        else:
-            out[i] = res[1]
+        out[i] = res if isinstance(res, ElastorayError) else res[1]
     return out
 
 
@@ -320,11 +318,15 @@ def _hyperbolic_radius(m, mode, x, nu, u, tau):
     return abs(tau) * math.sqrt(b_nn / denom)
 
 
-def probe_fan(m, n, rng, tau=1.0, frac_range=(0.15, 0.85), t=0.0):
+PROBE_FRACTION = (0.15, 0.85)
+
+
+def probe_fan(m, n, rng, tau=1.0, t=0.0):
     """Random boundary covectors hyperbolic for both modes, muting-friendly.
 
     The tangential magnitude is a fraction of the compressional hyperbolic
-    radius, so both modes have real forward roots and |xi_t| > 0.
+    radius, uniform in PROBE_FRACTION, so both modes have real forward roots
+    and |xi_t| > 0.
     """
     probes = []
     while len(probes) < n:
@@ -335,7 +337,7 @@ def probe_fan(m, n, rng, tau=1.0, frac_range=(0.15, 0.85), t=0.0):
         if np.linalg.norm(v) < 1e-8:
             continue
         u = v / np.linalg.norm(v)
-        frac = rng.uniform(*frac_range)
+        frac = rng.uniform(*PROBE_FRACTION)
         r_p = _hyperbolic_radius(m, "P", x, nu, u, tau)
         gamma = BoundaryCovector(t=t, x=x, tau=float(tau),
                                  xi_t=frac * r_p * u, nu=nu)
@@ -360,7 +362,7 @@ class ReflectionResult:
     glancing: list
 
 
-def reflect(m, state, glancing_tol=1e-10):
+def reflect(m, state):
     """Reflect an outgoing boundary state into all hyperbolic branches.
 
     The reflected branches share (t, x, tau, xi_t) with the incident state
@@ -373,7 +375,7 @@ def reflect(m, state, glancing_tol=1e-10):
     states = []
     evanescent = []
     glancing = []
-    for mode, roots in zip(MODES, _mode_roots(m, gamma, glancing_tol)):
+    for mode, roots in zip(MODES, _mode_roots(m, gamma)):
         if isinstance(roots, GlancingError):
             if mode == state.mode:
                 raise GlancingError(
@@ -670,9 +672,12 @@ def boundary_distance(m, mode, x_from, y_to, tau=1.0, n_starts=64,
 
 @dataclass
 class RecoveryRecord:
+    """One mode of one probe; ``reverse`` is the leg traced back from
+    ``event``, and dx, dxi, dt are its gaps to the probe."""
+
     probe: BoundaryCovector
     mode: str
-    direct: LensMapEntry
+    reverse: LensMapEntry
     event: WFEvent
     dx: float
     dxi: float
@@ -707,19 +712,24 @@ def recover_lens_maps(m, probes, depth=1, ctrl=None):
 
     For each probe the shear map value is read off as the least-time event
     of a shear-only launch (justified quantitatively by the muting residual,
-    recorded per probe) and likewise for the compressional map; both are
-    compared against directly traced legs.  The transports of all probes
-    and both modes are traced together, one batch per level, and the direct
-    legs as one more batch, so the comparison also checks that a leg traces
-    alike in different batches.  Errors are raised in the order a
-    probe-by-probe loop would meet them.
+    recorded per probe) and likewise for the compressional map.  Each
+    event is checked by the leg traced back in time from it, which must
+    land on its probe: the gaps in position, tangential covector and time
+    measure the integration error of the two legs together.  The transports
+    of all probes and both modes are traced together, one batch per level,
+    and the reversed legs as one more batch.  Errors are raised in the order
+    a probe-by-probe loop would meet them.
     """
     modes = ("S", "P")
-    launches = [(gamma, mode) for gamma in probes for mode in modes]
-    runs = _transport(m, [(gamma, (mode,)) for gamma, mode in launches],
-                      depth, None, ctrl)
-    directs = _trace_legs(m, [gamma for gamma, _ in launches],
-                          [mode for _, mode in launches], ctrl)
+    runs = _transport(m, [(gamma, (mode,)) for gamma in probes
+                          for mode in modes], depth, None, ctrl)
+    firsts = [result.events[0] if error is None and result.events else None
+              for result, error in runs]
+    found = [ev for ev in firsts if ev is not None]
+    traced = iter(_trace_legs(m, [ev.gamma for ev in found],
+                              [ev.mode for ev in found], ctrl,
+                              time_direction=-1))
+    reverses = [None if ev is None else next(traced) for ev in firsts]
     records = []
     max_dx = max_dxi = max_dt = max_mute = 0.0
     min_sep = math.inf
@@ -735,19 +745,18 @@ def recover_lens_maps(m, probes, depth=1, ctrl=None):
             if not result.events:
                 raise ElastorayError(f"no events for mode {mode} launch")
             event = result.events[0]
-            direct = directs[len(modes) * k + j]
-            if isinstance(direct, ElastorayError):
-                raise direct
-            dx = float(np.linalg.norm(event.gamma.x - direct.gamma_out.x))
-            dxi = float(np.linalg.norm(event.gamma.xi_t
-                                       - direct.gamma_out.xi_t))
-            dt = abs(event.gamma.t - direct.gamma_out.t)
+            back = reverses[len(modes) * k + j]
+            if isinstance(back, ElastorayError):
+                raise back
+            dx = float(np.linalg.norm(back.gamma_out.x - gamma.x))
+            dxi = float(np.linalg.norm(back.gamma_out.xi_t - gamma.xi_t))
+            dt = abs(back.gamma_out.t - gamma.t)
             times[mode] = event.gamma.t
             max_dx = max(max_dx, dx)
             max_dxi = max(max_dxi, dxi)
             max_dt = max(max_dt, dt)
             records.append(RecoveryRecord(probe=gamma, mode=mode,
-                                          direct=direct, event=event,
+                                          reverse=back, event=event,
                                           dx=dx, dxi=dxi, dt=dt,
                                           mute_residual=mute_res))
         sep = abs(times["S"] - times["P"])

@@ -26,9 +26,6 @@ __all__ = [
 
 MODES = ("S", "P")
 
-DOMAIN_TOL = 1e-9
-BOUNDARY_TOL = 1e-10
-
 
 def adot(a, b):
     """Analytic dot product sum_i a_i b_i (no conjugation)."""
@@ -40,8 +37,8 @@ def _check_mode(mode):
         raise ValueError(f"mode must be 'S' or 'P', got {mode!r}")
 
 
-def _check_domain(m, x):
-    if np.any(m.domain.phi(x) > DOMAIN_TOL):
+def _require_in_domain(m, x):
+    if not np.all(m.domain.contains(x)):
         raise OutOfDomainError(f"point {np.asarray(x)!r} outside the closed domain")
 
 
@@ -59,33 +56,31 @@ def _mode_form(a, r, rho, eta, zeta):
     return (a * adot(eta, zeta) + adot(eta, rz)) / rho
 
 
-def metric_bilinear(m, mode, x, eta, zeta, check_domain=False):
+def metric_bilinear(m, mode, x, eta, zeta):
     """Polarization of the dual metric: (a eta.zeta + R eta.zeta) / rho."""
     _check_mode(mode)
-    if check_domain:
-        _check_domain(m, x)
     return _mode_form(_mode_coeff(m, mode, x), m.stress.matrix(x), m.rho(x),
                       eta, zeta)
 
 
-def metric_inv(m, mode, x, xi, check_domain=True):
+def metric_inv(m, mode, x, xi):
     """Dual mode metric g_mode(x, xi) = B(xi, xi), analytic in xi.
 
     Vanishes iff xi = 0 for admissible media.  ``x`` must lie in the closed
-    domain (checked unless ``check_domain`` is False).
+    domain.
     """
-    return metric_bilinear(m, mode, np.asarray(x, dtype=np.float64), xi, xi,
-                           check_domain)
+    _require_in_domain(m, x)
+    return metric_bilinear(m, mode, np.asarray(x, dtype=np.float64), xi, xi)
 
 
-def metric_inv_grad(m, mode, x, xi, check_domain=True):
+def metric_inv_grad(m, mode, x, xi):
     """Value of the dual metric plus its gradients in x and in xi.
 
-    Real covectors only.  Returns (value, d/dx, d/dxi).
+    Real covectors only; ``x`` must lie in the closed domain.  Returns
+    (value, d/dx, d/dxi).
     """
     _check_mode(mode)
-    if check_domain:
-        _check_domain(m, x)
+    _require_in_domain(m, x)
     x = np.asarray(x, dtype=np.float64)
     xi = np.asarray(xi, dtype=np.float64)
     if mode == "S":
@@ -115,7 +110,7 @@ def principal_symbol(m, x, tau, xi):
     det p = q_S^2 q_P.  Raises for xi . xi = 0 (pi is undefined there).
     A batch of one of ``principal_symbol_batch``.
     """
-    _check_domain(m, x)
+    _require_in_domain(m, x)
     batch = principal_symbol_batch(m, np.asarray(x, dtype=np.float64)[None],
                                    np.array([tau]), np.asarray(xi)[None])
     return tuple(v[0] for v in batch)
@@ -169,36 +164,35 @@ def principal_symbol_batch(m, x, tau, xi):
     return p, p_tilde, q_s, q_p
 
 
-def _boundary_fields(m, x, boundary_tol, what):
+def _boundary_fields(m, x, what):
     """Unit normal and lambda, mu, R at a boundary point; raises off it."""
     x = np.asarray(x, dtype=np.float64)
-    if not m.domain.on_boundary(x, tol=boundary_tol):
+    if not m.domain.on_boundary(x):
         raise NotOnBoundaryError(f"{what} needs a boundary point, |phi| = "
                                  f"{abs(float(m.domain.phi(x))):.2e}")
     return m.domain.normal(x), m.lam(x), m.mu(x), m.stress.matrix(x)
 
 
-def traction_symbol(m, x, xi, boundary_tol=BOUNDARY_TOL):
+def traction_symbol(m, x, xi):
     """Principal symbol of the traction operator at a boundary point.
 
     s(x, xi) = lambda (nu (x) xi) + mu (xi (x) nu) + mu (xi.nu) Id
                + (R xi . nu) Id,
     with nu the outward unit normal.  Analytic in xi.
     """
-    nu, lam, mu, r = _boundary_fields(m, x, boundary_tol, "traction symbol")
+    nu, lam, mu, r = _boundary_fields(m, x, "traction symbol")
     xi = np.asarray(xi)
     eye = np.eye(3, dtype=np.result_type(xi, float))
     return (lam * np.outer(nu, xi) + mu * np.outer(xi, nu)
             + (mu * adot(xi, nu) + adot(r @ xi, nu)) * eye)
 
 
-def traction_normal_derivative(m, x, boundary_tol=BOUNDARY_TOL):
+def traction_normal_derivative(m, x):
     """Derivative of the traction symbol along the normal covector coordinate.
 
     Equals (lambda + mu) (nu (x) nu) + (mu + R nu . nu) Id; elliptic for
     admissible media (eigenvalues lambda + 2 mu + R nu.nu and mu + R nu.nu).
     """
-    nu, lam, mu, r = _boundary_fields(m, x, boundary_tol,
-                                      "normal traction derivative")
+    nu, lam, mu, r = _boundary_fields(m, x, "normal traction derivative")
     return ((lam + mu) * np.outer(nu, nu)
             + (mu + adot(nu, r @ nu)) * np.eye(3))

@@ -68,8 +68,15 @@ GOOD_DOC = {"rho": 1.0, "lambda": 1.0, "mu": 1.0}
     {**GOOD_DOC, "domain": [1]},
     {**GOOD_DOC, "mu": {"family": "polynomial", "coefficients": [1]}},
     {**GOOD_DOC, "residual_stress": {"kind": "potential", "coefficients": [1]}},
+    # negative exponents: a traceback from the monomial table, and a field
+    # that loaded but evaluated 1 + 0.1 x instead of 1 + 0.1 / x
+    {**GOOD_DOC, "residual_stress": {"kind": "potential",
+                                     "coefficients": {"-1,0,0": 0.01}}},
+    {**GOOD_DOC, "mu": {"family": "polynomial",
+                        "coefficients": {"-1,0,0": 0.1, "0,0,0": 1}}},
 ], ids=["list", "string", "number", "null", "domain-list",
-        "field-coefficients-list", "stress-coefficients-list"])
+        "field-coefficients-list", "stress-coefficients-list",
+        "stress-negative-exponent", "field-negative-exponent"])
 def test_non_object_medium_blocks_are_config_errors(doc, tmp_path):
     # a JSON value of the wrong type anywhere in the medium file is unusable
     # input: exit 2 with a one-line diagnostic, never a traceback

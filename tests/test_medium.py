@@ -61,6 +61,29 @@ def test_gaussian_bump_gradient_fd(x1, x2, x3):
     assert_allclose(f.gradient(x), fd_gradient(f, x), rtol=FD_RTOL, atol=1e-9)
 
 
+def test_poly3_dict_round_trip_and_one_evaluator():
+    p = Poly3({(2, 0, 0): 1.0, (0, 1, 1): -3.0, (1, 0, 3): 0.25})
+    q = Poly3.from_dict(p.to_dict())
+    assert np.array_equal(q.exps, p.exps) and np.array_equal(q.coefs, p.coefs)
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, (7, 3))
+    # the polynomial and its field are one evaluator, so they agree bitwise
+    assert np.array_equal(p(x), er.PolynomialField(p)(x))
+    assert p(x).shape == (7,) and Poly3({})(x[0]) == 0.0
+
+
+@pytest.mark.parametrize("key", [(-1, 0, 0), (1, 0), (1, 0, 0, 0), (1.5, 0, 0),
+                                 "100", 3])
+def test_poly3_rejects_bad_exponents(key):
+    with pytest.raises(er.MediumFormatError):
+        Poly3({key: 1.0})
+
+
+@pytest.mark.parametrize("key", ["-1,0,0", "1,0", "a,0,0", "1.5,0,0", ""])
+def test_poly3_from_dict_rejects_bad_keys(key):
+    with pytest.raises(er.MediumFormatError):
+        Poly3.from_dict({key: 1.0, "0,0,0": 1.0})
+
+
 def test_polynomial_field_degree_cap():
     with pytest.raises(er.MediumFormatError):
         er.PolynomialField(Poly3({(5, 0, 0): 1.0}))

@@ -78,6 +78,25 @@ def test_glancing_launch_rejected(constant_medium):
         er.trace_leg(constant_medium, g, "P")
 
 
+def test_launch_beside_a_glancing_mode(media_dir):
+    # at the P hyperbolic radius S is hyperbolic and P glancing: the S leg
+    # launches from its own roots, the P leg is refused
+    m = er.load_medium(media_dir / "constant.json")
+    x = np.array([0.0, 0.0, 1.0])
+    u = np.array([1.0, 0.0, 0.0])
+    nu = m.domain.normal(x)
+    r_p = rays._hyperbolic_radius(m, "P", x, nu, u, 1.0)
+    g = er.BoundaryCovector(t=0.0, x=x, tau=1.0, xi_t=r_p * u, nu=nu)
+    label = er.classify(m, g)
+    assert (label.s_label, label.p_label) == ("hyperbolic", "glancing")
+    entry = er.trace_leg(m, g, "S")
+    chord = np.linalg.norm(entry.gamma_out.x - x)
+    c_s = np.sqrt(float(m.mu(x)) / float(m.rho(x)))
+    assert entry.travel_time == pytest.approx(chord / c_s, abs=1e-10)
+    with pytest.raises(er.GlancingError):
+        er.trace_leg(m, g, "P")
+
+
 def test_tangential_state_rejected(constant_medium):
     # a boundary state whose velocity is tangent to the boundary cannot exit
     x = np.array([0.0, 0.0, 1.0])
@@ -422,6 +441,22 @@ def test_recover_stressed_medium(stressed_medium):
         dx = np.linalg.norm(modes["S"].event.gamma.x - modes["P"].event.gamma.x)
         dt = abs(modes["S"].event.gamma.t - modes["P"].event.gamma.t)
         assert dx > 1e-3 or dt > 1e-3
+
+
+def test_recover_reversed_legs_see_integration_error(bump_medium):
+    # each event is checked by the leg traced back from it to its probe, so
+    # a coarse step control shows up in the residuals
+    probes = chord_fan(bump_medium, 10, seed=67)
+    fine = er.recover_lens_maps(bump_medium, probes)
+    coarse = er.recover_lens_maps(
+        bump_medium, probes,
+        ctrl=er.StepControl(rtol=1e-5, atol=1e-7, drift_tol=1e-4))
+    assert fine.max_dx <= 1e-8 and fine.max_dt <= 1e-8
+    assert coarse.max_dx > 1e-8
+    for rec in coarse.records:
+        assert rec.reverse.travel_time < 0.0
+        assert rec.reverse.gamma_in.t == rec.event.gamma.t
+        assert np.array_equal(rec.reverse.gamma_in.x, rec.event.gamma.x)
 
 
 def test_recover_identical_media_identical_tables(constant_medium):
