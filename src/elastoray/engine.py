@@ -46,6 +46,10 @@ _D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
 
 # rejected steps are counted by cause, in this order
 REJECT_CAUSES = ("error", "drift", "entry")
+# a located exit has |phi| <= EXIT_TOL
+EXIT_TOL = 1e-12
+# tangential launch or exit: normal velocity below TANGENT_TOL of the speed
+TANGENT_TOL = 1e-6
 
 
 def _dot3(a, b):
@@ -262,7 +266,7 @@ def march(m, is_p, y0, tau, sgn, s_cap, ctrl, collect=False):
     speed = np.sqrt(_dot3(f0[:, :3], f0[:, :3]))
     gphi = dom.grad_phi(y0[:, :3])
     tangential = (speed != 0.0) & (sgn * _dot3(gphi, f0[:, :3]) > (
-        -ctrl.tangent_tol * np.sqrt(_dot3(gphi, gphi)) * speed))
+        -TANGENT_TOL * np.sqrt(_dot3(gphi, gphi)) * speed))
     for i in np.flatnonzero(speed == 0.0):
         out[i] = StepControlError("zero ray speed at launch")
     for i in np.flatnonzero(tangential):
@@ -368,7 +372,7 @@ def march(m, is_p, y0, tau, sgn, s_cap, ctrl, collect=False):
     for i in rows.ids:
         out[i] = MaxStepsError(f"no boundary hit within {ctrl.max_steps} steps")
     if crossings:
-        _locate_exits(kern_all, dom, ctrl, _Rows.concat(crossings), out)
+        _locate_exits(kern_all, dom, _Rows.concat(crossings), out)
     if history is not None:
         ids, s_all, y_all = (np.concatenate(part) for part in zip(*history))
         for i, leg in enumerate(out):
@@ -380,13 +384,13 @@ def march(m, is_p, y0, tau, sgn, s_cap, ctrl, collect=False):
     return out
 
 
-def _locate_exits(kern_all, dom, ctrl, c, out):
+def _locate_exits(kern_all, dom, c, out):
     """Refine the boundary crossings of the steps in ``c``, all together.
 
     An Illinois-modified regula falsi finds the crossing on each step's
     continuous extension.  Exact substeps from the step's start then polish
     it, each placed by a secant on phi clipped into the bracket, until
-    |phi| is within ``exit_tol``; the returned state so carries full
+    |phi| is within EXIT_TOL; the returned state so carries full
     integration accuracy.
     """
     n = len(c.ids)
@@ -404,7 +408,7 @@ def _locate_exits(kern_all, dom, ctrl, c, out):
         f_c = dom.phi(x0 + th * (r2 + (1.0 - th) * (r3 + th * (
             r4 + (1.0 - th) * r5))))
         theta = np.where(live, cand, theta)
-        live &= (np.abs(f_c) > 1e-3 * ctrl.exit_tol) & (hi - lo > 1e-15)
+        live &= (np.abs(f_c) > 1e-3 * EXIT_TOL) & (hi - lo > 1e-15)
         if not live.any():
             break
         below = f_c < 0.0
@@ -446,12 +450,12 @@ def _locate_exits(kern_all, dom, ctrl, c, out):
         eta[idx] = np.where(inside, cand, 0.5 * (lo + hi))
         eta_lo[idx], eta_hi[idx] = lo, hi
         prev_eta[idx], prev_phi[idx] = e, p
-        live[idx[(np.abs(p) <= ctrl.exit_tol)
+        live[idx[(np.abs(p) <= EXIT_TOL)
                  | (np.abs(hi - lo) < 1e-16 * np.abs(h[idx]))]] = False
 
     gphi = dom.grad_phi(best_y[:, :3])
     glancing = np.abs(_dot3(gphi, best_f[:, :3])) < (
-        ctrl.tangent_tol * np.sqrt(_dot3(gphi, gphi))
+        TANGENT_TOL * np.sqrt(_dot3(gphi, gphi))
         * np.sqrt(_dot3(best_f[:, :3], best_f[:, :3])))
     c.s, c.y = c.s + best_eta, best_y
     c.drift_max = np.maximum(c.drift_max, np.abs(c.tau2 - best_g) / c.tau2)

@@ -57,8 +57,8 @@ class Poly3:
 
     Terms are stored as an (K, 3) integer exponent array and a (K,) coefficient
     array, sorted by exponent for deterministic serialization.  A term key
-    is three non-negative integer exponents, as a sequence or as the string
-    "i,j,k"; any other key raises MediumFormatError.
+    is a sequence of three non-negative integer exponents; any other key
+    raises MediumFormatError.
     """
 
     __slots__ = ("exps", "coefs")
@@ -104,15 +104,17 @@ class Poly3:
     @classmethod
     def from_dict(cls, d):
         """Inverse of ``to_dict``: keys "i,j,k" map to coefficients."""
-        return cls(d)
+        try:
+            return cls({tuple(map(int, k.split(","))): c for k, c in d.items()})
+        except ValueError as exc:
+            raise MediumFormatError(f"bad polynomial term: {exc}") from None
 
 
 def _exponents(key):
     """The exponent triple of a Poly3 term key."""
     try:
-        e = (tuple(int(s) for s in key.split(",")) if isinstance(key, str)
-             else tuple(operator.index(v) for v in key))
-    except (TypeError, ValueError):
+        e = tuple(operator.index(v) for v in key)
+    except TypeError:
         e = ()
     if len(e) != 3 or min(e) < 0:
         raise MediumFormatError(f"polynomial term key {key!r} is not three "

@@ -61,16 +61,14 @@ class StepControl:
 
     ``drift_tol`` bounds |tau^2 - g(x, xi)| / tau^2 along accepted steps;
     steps violating it are rejected and halved even when the embedded error
-    estimate would accept them.  ``exit_tol`` bounds |phi| at a located
-    boundary exit.  Step sizes follow from the domain and the launch speed.
+    estimate would accept them.  Step sizes follow from the domain and the
+    launch speed.
     """
 
     rtol: float = 1e-10
     atol: float = 1e-12
     max_steps: int = 100000
     drift_tol: float = 1e-9
-    exit_tol: float = 1e-12
-    tangent_tol: float = 1e-6
 
 
 DEFAULT_STEP = StepControl()

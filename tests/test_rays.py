@@ -97,6 +97,22 @@ def test_launch_beside_a_glancing_mode(media_dir):
         er.trace_leg(m, g, "P")
 
 
+def test_null_covector_launch_is_evanescent(constant_medium):
+    # at tau = 0 both modes are elliptic and their selected covectors are
+    # analytically null: char_roots refuses the covector, while a launch
+    # reads only that its own mode is evanescent
+    x = np.array([0.0, 0.0, 1.0])
+    g = er.BoundaryCovector(t=0.0, x=x, tau=0.0, xi_t=np.array([3.0, 0.0, 0.0]),
+                            nu=constant_medium.domain.normal(x))
+    label = er.classify(constant_medium, g)
+    assert (label.s_label, label.p_label) == ("elliptic", "elliptic")
+    with pytest.raises(er.SingularResidueError):
+        er.char_roots(constant_medium, g)
+    for mode in ("S", "P"):
+        with pytest.raises(er.EvanescentModeError):
+            er.trace_leg(constant_medium, g, mode)
+
+
 def test_tangential_state_rejected(constant_medium):
     # a boundary state whose velocity is tangent to the boundary cannot exit
     x = np.array([0.0, 0.0, 1.0])
