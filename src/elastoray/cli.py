@@ -313,18 +313,21 @@ def cmd_distance(m, args):
     rows = []
     pairs = [(i, j) for i in range(args.points) for j in range(args.points)
              if i < j]
+    modes = ("S", "P")
+    solved = iter(rays.boundary_distances(
+        m, [{"mode": mode, "x_from": pts[i], "y_to": pts[j],
+             "n_starts": args.starts} for i, j in pairs for mode in modes]))
     for i, j in pairs:
         out = {"from": pts[i].tolist(), "to": pts[j].tolist()}
-        for mode in ("S", "P"):
-            res = rays.boundary_distance(m, mode, pts[i], pts[j],
-                                         n_starts=args.starts)
+        for mode in modes:
+            res = next(solved)
             out[mode] = {"distance": res.distance, "miss": res.miss,
                          "n_legs": res.n_legs, "connected": res.connected,
                          "failed_legs": res.failed_legs}
             if not res.connected:
                 out[mode]["message"] = res.message
         rows.append(out)
-        for mode in ("S", "P"):
+        for mode in modes:
             if not out[mode]["connected"]:
                 failures.append(f"{out['from']} -> {out['to']} mode {mode}: "
                                 f"{out[mode]['message']}")
@@ -471,6 +474,17 @@ def cmd_selftest(m, args):
 # parser / entry point
 # ---------------------------------------------------------------------------
 
+def _at_least(minimum):
+    """argparse type: an integer no smaller than ``minimum``."""
+    def integer(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+    return integer
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="elastoray",
@@ -481,26 +495,30 @@ def build_parser():
     parser.add_argument("--out", default=None,
                         help="write the JSON report here (default: stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
+    nonnegative = _at_least(0)
 
-    def add(name, help_text, **defaults):
+    def add(name, help_text, depth=0, min_fan_n=0):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--fan-n", dest="fan_n", type=int,
-                       default=defaults.get("fan_n", 32))
+        p.add_argument("--fan-n", dest="fan_n", type=_at_least(min_fan_n),
+                       default=32)
         p.add_argument("--tau", type=float, default=1.0)
         p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--depth", type=int, default=defaults.get("depth", 0))
+        p.add_argument("--depth", type=nonnegative, default=depth)
         p.add_argument("--tmax", type=float, default=None)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=nonnegative, default=0)
         return p
 
+    # validate's grid needs 5 points a side (check_class_membership)
     add("validate", "check class membership on a grid").add_argument(
-        "--grid", type=int, default=21)
+        "--grid", type=_at_least(5), default=21)
     add("classify", "region labels over a covector fan").add_argument(
         "--csv", default=None)
-    p = add("roots", "characteristic roots and Lopatinski margin")
+    # roots builds its structured rows from the fan's first covector
+    p = add("roots", "characteristic roots and Lopatinski margin",
+            min_fan_n=1)
     p.add_argument("--csv", default=None)
-    p.add_argument("--samples", type=int, default=20000)
+    p.add_argument("--samples", type=_at_least(1), default=20000)
     add("dn", "DN principal symbol, dual-route checked")
     add("frame", "polarization frame, projectors, muting")
     p = add("trace", "trace one leg (or broken transport with --depth)")
@@ -509,13 +527,13 @@ def build_parser():
     p = add("lensmap", "lens map table over a probe fan")
     p.add_argument("--csv", default=None)
     p = add("distance", "boundary distance matrix")
-    p.add_argument("--points", type=int, default=4)
-    p.add_argument("--starts", type=int, default=16)
+    p.add_argument("--points", type=nonnegative, default=4)
+    p.add_argument("--starts", type=nonnegative, default=16)
     p = add("recover", "lens-map recovery from single-mode event streams",
             depth=1)
-    p.add_argument("--probes", type=int, default=10)
+    p.add_argument("--probes", type=nonnegative, default=10)
     p = add("selftest", "condensed invariant suite on this medium")
-    p.add_argument("--samples", type=int, default=2000)
+    p.add_argument("--samples", type=_at_least(1), default=2000)
     return parser
 
 

@@ -14,8 +14,9 @@ or in any batch.  A boundary exit is found by an Illinois-modified regula
 falsi on the crossing step's native continuous extension, then polished by
 secant-placed exact substeps from the step's start to the boundary
 tolerance.  Lens-map fans, each level of a broken transport, the recovery
-experiment and the distance start scan are each traced as one batch;
-``trace_state`` and ``trace_leg`` are batches of one.
+experiment and each round of lockstep distance solves are each traced as one
+batch; ``trace_state``, ``trace_leg`` and ``boundary_distance`` are batches
+of one.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ __all__ = [
     "broken_transport",
     "DistanceResult",
     "boundary_distance",
+    "boundary_distances",
     "RecoveryRecord",
     "RecoveryReport",
     "recover_lens_maps",
@@ -529,26 +531,14 @@ _SHOOT_MAX_HALVINGS = 10
 _SHOOT_SAME_RAY = 1e-6
 
 
-def boundary_distance(m, mode, x_from, y_to, tau=1.0, n_starts=64,
-                      n_refine=3, ctrl=None, miss_tol=1e-9, warm_start=None):
-    """Mode travel time between boundary points by multi-start shooting.
+def _distance_solve(m, mode, x_from, y_to, tau=1.0, n_starts=64, n_refine=3,
+                    miss_tol=1e-9, warm_start=None):
+    """One boundary_distance solve as a generator of traced rounds.
 
-    Entry covectors are parametrized by two tangential components at
-    ``x_from``.  ``n_starts`` starts spread over the hyperbolic disk are
-    traced as one batch; the ``n_refine`` with the smallest boundary miss
-    seed a damped Gauss-Newton iteration on the miss vector.  Its Jacobian is
-    taken by forward differences, and its step is halved until the trial
-    leg reaches the boundary with a smaller miss; the iterations and the
-    halvings are capped, so a solve costs a bounded number of legs.  Each
-    start stops once its miss is below ``0.3 * miss_tol``; a later start
-    also stops, adopting the earlier shot, once its Gauss-Newton iterate
-    heads for a ray an earlier start converged to.  The result is the least
-    travel time over the iterates that hit within ``miss_tol``.
-
-    ``warm_start`` takes a known-good tangential parameter pair and replaces
-    the start scan with that single start; the returned entry covector
-    exposes the pair for reuse via ``gamma_in`` (its xi_t in the tangent
-    basis at x_from).
+    Each round yields the entry covectors of the solve's next legs and
+    receives back, per leg, its LensMapEntry or the ElastorayError it
+    raised; the generator returns the DistanceResult.  The endpoint check
+    runs before the first round.
     """
     x0 = m.domain.radial_project(np.asarray(x_from, dtype=np.float64))
     y1 = m.domain.radial_project(np.asarray(y_to, dtype=np.float64))
@@ -559,38 +549,31 @@ def boundary_distance(m, mode, x_from, y_to, tau=1.0, n_starts=64,
     n_legs = 0
     failed = {}
 
-    def shoot_all(ws):
-        # one batch of legs: per w (entry, miss, w, miss vector), or None
-        # when its leg raises
-        nonlocal n_legs
-        n_legs += len(ws)
-        gammas = [BoundaryCovector(t=0.0, x=x0, tau=float(tau),
-                                   xi_t=w[0] * e1 + w[1] * e2, nu=nu)
-                  for w in ws]
-        shots = []
-        for w, entry in zip(ws, _trace_legs(m, gammas, [mode] * len(ws),
-                                            ctrl)):
-            if isinstance(entry, ElastorayError):
-                name = type(entry).__name__
-                failed[name] = failed.get(name, 0) + 1
-                shots.append(None)
-                continue
-            vec = entry.gamma_out.x - y1
-            shots.append((entry, float(np.linalg.norm(vec)), w, vec))
-        return shots
+    def trace(ws):
+        # one round: (w, traced outcome) per tangential parameter pair
+        outs = yield [BoundaryCovector(t=0.0, x=x0, tau=float(tau),
+                                       xi_t=w[0] * e1 + w[1] * e2, nu=nu)
+                      for w in ws]
+        return list(zip(ws, outs))
 
-    if warm_start is not None:
-        starts = [np.asarray(warm_start, dtype=np.float64)]
-    else:
-        starts = [np.zeros(2)]
-        golden = math.pi * (3.0 - math.sqrt(5.0))
-        for k in range(max(n_starts - 1, 0)):
-            ang = k * golden
-            u = math.cos(ang) * e1 + math.sin(ang) * e2
-            r_hyp = _hyperbolic_radius(m, mode, x0, nu, u, tau)
-            frac = math.sqrt((k + 0.5) / max(n_starts - 1, 1)) * 0.93
-            starts.append(frac * r_hyp * np.array([math.cos(ang),
-                                                   math.sin(ang)]))
+    def jacobian_points(w):
+        # forward-difference step at w and the parameters of the two legs
+        # whose misses give the Jacobian columns there
+        h = 1e-7 * max(1.0, float(np.linalg.norm(w)))
+        return h, [w + h * unit for unit in np.eye(2)]
+
+    def read(leg):
+        # count a leg the solve reads: (entry, miss, w, miss vector), or
+        # None when it raised
+        nonlocal n_legs
+        n_legs += 1
+        w, entry = leg
+        if isinstance(entry, ElastorayError):
+            name = type(entry).__name__
+            failed[name] = failed.get(name, 0) + 1
+            return None
+        vec = entry.gamma_out.x - y1
+        return (entry, float(np.linalg.norm(vec)), w, vec)
 
     def better(cand, incumbent):
         # below miss_tol the travel time decides; above it the miss does
@@ -606,15 +589,18 @@ def boundary_distance(m, mode, x_from, y_to, tau=1.0, n_starts=64,
 
     converged = []      # shots earlier descents ended on below the target
 
-    def descend(shot):
+    def descend(shot, columns):
         # damped Gauss-Newton from one traced start; the miss falls at every
-        # accepted step, so the last iterate is the one closest to a ray
+        # accepted step, so the last iterate is the one closest to a ray;
+        # ``columns`` holds the Jacobian legs traced along with the shot
         for _ in range(_SHOOT_MAX_ITER):
             _, miss, w, vec = shot
             if miss <= miss_tol * 0.3:
                 break
-            h = 1e-7 * max(1.0, float(np.linalg.norm(w)))
-            cols = shoot_all([w + h * unit for unit in np.eye(2)])
+            h, points = jacobian_points(w)
+            if columns is None:
+                columns = yield from trace(points)
+            cols = [read(leg) for leg in columns]
             if any(col is None for col in cols):
                 break
             jac = np.stack([(col[3] - vec) / h for col in cols], axis=-1)
@@ -626,20 +612,41 @@ def boundary_distance(m, mode, x_from, y_to, tau=1.0, n_starts=64,
                         1.0, float(np.linalg.norm(prior[2]))):
                     return prior
             for k in range(_SHOOT_MAX_HALVINGS + 1):
-                trial = shoot_all([w + 0.5 ** k * step])[0]
+                w_trial = w + 0.5 ** k * step
+                legs = yield from trace([w_trial]
+                                        + jacobian_points(w_trial)[1])
+                trial = read(legs[0])
                 if trial is not None and trial[1] < miss:
                     break
             else:
                 break
-            shot = trial
+            shot, columns = trial, legs[1:]
         return shot
 
-    scanned = [(shot[1], i, shot) for i, shot in enumerate(shoot_all(starts))
+    if warm_start is not None:
+        w = np.asarray(warm_start, dtype=np.float64)
+        legs = yield from trace([w] + jacobian_points(w)[1])
+        starts, columns = legs[:1], [legs[1:]]
+    else:
+        ws = [np.zeros(2)]
+        golden = math.pi * (3.0 - math.sqrt(5.0))
+        for k in range(max(n_starts - 1, 0)):
+            ang = k * golden
+            u = math.cos(ang) * e1 + math.sin(ang) * e2
+            r_hyp = _hyperbolic_radius(m, mode, x0, nu, u, tau)
+            frac = math.sqrt((k + 0.5) / max(n_starts - 1, 1)) * 0.93
+            ws.append(frac * r_hyp * np.array([math.cos(ang),
+                                               math.sin(ang)]))
+        starts = yield from trace(ws)
+        columns = [None] * len(starts)
+
+    shots = [read(leg) for leg in starts]
+    scanned = [(shot[1], i, shot) for i, shot in enumerate(shots)
                if shot is not None]
     scanned.sort(key=lambda item: item[:2])
     best = None
-    for _, _, start in scanned[:max(n_refine, 1)]:
-        shot = descend(start)
+    for _, i, start in scanned[:max(n_refine, 1)]:
+        shot = yield from descend(start, columns[i])
         if shot[1] <= miss_tol * 0.3 and not any(shot is c for c in converged):
             converged.append(shot)
         if better(shot, best):
@@ -662,6 +669,71 @@ def boundary_distance(m, mode, x_from, y_to, tau=1.0, n_starts=64,
                           gamma_out=None, miss=miss, n_legs=n_legs,
                           connected=False, message=message,
                           failed_legs=failed_legs)
+
+
+def boundary_distances(m, jobs, ctrl=None):
+    """DistanceResult per job, all solves advanced in lockstep.
+
+    Each job is a dict of ``boundary_distance``'s arguments after ``m``
+    (``mode``, ``x_from``, ``y_to`` and any of the optional ones but
+    ``ctrl``).  Every round traces the pending legs of every live solve as
+    one batch, so the solves take as many rounds as the longest of them,
+    and each result is bitwise the one its solo call returns.  A job whose
+    endpoints coincide raises DistanceError before any leg is traced.
+    """
+    solves = [_distance_solve(m, **job) for job in jobs]
+    modes = [job["mode"] for job in jobs]
+    results = [None] * len(solves)
+    pending = {i: next(solve) for i, solve in enumerate(solves)}
+    while pending:
+        batch = list(pending.items())
+        outs = _trace_legs(m, [g for _, gammas in batch for g in gammas],
+                           [modes[i] for i, gammas in batch for _ in gammas],
+                           ctrl)
+        pos = 0
+        for i, gammas in batch:
+            chunk = outs[pos:pos + len(gammas)]
+            pos += len(gammas)
+            try:
+                pending[i] = solves[i].send(chunk)
+            except StopIteration as stop:
+                results[i] = stop.value
+                del pending[i]
+    return results
+
+
+def boundary_distance(m, mode, x_from, y_to, tau=1.0, n_starts=64,
+                      n_refine=3, ctrl=None, miss_tol=1e-9, warm_start=None):
+    """Mode travel time between boundary points by multi-start shooting.
+
+    Entry covectors are parametrized by two tangential components at
+    ``x_from``.  ``n_starts`` starts spread over the hyperbolic disk are
+    traced as one batch; the ``n_refine`` with the smallest boundary miss
+    seed a damped Gauss-Newton iteration on the miss vector.  Its Jacobian is
+    taken by forward differences, and its step is halved until the trial
+    leg reaches the boundary with a smaller miss; the iterations and the
+    halvings are capped, so a solve costs a bounded number of legs.  Each
+    start stops once its miss is below ``0.3 * miss_tol``; a later start
+    also stops, adopting the earlier shot, once its Gauss-Newton iterate
+    heads for a ray an earlier start converged to.  The result is the least
+    travel time over the iterates that hit within ``miss_tol``.
+
+    The Jacobian columns at a warm start and at every trial leg are traced
+    speculatively, in the same batch as that leg, so an accepted trial
+    costs one round of legs instead of two.  ``n_legs`` and ``failed_legs``
+    count only the legs the solve reads: the starts, the trials, and the
+    Jacobian columns of each iteration.  Columns traced with a leg that
+    ends its descent are never read and count in neither.
+
+    ``warm_start`` takes a known-good tangential parameter pair and replaces
+    the start scan with that single start; the returned entry covector
+    exposes the pair for reuse via ``gamma_in`` (its xi_t in the tangent
+    basis at x_from).  ``boundary_distances`` runs many solves in lockstep.
+    """
+    return boundary_distances(m, [{
+        "mode": mode, "x_from": x_from, "y_to": y_to, "tau": tau,
+        "n_starts": n_starts, "n_refine": n_refine, "miss_tol": miss_tol,
+        "warm_start": warm_start}], ctrl)[0]
 
 
 # ---------------------------------------------------------------------------

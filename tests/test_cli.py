@@ -13,6 +13,15 @@ from elastoray import cli
 SCHEMA_KEYS = {"command", "medium_digest", "params", "results", "failures"}
 
 
+def _src_env():
+    # the environment of a subprocess that imports elastoray from src/
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                    env.get("PYTHONPATH")) if p)
+    return env
+
+
 def run(media_dir, tmp_path, sub, *args, medium="constant.json", name="out.json"):
     out = tmp_path / name
     rc = cli.main(["--medium", str(media_dir / medium), "--out", str(out), sub,
@@ -82,18 +91,50 @@ def test_non_object_medium_blocks_are_config_errors(doc, tmp_path):
     # input: exit 2 with a one-line diagnostic, never a traceback
     path = tmp_path / "medium.json"
     path.write_text(json.dumps(doc))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(__file__).resolve().parents[1] / "src"),
-                    env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "elastoray.cli", "--medium", str(path),
          "--out", str(tmp_path / "out.json"), "validate"],
-        env=env, capture_output=True, text=True)
+        env=_src_env(), capture_output=True, text=True)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["roots", "--fan-n", "0"], ["classify", "--fan-n", "-1"],
+    ["frame", "--fan-n", "-2"], ["distance", "--points", "-1"],
+    ["validate", "--grid", "3"], ["roots", "--samples", "0"],
+    ["selftest", "--samples", "0"], ["lensmap", "--fan-n", "-1"],
+    ["trace", "--depth", "-1"], ["dn", "--seed", "-1"],
+    ["distance", "--starts", "-1"], ["recover", "--probes", "-1"],
+    ["roots", "--samples", "-1"], ["validate", "--grid", "-1"],
+    ["classify", "--fan-n", "three"],
+], ids=" ".join)
+def test_unusable_counts_are_config_errors(args, media_dir, tmp_path):
+    # counts are checked in the parser: exit 2 with one error line, no
+    # traceback and no report
+    out = tmp_path / "out.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "elastoray.cli", "--medium",
+         str(media_dir / "constant.json"), "--out", str(out), *args],
+        env=_src_env(), capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert [line for line in proc.stderr.splitlines()
+            if "error:" in line] == [proc.stderr.splitlines()[-1]]
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["lensmap", "--fan-n", "0"],
+                                  ["distance", "--points", "2",
+                                   "--starts", "0"],
+                                  ["validate", "--grid", "5"]],
+                         ids=" ".join)
+def test_smallest_counts_still_run(args, media_dir, tmp_path):
+    rc, doc, _ = run(media_dir, tmp_path, *args)
+    assert rc == 0
+    assert doc["failures"] == []
 
 
 def test_classify_report_and_csv(media_dir, tmp_path):
@@ -215,14 +256,10 @@ def test_reports_are_byte_deterministic(media_dir, tmp_path):
 def test_import_does_not_load_scipy():
     # importing the package must stay cheap, since every CLI call pays for
     # it: no scipy module at all, scipy.optimize included
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(src), env.get("PYTHONPATH")) if p)
     code = ("import sys, elastoray; "
             "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                         check=True, capture_output=True, text=True).stdout
     assert out.strip() == "[]"
 
 

@@ -1,0 +1,251 @@
+"""Lockstep distance solves against the sequential solve they replaced."""
+
+import math
+
+import numpy as np
+import pytest
+
+import elastoray as er
+from elastoray import rays
+
+
+# ------------------------------ differential: the replaced sequential solve
+
+# Frozen copy of ``boundary_distance`` as it was before solves ran in
+# lockstep: it traces its legs one or two at a time, counts every leg it
+# traces and takes each Jacobian in a round of its own.
+
+def _ref_boundary_distance(m, mode, x_from, y_to, tau=1.0, n_starts=64,
+                           n_refine=3, ctrl=None, miss_tol=1e-9,
+                           warm_start=None):
+    x0 = m.domain.radial_project(np.asarray(x_from, dtype=np.float64))
+    y1 = m.domain.radial_project(np.asarray(y_to, dtype=np.float64))
+    if np.linalg.norm(x0 - y1) < 1e-12:
+        raise er.DistanceError("endpoints coincide")
+    nu = m.domain.normal(x0)
+    e1, e2 = m.domain.tangent_basis(x0)
+    n_legs = 0
+    failed = {}
+
+    def shoot_all(ws):
+        nonlocal n_legs
+        n_legs += len(ws)
+        gammas = [er.BoundaryCovector(t=0.0, x=x0, tau=float(tau),
+                                      xi_t=w[0] * e1 + w[1] * e2, nu=nu)
+                  for w in ws]
+        shots = []
+        for w, entry in zip(ws, rays._trace_legs(m, gammas, [mode] * len(ws),
+                                                 ctrl)):
+            if isinstance(entry, er.ElastorayError):
+                name = type(entry).__name__
+                failed[name] = failed.get(name, 0) + 1
+                shots.append(None)
+                continue
+            vec = entry.gamma_out.x - y1
+            shots.append((entry, float(np.linalg.norm(vec)), w, vec))
+        return shots
+
+    if warm_start is not None:
+        starts = [np.asarray(warm_start, dtype=np.float64)]
+    else:
+        starts = [np.zeros(2)]
+        golden = math.pi * (3.0 - math.sqrt(5.0))
+        for k in range(max(n_starts - 1, 0)):
+            ang = k * golden
+            u = math.cos(ang) * e1 + math.sin(ang) * e2
+            r_hyp = rays._hyperbolic_radius(m, mode, x0, nu, u, tau)
+            frac = math.sqrt((k + 0.5) / max(n_starts - 1, 1)) * 0.93
+            starts.append(frac * r_hyp * np.array([math.cos(ang),
+                                                   math.sin(ang)]))
+
+    def better(cand, incumbent):
+        if incumbent is None:
+            return True
+        hit_c = cand[1] <= miss_tol
+        hit_i = incumbent[1] <= miss_tol
+        if hit_c and hit_i:
+            return cand[0].travel_time < incumbent[0].travel_time
+        if hit_c != hit_i:
+            return hit_c
+        return cand[1] < incumbent[1]
+
+    converged = []
+
+    def descend(shot):
+        for _ in range(rays._SHOOT_MAX_ITER):
+            _, miss, w, vec = shot
+            if miss <= miss_tol * 0.3:
+                break
+            h = 1e-7 * max(1.0, float(np.linalg.norm(w)))
+            cols = shoot_all([w + h * unit for unit in np.eye(2)])
+            if any(col is None for col in cols):
+                break
+            jac = np.stack([(col[3] - vec) / h for col in cols], axis=-1)
+            step, *_ = np.linalg.lstsq(jac, -vec, rcond=None)
+            for prior in converged:
+                gap = float(np.linalg.norm(w + step - prior[2]))
+                if gap <= rays._SHOOT_SAME_RAY * max(
+                        1.0, float(np.linalg.norm(prior[2]))):
+                    return prior
+            for k in range(rays._SHOOT_MAX_HALVINGS + 1):
+                trial = shoot_all([w + 0.5 ** k * step])[0]
+                if trial is not None and trial[1] < miss:
+                    break
+            else:
+                break
+            shot = trial
+        return shot
+
+    scanned = [(shot[1], i, shot) for i, shot in enumerate(shoot_all(starts))
+               if shot is not None]
+    scanned.sort(key=lambda item: item[:2])
+    best = None
+    for _, _, start in scanned[:max(n_refine, 1)]:
+        shot = descend(start)
+        if shot[1] <= miss_tol * 0.3 and not any(shot is c for c in converged):
+            converged.append(shot)
+        if better(shot, best):
+            best = shot
+
+    failed_legs = dict(sorted(failed.items()))
+    if best is not None and best[1] <= miss_tol:
+        entry, miss = best[:2]
+        return er.DistanceResult(distance=entry.travel_time, mode=mode,
+                                 gamma_in=entry.gamma_in,
+                                 gamma_out=entry.gamma_out, miss=miss,
+                                 n_legs=n_legs, failed_legs=failed_legs)
+    if best is None:
+        miss, message = math.inf, ("no ray from any start reached the "
+                                   "boundary near the target")
+    else:
+        miss = best[1]
+        message = f"best boundary miss {miss:.2e} above {miss_tol:.0e}"
+    return er.DistanceResult(distance=math.inf, mode=mode, gamma_in=None,
+                             gamma_out=None, miss=miss, n_legs=n_legs,
+                             connected=False, message=message,
+                             failed_legs=failed_legs)
+
+
+def _same_covector(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return (a.t == b.t and a.tau == b.tau
+            and all(np.array_equal(getattr(a, k), getattr(b, k))
+                    for k in ("x", "xi_t", "nu")))
+
+
+def _assert_same(got, want):
+    for key in ("distance", "miss", "n_legs", "failed_legs", "connected",
+                "message", "mode"):
+        assert getattr(got, key) == getattr(want, key), key
+    assert _same_covector(got.gamma_in, want.gamma_in)
+    assert _same_covector(got.gamma_out, want.gamma_out)
+
+
+@pytest.fixture()
+def rounds(monkeypatch):
+    """Counts the traced batches (rounds) of legs."""
+    calls = []
+    trace_legs = rays._trace_legs
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return trace_legs(*args, **kwargs)
+
+    monkeypatch.setattr(rays, "_trace_legs", counted)
+    return calls
+
+
+def _pairs(m, n, seed):
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < n:
+        x0, y = m.domain.sample_boundary(2, rng)
+        if 0.6 <= np.linalg.norm(y - x0) <= 1.8:
+            pairs.append((x0, y))
+    return pairs
+
+
+def _warm_start(m, res):
+    e1, e2 = m.domain.tangent_basis(res.gamma_in.x)
+    return np.array([res.gamma_in.xi_t @ e1, res.gamma_in.xi_t @ e2])
+
+
+@pytest.mark.parametrize("name,n_pairs", [("constant_stress", 3),
+                                          ("gaussian_bump", 2)])
+def test_lockstep_solves_match_sequential_solve(name, n_pairs, media_dir,
+                                                rounds):
+    m = er.load_medium(media_dir / f"{name}.json")
+    jobs = [{"mode": mode, "x_from": x0, "y_to": y, "n_starts": 12}
+            for x0, y in _pairs(m, n_pairs, seed=len(name))
+            for mode in "SP"]
+    want = [_ref_boundary_distance(m, **job) for job in jobs]
+    solo = []
+    solo_rounds = []
+    for job in jobs:
+        rounds.clear()
+        solo.append(rays.boundary_distance(m, **job))
+        solo_rounds.append(len(rounds))
+    rounds.clear()
+    batched = rays.boundary_distances(m, jobs)
+    # every live solve advances in the same batch
+    assert len(rounds) == max(solo_rounds)
+    assert len(batched) == len(jobs)
+    for got, alone, ref in zip(batched, solo, want):
+        assert ref.connected
+        _assert_same(got, ref)
+        _assert_same(alone, ref)
+
+    # warm starts from the converged entries, at nearby targets as in the
+    # generating-function check, plus a warm start outside the hyperbolic
+    # disk (every leg raises) and an unreachable miss tolerance
+    warm = []
+    for job, res in zip(jobs, want):
+        y = job["y_to"] + 1e-4 * m.domain.tangent_basis(job["y_to"])[0]
+        warm.append({**job, "y_to": m.domain.radial_project(y),
+                     "warm_start": _warm_start(m, res)})
+    warm.append({**jobs[0], "warm_start": [5.0, 0.0]})
+    warm.append({**jobs[1], "n_starts": 4, "n_refine": 1, "miss_tol": 1e-18})
+    want = [_ref_boundary_distance(m, **job) for job in warm]
+    solo_rounds = []
+    for job, ref in zip(warm, want):
+        rounds.clear()
+        _assert_same(rays.boundary_distance(m, **job), ref)
+        solo_rounds.append(len(rounds))
+    rounds.clear()
+    batched = rays.boundary_distances(m, warm)
+    assert len(rounds) == max(solo_rounds)
+    for got, ref in zip(batched, want):
+        _assert_same(got, ref)
+    assert want[-2].failed_legs == {"EvanescentModeError": 1}
+    assert want[-2].n_legs == 1
+    assert not want[-1].connected
+
+
+def test_warm_solve_takes_three_rounds(media_dir, rounds):
+    # a warm start, then two accepted Gauss-Newton steps: the sequential
+    # solve traces the start, then a Jacobian pair and a trial per step
+    m = er.load_medium(media_dir / "gaussian_bump.json")
+    (x0, y), = _pairs(m, 1, seed=808)
+    base = rays.boundary_distance(m, "S", x0, y, n_starts=10, n_refine=1)
+    assert base.connected
+    target = m.domain.radial_project(y + 1e-4 * m.domain.tangent_basis(y)[1])
+    job = {"mode": "S", "x_from": x0, "y_to": target,
+           "warm_start": _warm_start(m, base)}
+    rounds.clear()
+    want = _ref_boundary_distance(m, **job)
+    assert rounds == [1, 2, 1, 2, 1]
+    rounds.clear()
+    _assert_same(rays.boundary_distance(m, **job), want)
+    assert rounds == [3, 3, 3]
+    assert want.n_legs == 7
+
+
+def test_coinciding_endpoints_trace_no_leg(constant_medium, rounds):
+    south = np.array([0.0, 0.0, -1.0])
+    jobs = [{"mode": "S", "x_from": south, "y_to": np.array([1.0, 0.0, 0.0])},
+            {"mode": "P", "x_from": south, "y_to": south}]
+    with pytest.raises(er.DistanceError):
+        rays.boundary_distances(constant_medium, jobs)
+    assert rounds == []
+    assert rays.boundary_distances(constant_medium, []) == []
