@@ -127,8 +127,11 @@ def mode_quadratics(m, x, nu, xi_t, tau):
     big_a = _mode_form(a, r, rho, nu, nu)
     bh = _mode_form(a, r, rho, xi_t, nu)
     bxx = _mode_form(a, r, rho, xi_t, xi_t)
-    c = bxx - tau ** 2
-    scale2 = bh * bh + np.abs(big_a) * (np.abs(bxx) + tau ** 2)
+    # tau * tau, not tau ** 2: a Python float squares through libm pow and
+    # an array through x * x, which differ in the last bit for a few tau
+    tau2 = tau * tau
+    c = bxx - tau2
+    scale2 = bh * bh + np.abs(big_a) * (np.abs(bxx) + tau2)
     return big_a, bh, c, scale2
 
 

@@ -485,6 +485,17 @@ def _at_least(minimum):
     return integer
 
 
+def _real(test, requirement):
+    """argparse type: a finite float passing ``test``."""
+    def real(text):
+        value = float(text)
+        if not (math.isfinite(value) and test(value)):
+            raise argparse.ArgumentTypeError(
+                f"must be {requirement}, got {text}")
+        return value
+    return real
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="elastoray",
@@ -502,8 +513,12 @@ def build_parser():
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--fan-n", dest="fan_n", type=_at_least(min_fan_n),
                        default=32)
-        p.add_argument("--tau", type=float, default=1.0)
-        p.add_argument("--delta", type=float, default=None)
+        p.add_argument("--tau", type=_real(lambda v: v != 0,
+                                          "finite and nonzero"),
+                       default=1.0)
+        p.add_argument("--delta", type=_real(lambda v: v > 0,
+                                             "finite and positive"),
+                       default=None)
         p.add_argument("--depth", type=nonnegative, default=depth)
         p.add_argument("--tmax", type=float, default=None)
         p.add_argument("--seed", type=nonnegative, default=0)

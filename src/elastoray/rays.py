@@ -15,19 +15,21 @@ falsi on the crossing step's native continuous extension, then polished by
 secant-placed exact substeps from the step's start to the boundary
 tolerance.  Lens-map fans, each level of a broken transport, the recovery
 experiment and each round of lockstep distance solves are each traced as one
-batch; ``trace_state``, ``trace_leg`` and ``boundary_distance`` are batches
-of one.
+batch, and launched with one batched root evaluation; ``launch_state``,
+``trace_state``, ``trace_leg`` and ``boundary_distance`` are batches of one.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import (BoundaryCovector, _mode_roots, boundary_covector,
-                       char_roots, mode_quadratics)
+from .boundary import (GLANCING_TOL, BoundaryCovector, _mode_roots,
+                       boundary_covector, char_roots, forward_roots,
+                       mode_quadratics)
 from .engine import march
 from .errors import (DistanceError, ElastorayError, EvanescentModeError,
                      GlancingError, GlancingExitError)
@@ -213,6 +215,35 @@ def trace_state(m, state, ctrl=None, t_cap=None, collect=False,
     return out
 
 
+def _launch_states(m, gammas, modes, time_direction=1):
+    """RayState per (gamma, mode) leg, or the ElastorayError launch_state
+    would raise for it; the roots of all legs come from one batched
+    ``mode_quadratics`` / ``forward_roots`` call."""
+    if not gammas:
+        return []
+    x, nu, xi_t = (np.array([getattr(g, name) for g in gammas])
+                   for name in ("x", "nu", "xi_t"))
+    tau = np.array([g.tau for g in gammas])
+    big_a, bh, c, scale2 = mode_quadratics(m, x, nu, xi_t, tau)
+    z_fwd, z_bwd, real, d4 = forward_roots(big_a, bh, c, tau)
+    z = z_fwd if time_direction >= 0 else z_bwd
+    out = []
+    for i, (gamma, mode) in enumerate(zip(gammas, modes, strict=True)):
+        k = MODES.index(mode)
+        if abs(d4[k, i]) < GLANCING_TOL * scale2[k, i]:
+            out.append(GlancingError(
+                f"mode {mode} is glancing at this covector",
+                discriminant=float(d4[k, i])))
+        elif not real[k, i]:
+            out.append(EvanescentModeError(
+                f"mode {mode} is evanescent at this covector"))
+        else:
+            xi = gamma.xi_t - z[k, i].real.item() * gamma.nu
+            out.append(RayState(t=gamma.t, x=gamma.x, xi=xi, tau=gamma.tau,
+                                mode=mode))
+    return out
+
+
 def launch_state(m, gamma, mode, time_direction=1):
     """Interior-directed RayState at gamma for the given mode.
 
@@ -220,31 +251,22 @@ def launch_state(m, gamma, mode, time_direction=1):
     time).  Raises GlancingError when the mode is glancing at gamma and
     EvanescentModeError when it is elliptic; the other mode may be either.
     """
-    roots = _mode_roots(m, gamma)[MODES.index(mode)]
-    if isinstance(roots, GlancingError):
-        raise roots
-    if not roots.real:
-        raise EvanescentModeError(f"mode {mode} is evanescent at this covector")
-    xi = roots.xi_forward if time_direction >= 0 else roots.xi_backward
-    return RayState(t=gamma.t, x=gamma.x, xi=xi, tau=gamma.tau, mode=mode)
+    out = _launch_states(m, [gamma], [mode], time_direction)[0]
+    if isinstance(out, ElastorayError):
+        raise out
+    return out
 
 
 def _trace_legs(m, gammas, modes, ctrl=None, collect=False, time_direction=1):
     """LensMapEntry, or the ElastorayError raised, per (gamma, mode) leg.
 
-    All legs that launch are traced as one batch.
+    All legs are launched as one batch, and all that launch traced as one.
     """
-    out = [None] * len(gammas)
-    states = []
-    launched = []
-    for i, (gamma, mode) in enumerate(zip(gammas, modes, strict=True)):
-        try:
-            states.append(launch_state(m, gamma, mode, time_direction))
-            launched.append(i)
-        except ElastorayError as exc:
-            out[i] = exc
-    traced = _trace_states(m, states, ctrl, collect=collect,
-                           time_direction=time_direction)
+    out = _launch_states(m, gammas, modes, time_direction)
+    launched = [i for i, state in enumerate(out)
+                if isinstance(state, RayState)]
+    traced = _trace_states(m, [out[i] for i in launched], ctrl,
+                           collect=collect, time_direction=time_direction)
     # uncapped legs exit or raise
     for i, res in zip(launched, traced):
         out[i] = res if isinstance(res, ElastorayError) else res[1]
@@ -326,7 +348,8 @@ def probe_fan(m, n, rng, tau=1.0, t=0.0):
 
     The tangential magnitude is a fraction of the compressional hyperbolic
     radius, uniform in PROBE_FRACTION, so both modes have real forward roots
-    and |xi_t| > 0.
+    and |xi_t| > 0.  Raises ElastorayError when that radius is 0 (tau = 0):
+    no covector is then hyperbolic.
     """
     probes = []
     while len(probes) < n:
@@ -339,6 +362,8 @@ def probe_fan(m, n, rng, tau=1.0, t=0.0):
         u = v / np.linalg.norm(v)
         frac = rng.uniform(*PROBE_FRACTION)
         r_p = _hyperbolic_radius(m, "P", x, nu, u, tau)
+        if not r_p > 0:
+            raise ElastorayError(f"no hyperbolic covector at tau = {tau}")
         gamma = BoundaryCovector(t=t, x=x, tau=float(tau),
                                  xi_t=frac * r_p * u, nu=nu)
         try:
@@ -420,13 +445,17 @@ def _transport(m, sources, depth, t_max, ctrl):
     events = [[] for _ in sources]
     reports = [[] for _ in sources]
     errors = [None] * len(sources)
+    launches = iter(_launch_states(
+        m, [gamma for gamma, modes in sources for _ in modes],
+        [mode for _, modes in sources for mode in modes]))
     level = []
-    for i, (gamma, modes) in enumerate(sources):
-        try:
-            level += [(i, launch_state(m, gamma, mode), 0, mode)
-                      for mode in modes]
-        except ElastorayError as exc:
-            errors[i] = exc
+    for i, (_, modes) in enumerate(sources):
+        states = [next(launches) for _ in modes]
+        # a source that fails to launch stops at its first failing mode
+        errors[i] = next((st for st in states
+                          if isinstance(st, ElastorayError)), None)
+        if errors[i] is None:
+            level += [(i, st, 0, mode) for st, mode in zip(states, modes)]
 
     while level:
         traced = _trace_states(m, [item[1] for item in level], ctrl,
@@ -531,6 +560,18 @@ _SHOOT_MAX_HALVINGS = 10
 _SHOOT_SAME_RAY = 1e-6
 
 
+@dataclass
+class _Descent:
+    """One refine descent of a distance solve: its generator, the round it
+    waits on, and what it has read and logged so far."""
+
+    gen: object = None
+    request: list | None = None     # covectors of its pending round
+    shot: tuple | None = None       # its last shot, once it has ended
+    reads: list = field(default_factory=list)     # per leg read: error name
+    heading: list = field(default_factory=list)   # (next iterate, legs read)
+
+
 def _distance_solve(m, mode, x_from, y_to, tau=1.0, n_starts=64, n_refine=3,
                     miss_tol=1e-9, warm_start=None):
     """One boundary_distance solve as a generator of traced rounds.
@@ -538,7 +579,9 @@ def _distance_solve(m, mode, x_from, y_to, tau=1.0, n_starts=64, n_refine=3,
     Each round yields the entry covectors of the solve's next legs and
     receives back, per leg, its LensMapEntry or the ElastorayError it
     raised; the generator returns the DistanceResult.  The endpoint check
-    runs before the first round.
+    runs before the first round.  The refine descents advance in lockstep,
+    the pending legs of all of them in one round, and adoption is replayed
+    in start order as they settle.
     """
     x0 = m.domain.radial_project(np.asarray(x_from, dtype=np.float64))
     y1 = m.domain.radial_project(np.asarray(y_to, dtype=np.float64))
@@ -546,8 +589,6 @@ def _distance_solve(m, mode, x_from, y_to, tau=1.0, n_starts=64, n_refine=3,
         raise DistanceError("endpoints coincide")
     nu = m.domain.normal(x0)
     e1, e2 = m.domain.tangent_basis(x0)
-    n_legs = 0
-    failed = {}
 
     def trace(ws):
         # one round: (w, traced outcome) per tangential parameter pair
@@ -562,16 +603,14 @@ def _distance_solve(m, mode, x_from, y_to, tau=1.0, n_starts=64, n_refine=3,
         h = 1e-7 * max(1.0, float(np.linalg.norm(w)))
         return h, [w + h * unit for unit in np.eye(2)]
 
-    def read(leg):
-        # count a leg the solve reads: (entry, miss, w, miss vector), or
-        # None when it raised
-        nonlocal n_legs
-        n_legs += 1
+    def read(leg, reads):
+        # record a leg the solve reads in ``reads`` (the class name of its
+        # error, or None): (entry, miss, w, miss vector), or None if it raised
         w, entry = leg
         if isinstance(entry, ElastorayError):
-            name = type(entry).__name__
-            failed[name] = failed.get(name, 0) + 1
+            reads.append(type(entry).__name__)
             return None
+        reads.append(None)
         vec = entry.gamma_out.x - y1
         return (entry, float(np.linalg.norm(vec)), w, vec)
 
@@ -587,12 +626,11 @@ def _distance_solve(m, mode, x_from, y_to, tau=1.0, n_starts=64, n_refine=3,
             return hit_c
         return cand[1] < incumbent[1]
 
-    converged = []      # shots earlier descents ended on below the target
-
-    def descend(shot, columns):
+    def descend(d, shot, columns):
         # damped Gauss-Newton from one traced start; the miss falls at every
         # accepted step, so the last iterate is the one closest to a ray;
-        # ``columns`` holds the Jacobian legs traced along with the shot
+        # ``columns`` holds the Jacobian legs traced along with the shot.
+        # Each iterate w + step is logged for the adoption check.
         for _ in range(_SHOOT_MAX_ITER):
             _, miss, w, vec = shot
             if miss <= miss_tol * 0.3:
@@ -600,28 +638,41 @@ def _distance_solve(m, mode, x_from, y_to, tau=1.0, n_starts=64, n_refine=3,
             h, points = jacobian_points(w)
             if columns is None:
                 columns = yield from trace(points)
-            cols = [read(leg) for leg in columns]
+            cols = [read(leg, d.reads) for leg in columns]
             if any(col is None for col in cols):
                 break
             jac = np.stack([(col[3] - vec) / h for col in cols], axis=-1)
             step, *_ = np.linalg.lstsq(jac, -vec, rcond=None)
-            # heading for a ray an earlier descent already found: adopt it
-            for prior in converged:
-                gap = float(np.linalg.norm(w + step - prior[2]))
-                if gap <= _SHOOT_SAME_RAY * max(
-                        1.0, float(np.linalg.norm(prior[2]))):
-                    return prior
+            d.heading.append((w + step, len(d.reads)))
             for k in range(_SHOOT_MAX_HALVINGS + 1):
                 w_trial = w + 0.5 ** k * step
                 legs = yield from trace([w_trial]
                                         + jacobian_points(w_trial)[1])
-                trial = read(legs[0])
+                trial = read(legs[0], d.reads)
                 if trial is not None and trial[1] < miss:
                     break
             else:
                 break
             shot, columns = trial, legs[1:]
         return shot
+
+    def advance(d, outs):
+        # send a descent its traced legs (None to start it)
+        try:
+            d.request = d.gen.send(outs)
+        except StopIteration as stop:
+            d.request, d.shot = None, stop.value
+
+    def adoption(d, converged):
+        # the first logged iterate heading for a converged shot (within
+        # _SHOOT_SAME_RAY of its parameters): (that shot, legs read by then)
+        for w_next, n_read in d.heading:
+            for prior in converged:
+                gap = float(np.linalg.norm(w_next - prior[2]))
+                if gap <= _SHOOT_SAME_RAY * max(
+                        1.0, float(np.linalg.norm(prior[2]))):
+                    return prior, n_read
+        return None
 
     if warm_start is not None:
         w = np.asarray(warm_start, dtype=np.float64)
@@ -640,19 +691,55 @@ def _distance_solve(m, mode, x_from, y_to, tau=1.0, n_starts=64, n_refine=3,
         starts = yield from trace(ws)
         columns = [None] * len(starts)
 
-    shots = [read(leg) for leg in starts]
+    reads = []
+    shots = [read(leg, reads) for leg in starts]
     scanned = [(shot[1], i, shot) for i, shot in enumerate(shots)
                if shot is not None]
     scanned.sort(key=lambda item: item[:2])
-    best = None
+    descents = []
     for _, i, start in scanned[:max(n_refine, 1)]:
-        shot = yield from descend(start, columns[i])
-        if shot[1] <= miss_tol * 0.3 and not any(shot is c for c in converged):
-            converged.append(shot)
-        if better(shot, best):
-            best = shot
+        d = _Descent()
+        d.gen = descend(d, start, columns[i])
+        advance(d, None)
+        descents.append(d)
 
-    failed_legs = dict(sorted(failed.items()))
+    # Every live descent's pending legs go into one round.  Descents settle
+    # in start order, each once all before it have: a descent whose iterate
+    # heads for a shot an earlier one converged to ends on that shot, and
+    # the legs it read after that iterate are dropped, as if never traced.
+    best = None
+    converged = []      # shots settled descents ended on below the target
+    settled = 0
+    while True:
+        while settled < len(descents):
+            d = descents[settled]
+            adopted = adoption(d, converged)
+            if adopted is not None:
+                d.gen.close()
+                d.request, d.shot = None, adopted[0]
+                del d.reads[adopted[1]:]
+            elif d.request is not None:
+                break
+            settled += 1
+            shot = d.shot
+            if shot[1] <= miss_tol * 0.3 and not any(shot is c
+                                                    for c in converged):
+                converged.append(shot)
+            if better(shot, best):
+                best = shot
+            reads += d.reads
+        live = [d for d in descents[settled:] if d.request is not None]
+        if not live:
+            break
+        outs = yield [g for d in live for g in d.request]
+        pos = 0
+        for d in live:
+            chunk = outs[pos:pos + len(d.request)]
+            pos += len(chunk)
+            advance(d, chunk)
+
+    n_legs = len(reads)
+    failed_legs = dict(sorted(Counter(filter(None, reads)).items()))
     if best is not None and best[1] <= miss_tol:
         entry, miss = best[:2]
         return DistanceResult(distance=entry.travel_time, mode=mode,
@@ -720,10 +807,17 @@ def boundary_distance(m, mode, x_from, y_to, tau=1.0, n_starts=64,
 
     The Jacobian columns at a warm start and at every trial leg are traced
     speculatively, in the same batch as that leg, so an accepted trial
-    costs one round of legs instead of two.  ``n_legs`` and ``failed_legs``
-    count only the legs the solve reads: the starts, the trials, and the
-    Jacobian columns of each iteration.  Columns traced with a leg that
-    ends its descent are never read and count in neither.
+    costs one round of legs instead of two.  The descents run in lockstep:
+    each round traces the pending legs of every live descent together, so
+    a cold solve takes one round for the start scan plus the rounds of its
+    longest descent.  Adoption is replayed in start order: once all earlier
+    descents have ended, a descent whose iterate heads for one of their
+    converged shots ends on that shot at that iterate, as it would in a
+    sequential solve.  ``n_legs`` and ``failed_legs`` count only the legs
+    the solve reads: the starts, the trials, and the Jacobian columns of
+    each iteration, up to where each descent ends.  Columns traced with a
+    leg that ends its descent, and legs an adopting descent traced past
+    its adoption, are never read and count in neither.
 
     ``warm_start`` takes a known-good tangential parameter pair and replaces
     the start scan with that single start; the returned entry covector

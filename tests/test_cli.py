@@ -126,6 +126,28 @@ def test_unusable_counts_are_config_errors(args, media_dir, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["lensmap", "--tau", "0"], ["trace", "--tau", "0"],
+    ["recover", "--tau", "0"], ["lensmap", "--tau", "nan"],
+    ["classify", "--delta", "-1"], ["classify", "--delta", "0"],
+    ["roots", "--delta", "inf"],
+], ids=" ".join)
+def test_unusable_tau_and_delta_are_config_errors(args, media_dir, tmp_path):
+    # tau = 0 leaves no hyperbolic covector to probe with, and the cone
+    # sampler needs delta > 0: the parser rejects both, within a time limit
+    # that catches a hang
+    out = tmp_path / "out.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "elastoray.cli", "--medium",
+         str(media_dir / "constant.json"), "--out", str(out), *args],
+        env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert [line for line in proc.stderr.splitlines()
+            if "error:" in line] == [proc.stderr.splitlines()[-1]]
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [["lensmap", "--fan-n", "0"],
                                   ["distance", "--points", "2",
                                    "--starts", "0"],

@@ -15,6 +15,23 @@ from elastoray import rays
 # lockstep: it traces its legs one or two at a time, counts every leg it
 # traces and takes each Jacobian in a round of its own.
 
+def _ref_starts(m, mode, x0, tau, n_starts):
+    # tangential parameters of the cold starts, spread over the hyperbolic
+    # disk at x0
+    nu = m.domain.normal(x0)
+    e1, e2 = m.domain.tangent_basis(x0)
+    starts = [np.zeros(2)]
+    golden = math.pi * (3.0 - math.sqrt(5.0))
+    for k in range(max(n_starts - 1, 0)):
+        ang = k * golden
+        u = math.cos(ang) * e1 + math.sin(ang) * e2
+        r_hyp = rays._hyperbolic_radius(m, mode, x0, nu, u, tau)
+        frac = math.sqrt((k + 0.5) / max(n_starts - 1, 1)) * 0.93
+        starts.append(frac * r_hyp * np.array([math.cos(ang),
+                                               math.sin(ang)]))
+    return starts
+
+
 def _ref_boundary_distance(m, mode, x_from, y_to, tau=1.0, n_starts=64,
                            n_refine=3, ctrl=None, miss_tol=1e-9,
                            warm_start=None):
@@ -48,15 +65,7 @@ def _ref_boundary_distance(m, mode, x_from, y_to, tau=1.0, n_starts=64,
     if warm_start is not None:
         starts = [np.asarray(warm_start, dtype=np.float64)]
     else:
-        starts = [np.zeros(2)]
-        golden = math.pi * (3.0 - math.sqrt(5.0))
-        for k in range(max(n_starts - 1, 0)):
-            ang = k * golden
-            u = math.cos(ang) * e1 + math.sin(ang) * e2
-            r_hyp = rays._hyperbolic_radius(m, mode, x0, nu, u, tau)
-            frac = math.sqrt((k + 0.5) / max(n_starts - 1, 1)) * 0.93
-            starts.append(frac * r_hyp * np.array([math.cos(ang),
-                                                   math.sin(ang)]))
+        starts = _ref_starts(m, mode, x0, tau, n_starts)
 
     def better(cand, incumbent):
         if incumbent is None:
@@ -249,3 +258,64 @@ def test_coinciding_endpoints_trace_no_leg(constant_medium, rounds):
         rays.boundary_distances(constant_medium, jobs)
     assert rounds == []
     assert rays.boundary_distances(constant_medium, []) == []
+
+
+def test_later_descent_adopts_earlier_shot(media_dir, monkeypatch):
+    # cold solves in which a later descent heads for the shot an earlier
+    # one converged to: the lockstep solve ends it there, as the sequential
+    # solve does, and drops the legs it traced after that point
+    m = er.load_medium(media_dir / "constant_stress.json")
+    (x0, y), = _pairs(m, 1, seed=2)
+    jobs = [{"mode": mode, "x_from": x0, "y_to": y, "n_starts": 12}
+            for mode in "SP"]
+    want = [_ref_boundary_distance(m, **job) for job in jobs]
+    for got, ref in zip(rays.boundary_distances(m, jobs), want):
+        assert ref.connected
+        _assert_same(got, ref)
+    # adoption fired: with it switched off every descent runs to its end
+    # and each solve reads more legs, in both solves alike
+    monkeypatch.setattr(rays, "_SHOOT_SAME_RAY", -1.0)
+    for job, ref in zip(jobs, want):
+        unadopted = _ref_boundary_distance(m, **job)
+        _assert_same(rays.boundary_distance(m, **job), unadopted)
+        assert unadopted.n_legs > ref.n_legs
+
+
+def test_cold_solve_waits_on_its_longest_descent(media_dir, rounds,
+                                                 monkeypatch):
+    # the refine descents run in lockstep, so a cold solve takes the start
+    # scan's round plus the rounds of its longest descent.  A warm start
+    # from a descent's start traces it with its Jacobian legs, so a warm
+    # solve from there takes the rounds of that descent alone.
+    m = er.load_medium(media_dir / "constant_stress.json")
+    (x0, y), = _pairs(m, 1, seed=2)
+    job = {"mode": "S", "x_from": x0, "y_to": y, "n_starts": 12}
+    x0, y1 = (m.domain.radial_project(p) for p in (x0, y))
+    ws = _ref_starts(m, "S", x0, 1.0, 12)
+    e1, e2 = m.domain.tangent_basis(x0)
+    fan = [er.BoundaryCovector(t=0.0, x=x0, tau=1.0,
+                               xi_t=w[0] * e1 + w[1] * e2,
+                               nu=m.domain.normal(x0)) for w in ws]
+    entries, _ = er.lens_map_table(m, "S", fan, skip_errors=True)
+    misses = sorted((float(np.linalg.norm(e.gamma_out.x - y1)), i)
+                    for i, e in enumerate(entries) if e is not None)
+    descents = []
+    with monkeypatch.context() as mp:
+        mp.setattr(rays, "_SHOOT_SAME_RAY", -1.0)
+        for _, i in misses[:3]:
+            rounds.clear()
+            rays.boundary_distance(m, **job, warm_start=ws[i])
+            descents.append(len(rounds))
+        rounds.clear()
+        rays.boundary_distance(m, **job)
+        assert len(rounds) == 1 + max(descents)
+    assert descents == [5, 6, 11]
+    # with adoption the longest descent ends one round earlier, on an
+    # earlier descent's shot; the sequential solve waits on every descent
+    # in turn
+    rounds.clear()
+    rays.boundary_distance(m, **job)
+    assert len(rounds) == 11
+    rounds.clear()
+    _ref_boundary_distance(m, **job)
+    assert len(rounds) > 1 + sum(descents)

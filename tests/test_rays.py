@@ -496,6 +496,93 @@ def test_probe_fan_is_hyperbolic(stressed_medium, rng):
         assert g.xi_t_norm > 0.0
 
 
+def test_probe_fan_rejects_zero_tau(constant_medium, rng):
+    # at tau = 0 the hyperbolic radius is 0 and no candidate ever passes
+    with pytest.raises(er.ElastorayError, match="no hyperbolic covector"):
+        er.probe_fan(constant_medium, 2, rng, tau=0.0)
+
+
+# ------------------------------- differential: the replaced per-leg launch
+
+# Frozen copy of ``launch_state`` as it was before legs launched as one
+# batch: the roots of one covector at a time, through ``_mode_roots``.
+
+def _ref_launch_state(m, gamma, mode, time_direction=1):
+    roots = er.boundary._mode_roots(m, gamma)[("S", "P").index(mode)]
+    if isinstance(roots, er.GlancingError):
+        raise roots
+    if not roots.real:
+        raise er.EvanescentModeError(
+            f"mode {mode} is evanescent at this covector")
+    xi = roots.xi_forward if time_direction >= 0 else roots.xi_backward
+    return er.RayState(t=gamma.t, x=gamma.x, xi=xi, tau=gamma.tau, mode=mode)
+
+
+def _launch_fan(m, seed, n=24):
+    """Cone-sampler covectors of every region, then the same base points and
+    directions at fractions of each mode's hyperbolic radius: inside it,
+    on it (glancing) and beyond it (evanescent)."""
+    rng = np.random.default_rng(seed)
+    x, nu, xi_t, tau = er.sample_boundary_covectors(m, n, rng, 0.5)
+    gammas = [er.BoundaryCovector(t=0.3, x=x[i], tau=float(tau[i]),
+                                  xi_t=xi_t[i], nu=nu[i]) for i in range(n)]
+    for i in range(n // 2):
+        for mode in "SP":
+            r = rays._hyperbolic_radius(m, mode, x[i], nu[i], xi_t[i], tau[i])
+            gammas += [er.BoundaryCovector(t=0.3, x=x[i], tau=float(tau[i]),
+                                           xi_t=frac * r * xi_t[i], nu=nu[i])
+                       for frac in (0.5, 1.0, 1.4)]
+    return gammas
+
+
+@pytest.mark.parametrize("name", ["constant", "constant_stress",
+                                  "gaussian_bump", "potential_stress"])
+def test_launch_states_match_per_leg_launch(name, media_dir, monkeypatch):
+    m = er.load_medium(media_dir / f"{name}.json")
+    gammas = [g for g in _launch_fan(m, seed=len(name)) for _ in "SP"]
+    modes = ["S", "P"] * (len(gammas) // 2)
+    calls = []
+    batched_quadratics = rays.mode_quadratics
+
+    def counted(*args):
+        calls.append(len(args[4]))
+        return batched_quadratics(*args)
+
+    monkeypatch.setattr(rays, "mode_quadratics", counted)
+    kinds = set()
+    for direction in (1, -1):
+        calls.clear()
+        got = rays._launch_states(m, gammas, modes, direction)
+        # one launch of every leg's roots
+        assert calls == [len(gammas)]
+        for gamma, mode, out in zip(gammas, modes, got, strict=True):
+            try:
+                want = _ref_launch_state(m, gamma, mode, direction)
+            except er.ElastorayError as exc:
+                want = exc
+            assert type(out) is type(want)
+            kinds.add(type(want).__name__)
+            if isinstance(want, er.ElastorayError):
+                assert str(out) == str(want)
+                assert (getattr(out, "discriminant", None)
+                        == getattr(want, "discriminant", None))
+                continue
+            assert (out.t, out.tau, out.mode) == (want.t, want.tau, want.mode)
+            for key in ("x", "xi"):
+                a, b = getattr(out, key), getattr(want, key)
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        # launch_state is a batch of one
+        for gamma, mode, out in list(zip(gammas, modes, got))[::7]:
+            if isinstance(out, er.ElastorayError):
+                with pytest.raises(type(out), match=str(out)):
+                    er.launch_state(m, gamma, mode, direction)
+            else:
+                one = er.launch_state(m, gamma, mode, direction)
+                assert np.array_equal(one.xi, out.xi)
+    assert kinds == {"RayState", "GlancingError", "EvanescentModeError"}
+    assert rays._launch_states(m, [], []) == []
+
+
 # ------------------------------------------------------------ batched engine
 
 @pytest.fixture(scope="module")
@@ -684,6 +771,22 @@ def test_transport_matches_sequential_search(name, depth, t_max, request):
             assert ev.gamma.t == gamma.t
             assert np.array_equal(ev.gamma.x, gamma.x)
             assert np.array_equal(ev.gamma.xi_t, gamma.xi_t)
+
+
+@pytest.mark.parametrize("speed,modes", [
+    (2.0, "SP"), (2.0, "PS"), (1.0, "SP"), (1.0, "PS"), (0.8, "SP")])
+def test_transport_launch_failure_matches_sequential_search(
+        speed, modes, constant_medium):
+    # |xi_t| = 2 leaves both modes evanescent, 1 makes S glancing and P
+    # evanescent, 0.8 only P evanescent: a source stops at its first mode
+    # that fails to launch, as the one-ray-at-a-time search does
+    m = constant_medium
+    g = er.boundary_covector(m, 0.0, SOUTH, 1.0, [speed, 0.0, 0.0])
+    with pytest.raises(er.ElastorayError) as want:
+        sequential_transport(m, g, initial_modes=modes)
+    with pytest.raises(type(want.value)) as got:
+        er.broken_transport(m, g, initial_modes=modes)
+    assert str(got.value) == str(want.value)
 
 
 def test_transport_raises_uncaught_leg_error(bump_medium):
