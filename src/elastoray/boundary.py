@@ -37,6 +37,8 @@ __all__ = [
     "discriminant_margin",
     "mode_quadratics",
     "forward_roots",
+    "RootTable",
+    "root_table",
     "LopatinskiReport",
     "lopatinski_margin",
     "sample_boundary_covectors",
@@ -158,6 +160,56 @@ def forward_roots(big_a, bh, c, tau):
     return z_fwd, z_bwd, real, d4
 
 
+@dataclass
+class RootTable:
+    """Both modes' roots at a batch of covectors, mode on a leading (S, P)
+    axis; A and Bh give the root derivative 2 rho (Bh - A z)."""
+
+    z_forward: np.ndarray
+    z_backward: np.ndarray
+    real: np.ndarray
+    glancing: np.ndarray
+    d4: np.ndarray
+    scale2: np.ndarray
+    big_a: np.ndarray
+    bh: np.ndarray
+
+    def glancing_error(self, k, *i):
+        """The GlancingError of mode k (at covector i of a batch)."""
+        return GlancingError(f"mode {MODES[k]} is glancing at this covector",
+                             discriminant=float(self.d4[(k, *i)]))
+
+
+def root_table(m, x, nu, xi_t, tau, glancing_tol=GLANCING_TOL):
+    """RootTable at covectors batched over leading axes, from one
+    ``mode_quadratics`` and one ``forward_roots`` call.  A mode is glancing
+    where |Bh^2 - A C| < glancing_tol * scale2."""
+    big_a, bh, c, scale2 = mode_quadratics(m, x, nu, xi_t, tau)
+    z_fwd, z_bwd, real, d4 = forward_roots(big_a, bh, c, tau)
+    return RootTable(z_forward=z_fwd, z_backward=z_bwd, real=real,
+                     glancing=np.abs(d4) < glancing_tol * scale2, d4=d4,
+                     scale2=scale2, big_a=big_a, bh=bh)
+
+
+def root_covector(xi_t, z, nu):
+    """Characteristic covector xi_t - z nu through a root z: a scalar, or a
+    column with one root per row of xi_t and nu."""
+    return xi_t - z * nu
+
+
+def normalized_product(xi_s, xi_p):
+    """(xi_S . xi_P, |xi_S . xi_P| / (|xi_S| |xi_P|), null) over rows, with
+    analytic norms |xi| = sqrt(|xi . xi|); ``null`` marks a norm that is not
+    positive (a null covector), where the product is left undefined."""
+    dot = adot(xi_s, xi_p)
+    ns = np.sqrt(np.abs(adot(xi_s, xi_s)))
+    npn = np.sqrt(np.abs(adot(xi_p, xi_p)))
+    null = ~((ns > 0) & (npn > 0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        product = np.abs(dot) / (ns * npn)
+    return dot, product, null
+
+
 @dataclass(frozen=True)
 class RegionLabel:
     """Per-mode hyperbolic/elliptic/glancing labels and the combined region."""
@@ -182,38 +234,25 @@ class RegionLabel:
 def classify(m, gamma, params=None):
     """Classify gamma into hyperbolic / mixed / elliptic / glancing regions.
 
-    A mode is glancing when |Bh^2 - A C| < GLANCING_TOL * scale2.  The S
-    elliptic region is contained in the P elliptic region, so the combined
+    A mode is glancing where ``root_table`` marks it so.  The S elliptic
+    region is contained in the P elliptic region, so the combined
     label is determined by (S label, P label).
     """
-    big_a, bh, c, scale2 = mode_quadratics(m, gamma.x, gamma.nu, gamma.xi_t,
-                                           gamma.tau)
-    d4 = forward_roots(big_a, bh, c, gamma.tau)[3]
-    labels = {}
-    for k, mode in enumerate(MODES):
-        if abs(d4[k]) < GLANCING_TOL * scale2[k]:
-            labels[mode] = "glancing"
-        elif d4[k] > 0:
-            labels[mode] = "hyperbolic"
-        else:
-            labels[mode] = "elliptic"
-
-    if "glancing" in labels.values():
-        combined = "glancing"
-    elif labels["S"] == "hyperbolic" and labels["P"] == "hyperbolic":
-        combined = "hyperbolic"
-    elif labels["S"] == "hyperbolic":
-        combined = "mixed"
-    else:
-        combined = "elliptic"
+    t = root_table(m, gamma.x, gamma.nu, gamma.xi_t, gamma.tau)
+    s, p = ("glancing" if t.glancing[k] else
+            "hyperbolic" if t.real[k] else "elliptic" for k in range(2))
+    combined = ("glancing" if "glancing" in (s, p) else
+                "elliptic" if s == "elliptic" else
+                "hyperbolic" if p == "hyperbolic" else "mixed")
 
     if params is None:
         params = getattr(m, "class_params", None)
     in_gd = gamma.in_gamma_delta(params.delta) if params is not None else None
-    return RegionLabel(s_label=labels["S"], p_label=labels["P"],
+    return RegionLabel(s_label=s, p_label=p,
                        combined=combined, in_gamma_delta=in_gd,
-                       s_discriminant=float(d4[0]), p_discriminant=float(d4[1]),
-                       s_scale2=float(scale2[0]), p_scale2=float(scale2[1]))
+                       s_discriminant=float(t.d4[0]),
+                       p_discriminant=float(t.d4[1]),
+                       s_scale2=float(t.scale2[0]), p_scale2=float(t.scale2[1]))
 
 
 @dataclass(frozen=True)
@@ -257,37 +296,8 @@ def discriminant_margin(m, gamma):
     form should require a floor on this margin (sqrt of it bounds the
     relative root gap).
     """
-    big_a, bh, c, scale2 = mode_quadratics(m, gamma.x, gamma.nu, gamma.xi_t,
-                                           gamma.tau)
-    d4 = forward_roots(big_a, bh, c, gamma.tau)[3]
-    return float(np.min(np.abs(d4) / scale2))
-
-
-def _mode_roots(m, gamma):
-    """ModeRoots of the S and P modes at gamma, in that order; a glancing
-    mode gives its GlancingError instead."""
-    big_a, bh, c, scale2 = mode_quadratics(m, gamma.x, gamma.nu, gamma.xi_t,
-                                           gamma.tau)
-    z_fwd, z_bwd, real, d4 = forward_roots(big_a, bh, c, gamma.tau)
-    rho = float(m.rho(gamma.x))
-    out = []
-    for k, mode in enumerate(MODES):
-        if abs(d4[k]) < GLANCING_TOL * scale2[k]:
-            out.append(GlancingError(f"mode {mode} is glancing at this covector",
-                                     discriminant=float(d4[k])))
-            continue
-        # real roots stay real scalars, so their covectors are real arrays
-        zs = [z.real.item() if real[k] else z.item()
-              for z in (z_fwd[k], z_bwd[k])]
-        c_z = [complex(2.0 * rho * (float(bh[k]) - float(big_a[k]) * z))
-               for z in zs]
-        xi_z = [gamma.xi_t - z * gamma.nu for z in zs]
-        out.append(ModeRoots(mode=mode, real=bool(real[k]),
-                             z_forward=complex(zs[0]), z_backward=complex(zs[1]),
-                             c_forward=c_z[0], c_backward=c_z[1],
-                             xi_forward=xi_z[0], xi_backward=xi_z[1],
-                             discriminant=float(d4[k])))
-    return out
+    t = root_table(m, gamma.x, gamma.nu, gamma.xi_t, gamma.tau)
+    return float(np.min(np.abs(t.d4) / t.scale2))
 
 
 def char_roots(m, gamma):
@@ -296,19 +306,27 @@ def char_roots(m, gamma):
     Raises GlancingError when either mode is glancing.  The residual of the
     scalar symbol at each returned root is at machine level by construction.
     """
-    s_roots, p_roots = _mode_roots(m, gamma)
-    for roots in (s_roots, p_roots):
-        if isinstance(roots, GlancingError):
-            raise roots
-    dot = adot(s_roots.xi_forward, p_roots.xi_forward)
-    ns = np.sqrt(np.abs(adot(s_roots.xi_forward, s_roots.xi_forward)))
-    npn = np.sqrt(np.abs(adot(p_roots.xi_forward, p_roots.xi_forward)))
-    if ns == 0.0 or npn == 0.0:
+    t = root_table(m, gamma.x, gamma.nu, gamma.xi_t, gamma.tau)
+    rho = float(m.rho(gamma.x))
+    modes = []
+    for k, mode in enumerate(MODES):
+        if t.glancing[k]:
+            raise t.glancing_error(k)
+        # real roots stay real scalars, so their covectors are real arrays
+        zs = [z.real.item() if t.real[k] else z.item()
+              for z in (t.z_forward[k], t.z_backward[k])]
+        c_z = [complex(2.0 * rho * (float(t.bh[k]) - float(t.big_a[k]) * z))
+               for z in zs]
+        xi_z = [root_covector(gamma.xi_t, z, gamma.nu) for z in zs]
+        modes.append(ModeRoots(mode, bool(t.real[k]), *map(complex, zs),
+                               *c_z, *xi_z, float(t.d4[k])))
+    s_roots, p_roots = modes
+    dot, product, null = normalized_product(s_roots.xi_forward,
+                                            p_roots.xi_forward)
+    if null:
         raise SingularResidueError("analytically null selected covector")
-    # numpy's complex modulus, as in lopatinski_margin (Python's abs of a
-    # complex can differ from it in the last bit)
     return CharRoots(gamma=gamma, s=s_roots, p=p_roots, xi_dot=complex(dot),
-                     normalized_product=float(np.abs(dot) / (ns * npn)))
+                     normalized_product=float(product))
 
 
 # ---------------------------------------------------------------------------
@@ -384,19 +402,15 @@ def lopatinski_margin(m, params=None, sample_count=10000, seed=0,
     x, nu, xi_t, tau = sample_boundary_covectors(m, sample_count, rng,
                                                  params.delta)
 
-    big_a, bh, c, scale2 = mode_quadratics(m, x, nu, xi_t, tau)
-    z_fwd, z_bwd, real, d4 = forward_roots(big_a, bh, c, tau)
-    glancing = np.any(np.abs(d4) < glancing_margin * scale2, axis=0)
-    use = np.all(big_a > 0, axis=0) & ~glancing
-    del big_a, bh, c, scale2, z_bwd, d4    # freed before the (n, 3) arrays
-    xi_s = xi_t - z_fwd[0][:, None] * nu
-    xi_p = xi_t - z_fwd[1][:, None] * nu
-    dot = np.sum(xi_s * xi_p, axis=-1)
-    ns = np.sqrt(np.abs(np.sum(xi_s * xi_s, axis=-1)))
-    npn = np.sqrt(np.abs(np.sum(xi_p * xi_p, axis=-1)))
-    denom_ok = use & (ns > 0) & (npn > 0)
-    norm_prod = np.full(sample_count, np.inf)
-    norm_prod[denom_ok] = np.abs(dot[denom_ok]) / (ns[denom_ok] * npn[denom_ok])
+    t = root_table(m, x, nu, xi_t, tau, glancing_tol=glancing_margin)
+    glancing = np.any(t.glancing, axis=0)
+    use = np.all(t.big_a > 0, axis=0) & ~glancing
+    real, z_fwd = t.real, t.z_forward
+    del t    # the quadratics are freed before the (n, 3) covectors
+    xi_s, xi_p = (root_covector(xi_t, z[:, None], nu) for z in z_fwd)
+    _, product, null = normalized_product(xi_s, xi_p)
+    denom_ok = use & ~null
+    norm_prod = np.where(denom_ok, product, np.inf)
 
     n_used = int(denom_ok.sum())
     if n_used == 0:
@@ -406,11 +420,9 @@ def lopatinski_margin(m, params=None, sample_count=10000, seed=0,
     argmin = BoundaryCovector(t=0.0, x=x[imin], tau=float(tau[imin]),
                               xi_t=xi_t[imin], nu=nu[imin])
 
-    hyp = real[0] & real[1] & denom_ok
-    mix = real[0] & ~real[1] & denom_ok
-    ell = ~real[0] & denom_ok
-    counts = {"hyperbolic": int(hyp.sum()), "mixed": int(mix.sum()),
-              "elliptic": int(ell.sum())}
+    counts = {"hyperbolic": int(np.sum(real[0] & real[1] & denom_ok)),
+              "mixed": int(np.sum(real[0] & ~real[1] & denom_ok)),
+              "elliptic": int(np.sum(~real[0] & denom_ok))}
 
     admissible = None
     try:

@@ -84,6 +84,20 @@ def _covector_fan(m, args):
             for i in range(args.fan_n)]
 
 
+def _fan_rows(fan, compute, describe):
+    """One report row per fan covector: its coordinates and ``describe(i,
+    gamma, compute(gamma))``, or as ``skipped`` the error ``compute`` raised."""
+    rows = []
+    for i, gamma in enumerate(fan):
+        try:
+            value = compute(gamma)
+        except ElastorayError as exc:
+            rows.append({**_gamma_dict(gamma), "skipped": str(exc)})
+        else:
+            rows.append({**_gamma_dict(gamma), **describe(i, gamma, value)})
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -111,10 +125,8 @@ def cmd_classify(m, args):
                   "s_label", "p_label", "combined", "in_gamma_delta"]
         csv_rows = []
         for row in rows:
-            flat = {"t": row["t"], "tau": row["tau"],
-                    "s_label": row["s_label"], "p_label": row["p_label"],
-                    "combined": row["combined"],
-                    "in_gamma_delta": row["in_gamma_delta"]}
+            flat = {key: row[key] for key in ("t", "tau", "s_label", "p_label",
+                                              "combined", "in_gamma_delta")}
             flat.update({f"x{i+1}": row["x"][i] for i in range(3)})
             flat.update({f"xi{i+1}": row["xi_t"][i] for i in range(3)})
             csv_rows.append(flat)
@@ -136,23 +148,14 @@ def cmd_roots(m, args):
                                xi_t=np.zeros(3), nu=nu0),
            bd.BoundaryCovector(t=0.0, x=x0, tau=fan[0].tau,
                                xi_t=r_p * u, nu=nu0)] + fan
-    rows = []
     failures = []
-    for i, gamma in enumerate(fan):
-        try:
-            roots = bd.char_roots(m, gamma)
-        except ElastorayError as exc:
-            rows.append({**_gamma_dict(gamma), "skipped": str(exc)})
-            continue
-        rows.append({
-            **_gamma_dict(gamma),
-            "z_s_forward": roots.s.z_forward, "z_s_backward": roots.s.z_backward,
-            "z_p_forward": roots.p.z_forward, "z_p_backward": roots.p.z_backward,
-            "c_s": roots.s.c_forward, "c_p": roots.p.c_forward,
-            "s_real": roots.s.real, "p_real": roots.p.real,
-            "xi_dot": roots.xi_dot,
-            "normalized_product": roots.normalized_product,
-        })
+    rows = _fan_rows(fan, lambda g: bd.char_roots(m, g), lambda i, g, roots: {
+        "z_s_forward": roots.s.z_forward, "z_s_backward": roots.s.z_backward,
+        "z_p_forward": roots.p.z_forward, "z_p_backward": roots.p.z_backward,
+        "c_s": roots.s.c_forward, "c_p": roots.p.c_forward,
+        "s_real": roots.s.real, "p_real": roots.p.real,
+        "xi_dot": roots.xi_dot,
+        "normalized_product": roots.normalized_product})
     if m.class_params is None:
         scan_dict = "skipped: medium file has no class_params block"
     else:
@@ -186,43 +189,30 @@ def cmd_roots(m, args):
 
 
 def cmd_dn(m, args):
-    fan = _covector_fan(m, args)
     tol = args.tol if args.tol is not None else DEFAULT_TOL["dn"]
-    rows = []
     failures = []
-    n_checked = 0
-    for i, gamma in enumerate(fan):
-        try:
-            dn = bd.dn_symbol(m, gamma)
-        except ElastorayError as exc:
-            rows.append({**_gamma_dict(gamma), "skipped": str(exc)})
-            continue
-        n_checked += 1
-        rows.append({**_gamma_dict(gamma), "matrix": dn.matrix,
-                     "rel_residual": dn.rel_residual})
+
+    def describe(i, gamma, dn):
         if dn.rel_residual > tol:
             failures.append(
                 f"covector {i}: DN route disagreement {dn.rel_residual:.3e} > {tol:.0e}")
+        return {"matrix": dn.matrix, "rel_residual": dn.rel_residual}
+
+    rows = _fan_rows(_covector_fan(m, args), lambda g: bd.dn_symbol(m, g),
+                     describe)
+    n_checked = sum("skipped" not in row for row in rows)
     if n_checked == 0:
         failures.append("no covector admitted a DN symbol (all skipped)")
     return {"rows": rows, "n_checked": n_checked, "tol": tol}, failures
 
 
 def cmd_frame(m, args):
-    fan = _covector_fan(m, args)
     tol = args.tol if args.tol is not None else DEFAULT_TOL["frame"]
-    rows = []
     failures = []
-    n_checked = 0
-    for i, gamma in enumerate(fan):
-        try:
-            frame = pol.polarization_frame(m, gamma)
-        except ElastorayError as exc:
-            rows.append({**_gamma_dict(gamma), "skipped": str(exc)})
-            continue
-        n_checked += 1
+
+    def describe(i, gamma, frame):
         resid = frame.projector_residual
-        row = {**_gamma_dict(gamma), "kind": frame.kind, "cond": frame.cond,
+        row = {"kind": frame.kind, "cond": frame.cond,
                "ranks": {tag: int(b.shape[1]) for tag, b in frame.bases.items()},
                "projector_residual": resid}
         if np.linalg.norm(gamma.xi_t) > 0:
@@ -234,7 +224,11 @@ def cmd_frame(m, args):
         if resid > tol:
             failures.append(
                 f"covector {i}: projector residual {resid:.3e} > {tol:.0e}")
-        rows.append(row)
+        return row
+
+    rows = _fan_rows(_covector_fan(m, args),
+                     lambda g: pol.polarization_frame(m, g), describe)
+    n_checked = sum("skipped" not in row for row in rows)
     if n_checked == 0:
         failures.append("no covector admitted a polarization frame")
     return {"rows": rows, "n_checked": n_checked, "tol": tol}, failures

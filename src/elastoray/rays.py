@@ -27,9 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import (GLANCING_TOL, BoundaryCovector, _mode_roots,
-                       boundary_covector, char_roots, forward_roots,
-                       mode_quadratics)
+from .boundary import (BoundaryCovector, boundary_covector, char_roots,
+                       mode_quadratics, root_covector, root_table)
 from .engine import march
 from .errors import (DistanceError, ElastorayError, EvanescentModeError,
                      GlancingError, GlancingExitError)
@@ -132,16 +131,13 @@ class LensMapEntry:
 # legs: batched tracing and its scalar views
 # ---------------------------------------------------------------------------
 
-def _exit_covector(m, t, tau, y_exit):
-    x = m.domain.radial_project(y_exit[:3])
-    return boundary_covector(m, t, x, tau, y_exit[3:]), y_exit[3:]
-
-
 def _finish_leg(m, state, leg, collect):
     """(exit RayState, LensMapEntry, "exited") of a marched leg."""
     dt = 2.0 * state.tau * leg.s_exit
-    gamma_out, xi_full = _exit_covector(m, state.t + dt, state.tau, leg.y_exit)
-    exit_state = RayState(t=state.t + dt, x=gamma_out.x, xi=xi_full,
+    gamma_out = boundary_covector(m, state.t + dt,
+                                  m.domain.radial_project(leg.y_exit[:3]),
+                                  state.tau, leg.y_exit[3:])
+    exit_state = RayState(t=state.t + dt, x=gamma_out.x, xi=leg.y_exit[3:],
                           tau=state.tau, mode=state.mode)
     samples = None
     if collect:
@@ -217,28 +213,22 @@ def trace_state(m, state, ctrl=None, t_cap=None, collect=False,
 
 def _launch_states(m, gammas, modes, time_direction=1):
     """RayState per (gamma, mode) leg, or the ElastorayError launch_state
-    would raise for it; the roots of all legs come from one batched
-    ``mode_quadratics`` / ``forward_roots`` call."""
+    would raise for it; the roots of all legs come from one ``root_table``."""
     if not gammas:
         return []
-    x, nu, xi_t = (np.array([getattr(g, name) for g in gammas])
-                   for name in ("x", "nu", "xi_t"))
-    tau = np.array([g.tau for g in gammas])
-    big_a, bh, c, scale2 = mode_quadratics(m, x, nu, xi_t, tau)
-    z_fwd, z_bwd, real, d4 = forward_roots(big_a, bh, c, tau)
-    z = z_fwd if time_direction >= 0 else z_bwd
+    t = root_table(m, *(np.array([getattr(g, name) for g in gammas])
+                        for name in ("x", "nu", "xi_t", "tau")))
+    z = t.z_forward if time_direction >= 0 else t.z_backward
     out = []
     for i, (gamma, mode) in enumerate(zip(gammas, modes, strict=True)):
         k = MODES.index(mode)
-        if abs(d4[k, i]) < GLANCING_TOL * scale2[k, i]:
-            out.append(GlancingError(
-                f"mode {mode} is glancing at this covector",
-                discriminant=float(d4[k, i])))
-        elif not real[k, i]:
+        if t.glancing[k, i]:
+            out.append(t.glancing_error(k, i))
+        elif not t.real[k, i]:
             out.append(EvanescentModeError(
                 f"mode {mode} is evanescent at this covector"))
         else:
-            xi = gamma.xi_t - z[k, i].real.item() * gamma.nu
+            xi = root_covector(gamma.xi_t, z[k, i].real, gamma.nu)
             out.append(RayState(t=gamma.t, x=gamma.x, xi=xi, tau=gamma.tau,
                                 mode=mode))
     return out
@@ -341,6 +331,8 @@ def _hyperbolic_radius(m, mode, x, nu, u, tau):
 
 
 PROBE_FRACTION = (0.15, 0.85)
+# consecutive rejected candidates after which probe_fan gives up
+PROBE_MAX_REJECTS = 1000
 
 
 def probe_fan(m, n, rng, tau=1.0, t=0.0):
@@ -348,28 +340,34 @@ def probe_fan(m, n, rng, tau=1.0, t=0.0):
 
     The tangential magnitude is a fraction of the compressional hyperbolic
     radius, uniform in PROBE_FRACTION, so both modes have real forward roots
-    and |xi_t| > 0.  Raises ElastorayError when that radius is 0 (tau = 0):
-    no covector is then hyperbolic.
+    and |xi_t| > 0.  Raises ElastorayError when that radius is 0 (tau = 0),
+    so that no covector is hyperbolic, or when PROBE_MAX_REJECTS candidates
+    in a row fail ``char_roots`` (at |tau| so small that tau^2 underflows).
     """
     probes = []
     while len(probes) < n:
-        x = m.domain.sample_boundary(1, rng)[0]
-        nu = m.domain.normal(x)
-        v = rng.standard_normal(3)
-        v -= float(v @ nu) * nu
-        if np.linalg.norm(v) < 1e-8:
-            continue
-        u = v / np.linalg.norm(v)
-        frac = rng.uniform(*PROBE_FRACTION)
-        r_p = _hyperbolic_radius(m, "P", x, nu, u, tau)
-        if not r_p > 0:
-            raise ElastorayError(f"no hyperbolic covector at tau = {tau}")
-        gamma = BoundaryCovector(t=t, x=x, tau=float(tau),
-                                 xi_t=frac * r_p * u, nu=nu)
-        try:
-            char_roots(m, gamma)
-        except ElastorayError:
-            continue
+        for _ in range(PROBE_MAX_REJECTS):
+            x = m.domain.sample_boundary(1, rng)[0]
+            nu = m.domain.normal(x)
+            v = rng.standard_normal(3)
+            v -= float(v @ nu) * nu
+            if np.linalg.norm(v) < 1e-8:
+                continue
+            u = v / np.linalg.norm(v)
+            frac = rng.uniform(*PROBE_FRACTION)
+            r_p = _hyperbolic_radius(m, "P", x, nu, u, tau)
+            if not r_p > 0:
+                raise ElastorayError(f"no hyperbolic covector at tau = {tau}")
+            gamma = BoundaryCovector(t=t, x=x, tau=float(tau),
+                                     xi_t=frac * r_p * u, nu=nu)
+            try:
+                char_roots(m, gamma)
+            except ElastorayError:
+                continue
+            break
+        else:
+            raise ElastorayError(f"no hyperbolic covector at tau = {tau} in "
+                                 f"{PROBE_MAX_REJECTS} consecutive draws")
         probes.append(gamma)
     return probes
 
@@ -390,30 +388,26 @@ class ReflectionResult:
 def reflect(m, state):
     """Reflect an outgoing boundary state into all hyperbolic branches.
 
-    The reflected branches share (t, x, tau, xi_t) with the incident state
-    and use each mode's forward root, as ``char_roots`` selects it.
-    Evanescent branches (complex roots) are reported, not traced.  A
+    A view of the batched launch of both modes, on their forward roots, at
+    the exit covector.  Evanescent branches are reported, not traced.  A
     glancing incident mode raises GlancingError; a glancing converted mode
     is reported and dropped.
     """
     gamma = boundary_covector(m, state.t, state.x, state.tau, state.xi)
-    states = []
-    evanescent = []
-    glancing = []
-    for mode, roots in zip(MODES, _mode_roots(m, gamma)):
-        if isinstance(roots, GlancingError):
-            if mode == state.mode:
-                raise GlancingError(
-                    f"incident mode {mode} glancing at reflection point",
-                    discriminant=roots.discriminant)
-            glancing.append(mode)
-        elif not roots.real:
-            evanescent.append(mode)
+    result = ReflectionResult(states=[], evanescent=[], glancing=[])
+    for mode, out in zip(MODES, _launch_states(m, [gamma] * len(MODES),
+                                               MODES)):
+        if isinstance(out, RayState):
+            result.states.append(out)
+        elif isinstance(out, EvanescentModeError):
+            result.evanescent.append(mode)
+        elif mode == state.mode:
+            raise GlancingError(
+                f"incident mode {mode} glancing at reflection point",
+                discriminant=out.discriminant)
         else:
-            states.append(RayState(t=state.t, x=gamma.x, xi=roots.xi_forward,
-                                   tau=state.tau, mode=mode))
-    return ReflectionResult(states=states, evanescent=evanescent,
-                            glancing=glancing)
+            result.glancing.append(mode)
+    return result
 
 
 @dataclass(frozen=True)

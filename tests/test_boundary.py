@@ -501,6 +501,17 @@ def test_roots_match_replaced_root_code(name, media_dir, monkeypatch):
     scan = er.lopatinski_margin(m, sample_count=len(tau))
     assert scan.n_used == len(usable)
     assert scan.min_normalized == min(products[i] for i in usable)
+    # the skipped covectors, the regions of the used ones and the minimizer
+    assert scan.n_glancing_skipped == int(np.sum(
+        np.any(np.abs(d4) < 1e-3 * scale2, axis=0)))
+    real = d4[:, usable] > 0
+    assert scan.region_counts == {"hyperbolic": int(np.sum(real[0] & real[1])),
+                                  "mixed": int(np.sum(real[0] & ~real[1])),
+                                  "elliptic": int(np.sum(~real[0]))}
+    i_min = min(usable, key=lambda i: products[i])
+    assert scan.argmin.tau == tau[i_min]
+    for key, col in (("x", x), ("nu", nu), ("xi_t", xi_t)):
+        assert _same(getattr(scan.argmin, key), col[i_min])
     # one covector at a time, bitwise, where the naive root would cancel;
     # at char_roots' own glancing tolerance, so weak stress counts too
     n_checked = naive_differs = 0

@@ -7,7 +7,8 @@ from numpy.testing import assert_allclose
 
 import elastoray as er
 from elastoray import rays
-from elastoray.boundary import mode_quadratics
+from elastoray.boundary import (GLANCING_TOL, ModeRoots, forward_roots,
+                                mode_quadratics)
 from elastoray.engine import Hamilton
 
 SOUTH = np.array([0.0, 0.0, -1.0])
@@ -502,13 +503,51 @@ def test_probe_fan_rejects_zero_tau(constant_medium, rng):
         er.probe_fan(constant_medium, 2, rng, tau=0.0)
 
 
+def test_probe_fan_gives_up_when_tau_squared_underflows(constant_medium, rng):
+    # the radius is positive, but tau^2 = 0 makes every candidate's selected
+    # covectors analytically null, so each one fails char_roots
+    with pytest.raises(er.ElastorayError,
+                       match=r"tau = 1e-300 in \d+ consecutive draws"):
+        er.probe_fan(constant_medium, 1, rng, tau=1e-300)
+
+
 # ------------------------------- differential: the replaced per-leg launch
 
 # Frozen copy of ``launch_state`` as it was before legs launched as one
-# batch: the roots of one covector at a time, through ``_mode_roots``.
+# batch: the roots of one covector at a time, through ``_mode_roots``, the
+# per-covector root code that ``boundary.root_table`` replaced.
+
+def _mode_roots(m, gamma):
+    """ModeRoots of the S and P modes at gamma, in that order; a glancing
+    mode gives its GlancingError instead."""
+    big_a, bh, c, scale2 = mode_quadratics(m, gamma.x, gamma.nu, gamma.xi_t,
+                                           gamma.tau)
+    z_fwd, z_bwd, real, d4 = forward_roots(big_a, bh, c, gamma.tau)
+    rho = float(m.rho(gamma.x))
+    out = []
+    for k, mode in enumerate(("S", "P")):
+        if abs(d4[k]) < GLANCING_TOL * scale2[k]:
+            out.append(er.GlancingError(
+                f"mode {mode} is glancing at this covector",
+                discriminant=float(d4[k])))
+            continue
+        # real roots stay real scalars, so their covectors are real arrays
+        zs = [z.real.item() if real[k] else z.item()
+              for z in (z_fwd[k], z_bwd[k])]
+        c_z = [complex(2.0 * rho * (float(bh[k]) - float(big_a[k]) * z))
+               for z in zs]
+        xi_z = [gamma.xi_t - z * gamma.nu for z in zs]
+        out.append(ModeRoots(mode=mode, real=bool(real[k]),
+                             z_forward=complex(zs[0]),
+                             z_backward=complex(zs[1]),
+                             c_forward=c_z[0], c_backward=c_z[1],
+                             xi_forward=xi_z[0], xi_backward=xi_z[1],
+                             discriminant=float(d4[k])))
+    return out
+
 
 def _ref_launch_state(m, gamma, mode, time_direction=1):
-    roots = er.boundary._mode_roots(m, gamma)[("S", "P").index(mode)]
+    roots = _mode_roots(m, gamma)[("S", "P").index(mode)]
     if isinstance(roots, er.GlancingError):
         raise roots
     if not roots.real:
@@ -542,13 +581,13 @@ def test_launch_states_match_per_leg_launch(name, media_dir, monkeypatch):
     gammas = [g for g in _launch_fan(m, seed=len(name)) for _ in "SP"]
     modes = ["S", "P"] * (len(gammas) // 2)
     calls = []
-    batched_quadratics = rays.mode_quadratics
+    batched_quadratics = er.boundary.mode_quadratics
 
     def counted(*args):
         calls.append(len(args[4]))
         return batched_quadratics(*args)
 
-    monkeypatch.setattr(rays, "mode_quadratics", counted)
+    monkeypatch.setattr(er.boundary, "mode_quadratics", counted)
     kinds = set()
     for direction in (1, -1):
         calls.clear()
