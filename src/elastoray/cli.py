@@ -66,22 +66,16 @@ def _write_csv(path, fieldnames, rows):
             writer.writerow(row)
 
 
-def _delta(m, args):
-    if getattr(args, "delta", None) is not None:
-        return args.delta
-    if m.class_params is not None:
-        return m.class_params.delta
-    return 0.5
-
-
-def _covector_fan(m, args):
-    """Seeded boundary covector fan shared by classify / roots / dn / frame."""
-    rng = np.random.default_rng(args.seed)
-    x, nu, xi_t, tau = bd.sample_boundary_covectors(m, args.fan_n, rng,
-                                                    _delta(m, args))
+def _covector_fan(m, n, seed, delta):
+    """Seeded boundary covector fan shared by classify / roots / dn / frame;
+    ``delta`` defaults to the medium's class parameter, else 0.5."""
+    if delta is None:
+        delta = m.class_params.delta if m.class_params is not None else 0.5
+    x, nu, xi_t, tau = bd.sample_boundary_covectors(
+        m, n, np.random.default_rng(seed), delta)
     return [bd.BoundaryCovector(t=0.0, x=x[i], tau=float(tau[i]),
                                 xi_t=xi_t[i], nu=nu[i])
-            for i in range(args.fan_n)]
+            for i in range(n)]
 
 
 def _fan_rows(fan, compute, describe):
@@ -115,7 +109,7 @@ def cmd_validate(m, args):
 
 
 def cmd_classify(m, args):
-    fan = _covector_fan(m, args)
+    fan = _covector_fan(m, args.fan_n, args.seed, args.delta)
     rows = []
     for gamma in fan:
         label = bd.classify(m, gamma)
@@ -138,7 +132,7 @@ def cmd_classify(m, args):
 
 
 def cmd_roots(m, args):
-    fan = _covector_fan(m, args)
+    fan = _covector_fan(m, args.fan_n, args.seed, args.delta)
     # structured rows: normal incidence, and an exactly P-glancing covector
     # at the compressional hyperbolic radius (flagged, not fatal)
     x0, nu0 = fan[0].x, fan[0].nu
@@ -198,8 +192,8 @@ def cmd_dn(m, args):
                 f"covector {i}: DN route disagreement {dn.rel_residual:.3e} > {tol:.0e}")
         return {"matrix": dn.matrix, "rel_residual": dn.rel_residual}
 
-    rows = _fan_rows(_covector_fan(m, args), lambda g: bd.dn_symbol(m, g),
-                     describe)
+    rows = _fan_rows(_covector_fan(m, args.fan_n, args.seed, args.delta),
+                     lambda g: bd.dn_symbol(m, g), describe)
     n_checked = sum("skipped" not in row for row in rows)
     if n_checked == 0:
         failures.append("no covector admitted a DN symbol (all skipped)")
@@ -226,7 +220,7 @@ def cmd_frame(m, args):
                 f"covector {i}: projector residual {resid:.3e} > {tol:.0e}")
         return row
 
-    rows = _fan_rows(_covector_fan(m, args),
+    rows = _fan_rows(_covector_fan(m, args.fan_n, args.seed, args.delta),
                      lambda g: pol.polarization_frame(m, g), describe)
     n_checked = sum("skipped" not in row for row in rows)
     if n_checked == 0:
@@ -310,7 +304,8 @@ def cmd_distance(m, args):
     modes = ("S", "P")
     solved = iter(rays.boundary_distances(
         m, [{"mode": mode, "x_from": pts[i], "y_to": pts[j],
-             "n_starts": args.starts} for i, j in pairs for mode in modes]))
+             "tau": args.tau, "n_starts": args.starts}
+            for i, j in pairs for mode in modes]))
     for i, j in pairs:
         out = {"from": pts[i].tolist(), "to": pts[j].tolist()}
         for mode in modes:
@@ -375,8 +370,7 @@ def cmd_selftest(m, args):
         failures.append("q_P < q_S violated on interior sample")
 
     # boundary machinery on a covector fan
-    fan_args = argparse.Namespace(seed=args.seed + 1, fan_n=50, delta=None)
-    fan = _covector_fan(m, fan_args)
+    fan = _covector_fan(m, 50, args.seed + 1, None)
     worst = {"residue": 0.0, "a_one": 0.0, "dn": 0.0, "frame": 0.0,
              "mute": 0.0, "companion_identity": 0.0, "companion_eigs": 0.0}
     n_res = n_dn = n_frame = 0
@@ -500,49 +494,55 @@ def build_parser():
     parser.add_argument("--out", default=None,
                         help="write the JSON report here (default: stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
-    nonnegative = _at_least(0)
-
-    def add(name, help_text, depth=0, min_fan_n=0):
+    count = _at_least(0)
+    positive = _real(lambda v: v > 0, "finite and positive")
+    flags = {
+        "--seed": {"type": count, "default": 0},
+        "--fan-n": {"type": count, "default": 32},
+        "--tau": {"type": _real(lambda v: v != 0, "finite and nonzero"),
+                  "default": 1.0},
+        "--delta": {"type": positive},
+        "--tol": {"type": positive},
+        "--tmax": {"type": positive},
+        "--depth": {"type": count, "default": 0},
+        "--csv": {},
+        "--mode": {"choices": ("S", "P"), "default": "S"},
+        "--points": {"type": count, "default": 4},
+        "--starts": {"type": count, "default": 16},
+        "--probes": {"type": count, "default": 10},
+        "--samples": {"type": _at_least(1), "default": 2000},
+        # check_class_membership needs 5 grid points a side
+        "--grid": {"type": _at_least(5), "default": 21},
+    }
+    fan = "--seed --fan-n --delta "
+    # (name, help, the flags its handler reads, per-command spec changes)
+    commands = [
+        ("validate", "check class membership on a grid", "--grid", {}),
+        ("classify", "region labels over a covector fan", fan + "--csv", {}),
+        # roots builds its structured rows from the fan's first covector
+        ("roots", "characteristic roots and Lopatinski margin",
+         fan + "--csv --samples",
+         {"--fan-n": {"type": _at_least(1)}, "--samples": {"default": 20000}}),
+        ("dn", "DN principal symbol, dual-route checked", fan + "--tol", {}),
+        ("frame", "polarization frame, projectors, muting", fan + "--tol", {}),
+        ("trace", "trace one leg (or broken transport with --depth)",
+         "--seed --tau --depth --tmax --mode --csv", {}),
+        ("lensmap", "lens map table over a probe fan",
+         "--seed --fan-n --tau --csv", {}),
+        ("distance", "boundary distance matrix",
+         "--seed --tau --points --starts", {}),
+        ("recover", "lens-map recovery from single-mode event streams",
+         "--seed --tau --depth --tol --probes", {"--depth": {"default": 1}}),
+        ("selftest", "condensed invariant suite on this medium",
+         "--seed --samples", {}),
+    ]
+    # read by no handler; perfbench's recorded reports pin them in params
+    unread = {"trace": " --fan-n", "lensmap": " --depth",
+              "distance": " --depth --fan-n", "recover": " --fan-n"}
+    for name, help_text, names, changes in commands:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--fan-n", dest="fan_n", type=_at_least(min_fan_n),
-                       default=32)
-        p.add_argument("--tau", type=_real(lambda v: v != 0,
-                                          "finite and nonzero"),
-                       default=1.0)
-        p.add_argument("--delta", type=_real(lambda v: v > 0,
-                                             "finite and positive"),
-                       default=None)
-        p.add_argument("--depth", type=nonnegative, default=depth)
-        p.add_argument("--tmax", type=float, default=None)
-        p.add_argument("--seed", type=nonnegative, default=0)
-        return p
-
-    # validate's grid needs 5 points a side (check_class_membership)
-    add("validate", "check class membership on a grid").add_argument(
-        "--grid", type=_at_least(5), default=21)
-    add("classify", "region labels over a covector fan").add_argument(
-        "--csv", default=None)
-    # roots builds its structured rows from the fan's first covector
-    p = add("roots", "characteristic roots and Lopatinski margin",
-            min_fan_n=1)
-    p.add_argument("--csv", default=None)
-    p.add_argument("--samples", type=_at_least(1), default=20000)
-    add("dn", "DN principal symbol, dual-route checked")
-    add("frame", "polarization frame, projectors, muting")
-    p = add("trace", "trace one leg (or broken transport with --depth)")
-    p.add_argument("--mode", choices=("S", "P"), default="S")
-    p.add_argument("--csv", default=None)
-    p = add("lensmap", "lens map table over a probe fan")
-    p.add_argument("--csv", default=None)
-    p = add("distance", "boundary distance matrix")
-    p.add_argument("--points", type=nonnegative, default=4)
-    p.add_argument("--starts", type=nonnegative, default=16)
-    p = add("recover", "lens-map recovery from single-mode event streams",
-            depth=1)
-    p.add_argument("--probes", type=nonnegative, default=10)
-    p = add("selftest", "condensed invariant suite on this medium")
-    p.add_argument("--samples", type=_at_least(1), default=2000)
+        for flag in (names + unread.get(name, "")).split():
+            p.add_argument(flag, **{**flags[flag], **changes.get(flag, {})})
     return parser
 
 

@@ -1,14 +1,16 @@
 """Command line drivers: report schema, determinism, exit codes."""
 
+import gzip
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from elastoray import cli
+from elastoray import cli, rays
 
 SCHEMA_KEYS = {"command", "medium_digest", "params", "results", "failures"}
 
@@ -130,12 +132,19 @@ def test_unusable_counts_are_config_errors(args, media_dir, tmp_path):
     ["lensmap", "--tau", "0"], ["trace", "--tau", "0"],
     ["recover", "--tau", "0"], ["lensmap", "--tau", "nan"],
     ["classify", "--delta", "-1"], ["classify", "--delta", "0"],
-    ["roots", "--delta", "inf"],
+    ["roots", "--delta", "inf"], ["dn", "--tol", "nan"],
+    ["recover", "--tol", "-1"], ["trace", "--tmax", "nan"],
+    ["trace", "--tmax", "0"],
+    # each subcommand declares only the flags its handler reads
+    ["validate", "--seed", "1"], ["selftest", "--tau", "2"],
+    ["classify", "--tmax", "1"], ["dn", "--depth", "2"],
+    ["lensmap", "--tol", "1e-3"],
 ], ids=" ".join)
 def test_unusable_tau_and_delta_are_config_errors(args, media_dir, tmp_path):
-    # tau = 0 leaves no hyperbolic covector to probe with, and the cone
-    # sampler needs delta > 0: the parser rejects both, within a time limit
-    # that catches a hang
+    # tau = 0 leaves no hyperbolic covector to probe with, the cone sampler
+    # needs delta > 0, a NaN tolerance would pass every check and a NaN time
+    # cap would lift the cap: the parser rejects these and any flag the
+    # subcommand does not read, within a time limit that catches a hang
     out = tmp_path / "out.json"
     proc = subprocess.run(
         [sys.executable, "-m", "elastoray.cli", "--medium",
@@ -263,16 +272,72 @@ def test_selftest_green(media_dir, tmp_path):
 
 
 def test_reports_are_byte_deterministic(media_dir, tmp_path):
-    _, _, out1 = run(media_dir, tmp_path, "recover", "--probes", "3",
-                     name="a.json")
-    _, _, out2 = run(media_dir, tmp_path, "recover", "--probes", "3",
-                     name="b.json")
-    assert out1.read_bytes() == out2.read_bytes()
-    _, _, out1 = run(media_dir, tmp_path, "distance", "--points", "2",
-                     "--starts", "8", name="c.json")
-    _, _, out2 = run(media_dir, tmp_path, "distance", "--points", "2",
-                     "--starts", "8", name="d.json")
-    assert out1.read_bytes() == out2.read_bytes()
+    for args in (["recover", "--probes", "3"],
+                 ["distance", "--points", "2", "--starts", "8"],
+                 ["lensmap", "--fan-n", "6"]):
+        _, _, out1 = run(media_dir, tmp_path, *args, name="a.json")
+        _, _, out2 = run(media_dir, tmp_path, *args, name="b.json")
+        assert out1.read_bytes() == out2.read_bytes(), args
+
+
+def test_distance_solves_at_the_given_tau(media_dir, tmp_path, monkeypatch):
+    jobs = []
+    real = rays.boundary_distances
+
+    def spy(m, batch, ctrl=None):
+        jobs.extend(batch)
+        return real(m, batch, ctrl)
+
+    monkeypatch.setattr(rays, "boundary_distances", spy)
+    rc, doc, _ = run(media_dir, tmp_path, "distance", "--points", "2",
+                     "--tau", "2.0")
+    assert rc == 0 and doc["params"]["tau"] == 2.0
+    assert jobs and all(job["tau"] == 2.0 for job in jobs)
+
+
+def test_distance_is_independent_of_tau(media_dir, tmp_path):
+    # the Hamiltonian is homogeneous in the covector, so the travel time
+    # between two boundary points does not depend on the entry scale tau
+    def distances(tau):
+        rc, doc, _ = run(media_dir, tmp_path, "distance", "--points", "3",
+                         f"--tau={tau}", medium="gaussian_bump.json",
+                         name=f"tau{tau}.json")
+        assert rc == 0
+        return np.array([row[mode]["distance"]
+                         for row in doc["results"]["rows"] for mode in "SP"])
+
+    base = distances(1.0)
+    for tau in (2.0, -1.5):
+        assert np.max(np.abs(distances(tau) - base)) <= 1e-8, tau
+
+
+def _recorded_params_keys():
+    # the params keys of every CLI report recorded under perfbench/reference,
+    # by command; the files are read, never written
+    keys = {}
+    root = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+    for path in sorted(root.glob("*.json.gz")):
+        with gzip.open(path, "rt", encoding="utf-8") as fh:
+            outcomes = json.load(fh)["outcomes"]
+        for text in outcomes.values():
+            cli_op = json.loads(text).get("cli", {})
+            if "value" in cli_op:
+                report = cli_op["value"]["report"]
+                keys.setdefault(report["command"], set()).update(
+                    report["params"])
+    return keys
+
+
+# the argv of each CLI task in perfbench/workloads.py
+@pytest.mark.parametrize("args", [
+    ["lensmap", "--fan-n", "4"], ["recover", "--probes", "2"],
+    ["trace", "--depth", "3"], ["distance", "--points", "2"],
+], ids=" ".join)
+def test_benchmark_reports_keep_recorded_params(args, media_dir, tmp_path):
+    recorded = _recorded_params_keys()[args[0]]
+    rc, doc, _ = run(media_dir, tmp_path, *args)
+    assert rc == 0
+    assert recorded <= set(doc["params"])
 
 
 def test_import_does_not_load_scipy():
@@ -283,15 +348,6 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=_src_env(),
                          check=True, capture_output=True, text=True).stdout
     assert out.strip() == "[]"
-
-
-def test_thread_count_does_not_change_report(media_dir, tmp_path, monkeypatch):
-    _, _, out1 = run(media_dir, tmp_path, "lensmap", "--fan-n", "6",
-                     name="t1.json")
-    monkeypatch.setenv("ELASTORAY_THREADS", "4")
-    _, _, out2 = run(media_dir, tmp_path, "lensmap", "--fan-n", "6",
-                     name="t4.json")
-    assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_all_media_validate(media_dir, tmp_path):
