@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -560,9 +561,12 @@ HANDLERS = {
 }
 
 
+# built once per process: parse_args keeps no state between calls
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         m = load_medium(args.medium)
     except (OSError, ElastorayError) as exc:

@@ -1,9 +1,9 @@
-"""Batched ray engine: the fused Hamilton kernel and the Dormand-Prince march.
+"""Batched ray engine: the fused Hamilton kernel and the DOP853 march.
 
 A batch of legs is an (N, 6) state (x, xi) with one row per ray.  The
 kernel evaluates the Hamilton field of H = tau^2 - g_mode(x, xi) for the
 whole batch, S and P rows mixed, in one pass over the medium's fields.  The
-march takes Dormand-Prince 5(4) steps: each ray keeps its own step size,
+march takes DOP853 steps (8th order): each ray keeps its own step size,
 time cap and acceptance test (the local error estimate and an on-shell
 drift monitor), and a ray that fails leaves the batch without disturbing
 the others.  Exits are located together once every ray has crossed.
@@ -25,24 +25,67 @@ from .errors import GlancingExitError, MaxStepsError, StepControlError
 from .medium import (ConstantField, ConstantStress, GaussianBumpField,
                      PotentialStress)
 
-# Dormand-Prince 5(4) coefficients; the last row of _A is the 5th-order
-# solution, _E the 5th- minus 4th-order weights, and _D the weights of the
-# 4th-order continuous extension (Hairer, Norsett & Wanner, Solving ODEs I,
-# section II.6)
+# DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10): row i of _A builds
+# stage i, _A[12] is the 8th-order solution and rows 13-15 the dense output's
+# extra stages; _E5 and _E3 weigh the 5th- and 3rd-order error estimates and
+# _D the last four coefficients of the 7th-order dense output
 _A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    (), (0.05260015195876773,), (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0, 0.08876275643042054),
+    (0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486,
+     -0.020331201708508627),
+    (-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505,
+     2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+     -8.87285693353063, 12.360567175794303, 0.6433927460157636),
+    (0.054293734116568765, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, 0.3111643669578199, -0.1521609496625161,
+     0.20136540080403034, 0.04471061572777259),
+    (0.056167502283047954, 0, 0, 0, 0, 0, 0.25350021021662483,
+     -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+     0.00820105229563469, 0.007567897660545699, -0.008298),
+    (0.03183464816350214, 0, 0, 0, 0, 0.028300909672366776,
+     0.053541988307438566, -0.05492374857139099, 0, 0,
+     -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456,
+     0.1413124436746325),
+    (-0.42889630158379194, 0, 0, 0, 0, -4.697621415361164, 7.683421196062599,
+     4.06898981839711, 0.3567271874552811, 0, 0, 0, -0.0013990241651590145,
+     2.9475147891527724, -9.15095847217987),
 )
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
-      -1 / 40)
-_D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
-      -10690763975 / 1880347072, 701980252875 / 199316789632,
-      -1453857185 / 822651844, 69997945 / 29380423)
+_E5 = (0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044,
+       -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+       0.3341791187130175, 0.08192320648511571, -0.022355307863886294)
+_E3 = tuple(b - c for b, c in zip(_A[12], (
+    0.2440944881889764, 0, 0, 0, 0, 0, 0, 0, 0.7338466882816118, 0, 0,
+    0.022058823529411766)))
+_D = (
+    (-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777, -3.0689499459498917,
+     2.38466765651207, 2.117034582445028, -0.871391583777973,
+     2.2404374302607883, 0.6315787787694688, -0.08899033645133331,
+     18.148505520854727, -9.194632392478356, -4.436036387594894),
+    (10.427508642579134, 0, 0, 0, 0, 242.28349177525817, 165.20045171727028,
+     -374.5467547226902, -22.113666853125306, 7.733432668472264,
+     -30.674084731089398, -9.332130526430229, 15.697238121770845,
+     -31.139403219565178, -9.35292435884448, 35.81684148639408),
+    (19.985053242002433, 0, 0, 0, 0, -387.0373087493518, -189.17813819516758,
+     527.8081592054236, -11.57390253995963, 6.8812326946963,
+     -1.0006050966910838, 0.7777137798053443, -2.778205752353508,
+     -60.19669523126412, 84.32040550667716, 11.99229113618279),
+    (-25.69393346270375, 0, 0, 0, 0, -154.18974869023643, -231.5293791760455,
+     357.6391179106141, 93.40532418362432, -37.45832313645163,
+     104.0996495089623, 29.8402934266605, -43.53345659001114,
+     96.32455395918828, -39.17726167561544, -149.72683625798564),
+)
 
 # rejected steps are counted by cause, in this order
 REJECT_CAUSES = ("error", "drift", "entry")
@@ -56,6 +99,12 @@ def _dot3(a, b):
     """Row-wise dot product of (N, 3) arrays, summed term by term."""
     p = a * b
     return p[:, 0] + p[:, 1] + p[:, 2]
+
+
+def _sq6(a):
+    """Row-wise squared norm of an (N, 6) array, summed term by term."""
+    q = a * a
+    return q[:, 0] + q[:, 1] + q[:, 2] + q[:, 3] + q[:, 4] + q[:, 5]
 
 
 def _combine(coefs, arrays):
@@ -201,20 +250,39 @@ class Hamilton:
 # the march
 # ---------------------------------------------------------------------------
 
-def dp_step(kern, y, k1, h):
-    """One Dormand-Prince 5(4) step of per-row size h from y, with k1 = f(y).
+def dop853_step(kern, y, k1, h):
+    """One DOP853 step of per-row size h from y, with k1 = f(y).
 
-    Returns the 5th-order solution, the seven stage derivatives (the last
-    one is f at the solution), g at the solution and the error estimate.
+    Returns the 8th-order solution, the thirteen stage derivatives (the last
+    one is f at the solution) and g at the solution.
     """
     hc = h[:, None]
     k = [k1]
-    for i in range(1, 6):
+    for i in range(1, 12):
         k.append(kern(y + hc * _combine(_A[i], k))[0])
-    y5 = y + hc * _combine(_A[6], k)
-    k7, g5 = kern(y5)
-    k.append(k7)
-    return y5, k, g5, hc * _combine(_E, k)
+    y8 = y + hc * _combine(_A[12], k)
+    f8, g8 = kern(y8)
+    return y8, k + [f8], g8
+
+
+def _dense(kern, y, y8, h, k):
+    """(N, 7, 3) coefficients of a step's 7th-order dense output of x."""
+    hc = h[:, None]
+    for i in range(13, 16):
+        k = k + [kern(y + hc * _combine(_A[i], k))[0]]
+    dy = y8 - y
+    f = [dy, hc * k[0] - dy, 2.0 * dy - hc * (k[12] + k[0])]
+    f += [hc * _combine(d, k) for d in _D]
+    return np.stack([a[:, :3] for a in f], axis=1)
+
+
+def _dense_x(x0, dense, theta):
+    """x at per-row theta in [0, 1] on the dense output from x0."""
+    th = theta[:, None]
+    acc = dense[:, 6]
+    for i in range(5, -1, -1):
+        acc = dense[:, i] + (th if i % 2 else 1.0 - th) * acc
+    return x0 + th * acc
 
 
 class _Rows:
@@ -275,12 +343,23 @@ def march(m, is_p, y0, tau, sgn, s_cap, ctrl, collect=False):
     ok = (speed != 0.0) & ~tangential
     n = int(ok.sum())
     # no step crosses more than half the shortest semi-axis at the launch
-    # speed, and the first step is 1 % of that
+    # speed; the first step follows from the tolerances (II.4 of Hairer et al.)
     h_limit = 0.5 * float(np.min(dom.semi_axes)) / speed[ok]
+    kern = kern_all.rows(np.flatnonzero(ok))
+    y, f = y0[ok], f0[ok]
+    scale = ctrl.atol + ctrl.rtol * np.abs(y)
+    d0, d1 = (np.sqrt(_sq6(a / scale) / 6.0) for a in (y, f))
+    h0 = np.minimum(np.where(np.minimum(d0, d1) < 1e-5, 1e-6, 0.01 * d0 / d1),
+                    h_limit)
+    df = kern(y + (sgn[ok] * h0)[:, None] * f)[0] - f
+    d12 = np.maximum(d1, np.sqrt(_sq6(df / scale) / 6.0) / h0)
+    h1 = np.where(d12 <= 1e-15, np.maximum(1e-6, 1e-3 * h0),
+                  (0.01 / np.maximum(d12, 1e-15)) ** 0.125)
     tau2 = tau[ok] * tau[ok]
-    rows = _Rows(ids=np.flatnonzero(ok), y=y0[ok], k1=f0[ok], tau2=tau2,
+    rows = _Rows(ids=np.flatnonzero(ok), y=y, k1=f, tau2=tau2,
                  sgn=sgn[ok], s=np.zeros(n), s_cap=s_cap[ok],
-                 h=sgn[ok] * (1e-2 * h_limit), h_limit=h_limit,
+                 h=sgn[ok] * np.minimum(np.minimum(100.0 * h0, h1), h_limit),
+                 h_limit=h_limit,
                  entered=np.zeros(n, dtype=bool),
                  drift_max=np.abs(tau2 - g0[ok]) / tau2,
                  n_steps=np.zeros(n, dtype=np.int64),
@@ -288,7 +367,6 @@ def march(m, is_p, y0, tau, sgn, s_cap, ctrl, collect=False):
     history = [(rows.ids, rows.s, rows.y)] if collect else None
     crossings = []
 
-    kern = kern_all.rows(rows.ids)
     for _ in range(ctrl.max_steps):
         if not len(rows.ids):
             break
@@ -304,19 +382,19 @@ def march(m, is_p, y0, tau, sgn, s_cap, ctrl, collect=False):
             if not len(rows.ids):
                 break
 
-        y5, k, g5, err = dp_step(kern, rows.y, rows.k1, rows.h)
-        q = err / (ctrl.atol + ctrl.rtol * np.maximum(np.abs(rows.y),
-                                                      np.abs(y5)))
-        q = q * q
-        err_norm = np.sqrt((q[:, 0] + q[:, 1] + q[:, 2] + q[:, 3] + q[:, 4]
-                            + q[:, 5]) / 6.0)
-        drift = np.abs(rows.tau2 - g5) / rows.tau2
+        y8, k, g8 = dop853_step(kern, rows.y, rows.k1, rows.h)
+        scale = ctrl.atol + ctrl.rtol * np.maximum(np.abs(rows.y), np.abs(y8))
+        # the 5th-order estimate, damped where the 3rd-order one is small
+        n5, n3 = (_sq6(rows.h[:, None] * _combine(e, k) / scale)
+                  for e in (_E5, _E3))
+        err_norm = n5 / np.sqrt(6.0 * np.maximum(n5 + 0.01 * n3, 1e-300))
+        drift = np.abs(rows.tau2 - g8) / rows.tau2
         with np.errstate(divide="ignore"):
-            fac = 0.9 * err_norm ** -0.2
+            fac = 0.9 * err_norm ** -0.125
         bad_err = err_norm > 1.0
         bad_drift = ~bad_err & (drift > ctrl.drift_tol)
         accepted = ~(bad_err | bad_drift)
-        crossed = accepted & (dom.phi(y5[:, :3]) >= 0.0)
+        crossed = accepted & (dom.phi(y8[:, :3]) >= 0.0)
         exited = crossed & rows.entered
         no_entry = crossed & ~rows.entered
         advance = accepted & ~crossed
@@ -334,20 +412,16 @@ def march(m, is_p, y0, tau, sgn, s_cap, ctrl, collect=False):
         finished = advance & capped
         if exited.any():
             c = rows.take(exited)
-            c.y5, c.k7, c.g5 = y5[exited], k[6][exited], g5[exited]
-            # the step's continuous extension of x, in theta in [0, 1]
-            hc = c.h[:, None]
-            r2 = c.y5[:, :3] - c.y[:, :3]
-            r3 = hc * c.k1[:, :3] - r2
-            r4 = r2 - hc * c.k7[:, :3] - r3
-            r5 = hc * _combine(_D, [kj[exited][:, :3] for kj in k])
-            c.dense = np.stack([r2, r3, r4, r5], axis=1)
+            k_c = [kj[exited] for kj in k]
+            c.y8, c.f8, c.g8 = y8[exited], k_c[12], g8[exited]
+            c.dense = _dense(kern.rows(np.flatnonzero(exited)), c.y, c.y8,
+                             c.h, k_c)
             crossings.append(c)
 
         step = advance[:, None]
         rows.s = np.where(advance, rows.s + rows.h, rows.s)
-        rows.y = np.where(step, y5, rows.y)
-        rows.k1 = np.where(step, k[6], rows.k1)
+        rows.y = np.where(step, y8, rows.y)
+        rows.k1 = np.where(step, k[12], rows.k1)
         rows.drift_max = np.where(advance, np.maximum(rows.drift_max, drift),
                                   rows.drift_max)
         rows.entered = rows.entered | advance
@@ -388,25 +462,21 @@ def _locate_exits(kern_all, dom, c, out):
     """Refine the boundary crossings of the steps in ``c``, all together.
 
     An Illinois-modified regula falsi finds the crossing on each step's
-    continuous extension.  Exact substeps from the step's start then polish
-    it, each placed by a secant on phi clipped into the bracket, until
-    |phi| is within EXIT_TOL; the returned state so carries full
-    integration accuracy.
+    dense output.  Exact substeps from the step's start then polish it,
+    each placed by a secant on phi clipped into the bracket, until |phi| is
+    within EXIT_TOL; the returned state so carries full integration accuracy.
     """
     n = len(c.ids)
     x0 = c.y[:, :3]
-    r2, r3, r4, r5 = (c.dense[:, i] for i in range(4))
     phi_start = dom.phi(x0)
     lo, hi = np.zeros(n), np.ones(n)
-    f_lo, f_hi = phi_start, dom.phi(c.y5[:, :3])
+    f_lo, f_hi = phi_start, dom.phi(c.y8[:, :3])
     side = np.zeros(n)
     theta = np.ones(n)
     live = np.ones(n, dtype=bool)
     for _ in range(100):
         cand = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        th = cand[:, None]
-        f_c = dom.phi(x0 + th * (r2 + (1.0 - th) * (r3 + th * (
-            r4 + (1.0 - th) * r5))))
+        f_c = dom.phi(_dense_x(x0, c.dense, cand))
         theta = np.where(live, cand, theta)
         live &= (np.abs(f_c) > 1e-3 * EXIT_TOL) & (hi - lo > 1e-15)
         if not live.any():
@@ -424,21 +494,21 @@ def _locate_exits(kern_all, dom, c, out):
     eta = theta * h
     eta_lo, eta_hi = np.zeros(n), h.copy()
     prev_eta, prev_phi = np.zeros(n), phi_start.copy()
-    best_eta, best_y, best_g = h.copy(), c.y5.copy(), c.g5.copy()
-    best_f, best_phi = c.k7.copy(), dom.phi(c.y5[:, :3])
+    best_eta, best_y, best_g = h.copy(), c.y8.copy(), c.g8.copy()
+    best_f, best_phi = c.f8.copy(), dom.phi(c.y8[:, :3])
     live = np.ones(n, dtype=bool)
     for _ in range(80):
         idx = np.flatnonzero(live)
         if not len(idx):
             break
         e = eta[idx]
-        y_e, k, g_e, _ = dp_step(kern_all.rows(c.ids[idx]), c.y[idx],
-                                 c.k1[idx], e)
+        y_e, k, g_e = dop853_step(kern_all.rows(c.ids[idx]), c.y[idx],
+                                  c.k1[idx], e)
         p = dom.phi(y_e[:, :3])
         better = np.abs(p) < np.abs(best_phi[idx])
         j = idx[better]
         best_eta[j], best_y[j], best_g[j] = e[better], y_e[better], g_e[better]
-        best_f[j], best_phi[j] = k[6][better], p[better]
+        best_f[j], best_phi[j] = k[12][better], p[better]
         below = p < 0.0
         lo = np.where(below, e, eta_lo[idx])
         hi = np.where(below, eta_hi[idx], e)

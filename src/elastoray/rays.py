@@ -6,12 +6,12 @@ t is an exact linear function of s.
 
 Every leg goes through one batched engine (``engine.march``): a fused
 kernel evaluates the Hamilton field of a whole batch of rays, S and P
-mixed, and a Dormand-Prince 5(4) march advances them together, each ray
+mixed, and a DOP853 march (8th order) advances them together, each ray
 with its own step size, time cap and acceptance test (the local error
 estimate plus an on-shell drift monitor).  A ray that fails leaves the
 batch without disturbing the others, and a ray traces bitwise alike alone
 or in any batch.  A boundary exit is found by an Illinois-modified regula
-falsi on the crossing step's native continuous extension, then polished by
+falsi on the crossing step's 7th-order dense output, then polished by
 secant-placed exact substeps from the step's start to the boundary
 tolerance.  Lens-map fans, each level of a broken transport, the recovery
 experiment and each round of lockstep distance solves are each traced as one
@@ -65,7 +65,7 @@ class StepControl:
     ``drift_tol`` bounds |tau^2 - g(x, xi)| / tau^2 along accepted steps;
     steps violating it are rejected and halved even when the embedded error
     estimate would accept them.  Step sizes follow from the domain and the
-    launch speed.
+    launch speed; the first step also follows from ``rtol`` and ``atol``.
     """
 
     rtol: float = 1e-10
