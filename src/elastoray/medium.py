@@ -479,17 +479,13 @@ class Domain:
         """On the boundary: |phi(x)| <= BOUNDARY_TOL."""
         return np.abs(self.phi(x)) <= BOUNDARY_TOL
 
-    def boundary_point(self, direction):
-        """Radial map: the boundary point along ``direction`` from the origin."""
-        u = np.asarray(direction, dtype=np.float64)
+    def radial_project(self, x):
+        """Rescale x radially onto the boundary (exact for these level sets)."""
+        u = np.asarray(x, dtype=np.float64)
         q = np.sum(u * u * self._inv_a2, axis=-1)
         if np.any(q <= 0):
             raise ValueError("direction must be nonzero")
         return u / np.sqrt(q)[..., None]
-
-    def radial_project(self, x):
-        """Rescale x radially onto the boundary (exact for these level sets)."""
-        return self.boundary_point(x)
 
     def tangent_basis(self, x):
         """Deterministic orthonormal basis (e1, e2) of the tangent plane at x."""
@@ -505,13 +501,13 @@ class Domain:
     def sample_boundary(self, n, rng):
         u = rng.standard_normal((n, 3))
         u /= np.linalg.norm(u, axis=-1, keepdims=True)
-        return self.boundary_point(u)
+        return self.radial_project(u)
 
     def sample_interior(self, n, rng):
         u = rng.standard_normal((n, 3))
         u /= np.linalg.norm(u, axis=-1, keepdims=True)
         r = rng.random(n) ** (1.0 / 3.0)
-        return self.boundary_point(u) * r[:, None]
+        return self.radial_project(u) * r[:, None]
 
     def grid(self, resolution):
         axes = [np.linspace(-a, a, resolution) for a in self.semi_axes]

@@ -17,6 +17,12 @@ tolerance.  Lens-map fans, each level of a broken transport, the recovery
 experiment and each round of lockstep distance solves are each traced as one
 batch, and launched with one batched root evaluation; ``launch_state``,
 ``trace_state``, ``trace_leg`` and ``boundary_distance`` are batches of one.
+
+Distance solves, and the refine descents within each solve, are generators
+of traced rounds run by one lockstep driver.  A descent ends on a shot that
+another descent of its solve has already converged to once its next
+Gauss-Newton iterate lands there, and a solve's ``n_legs`` counts every leg
+it reads, those of descents that adopted included.
 """
 
 from __future__ import annotations
@@ -549,33 +555,49 @@ class DistanceResult:
 _SHOOT_MAX_ITER = 12
 _SHOOT_MAX_HALVINGS = 10
 # a descent whose next Gauss-Newton iterate lands this close (relative to
-# max(1, |w*|)) to the parameters w* of an earlier descent's converged shot
-# ends on that shot
+# max(1, |w*|)) to the parameters w* of a shot another descent of the solve
+# has already converged to ends on that shot
 _SHOOT_SAME_RAY = 1e-6
 
 
-@dataclass
-class _Descent:
-    """One refine descent of a distance solve: its generator, the round it
-    waits on, and what it has read and logged so far."""
+def _lockstep(gens):
+    """Run generators of traced rounds in lockstep.
 
-    gen: object = None
-    request: list | None = None     # covectors of its pending round
-    shot: tuple | None = None       # its last shot, once it has ended
-    reads: list = field(default_factory=list)     # per leg read: error name
-    heading: list = field(default_factory=list)   # (next iterate, legs read)
+    Each generator yields a round of leg requests, (covector, mode) pairs,
+    and receives back, per leg, its LensMapEntry or the ElastorayError it
+    raised.  All generators are primed first; then every round yields the
+    requests of all live ones as one batch and sends each its share, in
+    order.  Returns the generators' return values.
+    """
+    results = [None] * len(gens)
+    pending = {}
+
+    def advance(i, outs):
+        try:
+            pending[i] = gens[i].send(outs)
+        except StopIteration as stop:
+            results[i] = stop.value
+            pending.pop(i, None)
+
+    for i in range(len(gens)):
+        advance(i, None)
+    while pending:
+        batch = list(pending.items())
+        outs = iter((yield [req for _, reqs in batch for req in reqs]))
+        for i, reqs in batch:
+            advance(i, [next(outs) for _ in reqs])
+    return results
 
 
 def _distance_solve(m, mode, x_from, y_to, tau=1.0, n_starts=64, n_refine=3,
                     miss_tol=1e-9, warm_start=None):
     """One boundary_distance solve as a generator of traced rounds.
 
-    Each round yields the entry covectors of the solve's next legs and
-    receives back, per leg, its LensMapEntry or the ElastorayError it
+    Each round yields the solve's next legs as (covector, mode) requests
+    and receives back, per leg, its LensMapEntry or the ElastorayError it
     raised; the generator returns the DistanceResult.  The endpoint check
-    runs before the first round.  The refine descents advance in lockstep,
-    the pending legs of all of them in one round, and adoption is replayed
-    in start order as they settle.
+    runs before the first round.  The refine descents run under
+    ``_lockstep`` and share the list of converged shots.
     """
     x0 = m.domain.radial_project(np.asarray(x_from, dtype=np.float64))
     y1 = m.domain.radial_project(np.asarray(y_to, dtype=np.float64))
@@ -583,12 +605,14 @@ def _distance_solve(m, mode, x_from, y_to, tau=1.0, n_starts=64, n_refine=3,
         raise DistanceError("endpoints coincide")
     nu = m.domain.normal(x0)
     e1, e2 = m.domain.tangent_basis(x0)
+    reads = []          # per leg read: the class name of its error, or None
+    converged = []      # shots descents ended on below the target
 
     def trace(ws):
         # one round: (w, traced outcome) per tangential parameter pair
-        outs = yield [BoundaryCovector(t=0.0, x=x0, tau=float(tau),
-                                       xi_t=w[0] * e1 + w[1] * e2, nu=nu)
-                      for w in ws]
+        outs = yield [(BoundaryCovector(t=0.0, x=x0, tau=float(tau),
+                                        xi_t=w[0] * e1 + w[1] * e2, nu=nu),
+                       mode) for w in ws]
         return list(zip(ws, outs))
 
     def jacobian_points(w):
@@ -597,9 +621,9 @@ def _distance_solve(m, mode, x_from, y_to, tau=1.0, n_starts=64, n_refine=3,
         h = 1e-7 * max(1.0, float(np.linalg.norm(w)))
         return h, [w + h * unit for unit in np.eye(2)]
 
-    def read(leg, reads):
-        # record a leg the solve reads in ``reads`` (the class name of its
-        # error, or None): (entry, miss, w, miss vector), or None if it raised
+    def read(leg):
+        # (entry, miss, w, miss vector) of a leg the solve reads, or None if
+        # it raised
         w, entry = leg
         if isinstance(entry, ElastorayError):
             reads.append(type(entry).__name__)
@@ -620,11 +644,10 @@ def _distance_solve(m, mode, x_from, y_to, tau=1.0, n_starts=64, n_refine=3,
             return hit_c
         return cand[1] < incumbent[1]
 
-    def descend(d, shot, columns):
+    def descend(shot, columns):
         # damped Gauss-Newton from one traced start; the miss falls at every
         # accepted step, so the last iterate is the one closest to a ray;
-        # ``columns`` holds the Jacobian legs traced along with the shot.
-        # Each iterate w + step is logged for the adoption check.
+        # ``columns`` holds the Jacobian legs traced along with the shot
         for _ in range(_SHOOT_MAX_ITER):
             _, miss, w, vec = shot
             if miss <= miss_tol * 0.3:
@@ -632,41 +655,29 @@ def _distance_solve(m, mode, x_from, y_to, tau=1.0, n_starts=64, n_refine=3,
             h, points = jacobian_points(w)
             if columns is None:
                 columns = yield from trace(points)
-            cols = [read(leg, d.reads) for leg in columns]
+            cols = [read(leg) for leg in columns]
             if any(col is None for col in cols):
                 break
             jac = np.stack([(col[3] - vec) / h for col in cols], axis=-1)
             step, *_ = np.linalg.lstsq(jac, -vec, rcond=None)
-            d.heading.append((w + step, len(d.reads)))
+            for prior in converged:
+                gap = float(np.linalg.norm(w + step - prior[2]))
+                if gap <= _SHOOT_SAME_RAY * max(
+                        1.0, float(np.linalg.norm(prior[2]))):
+                    return prior
             for k in range(_SHOOT_MAX_HALVINGS + 1):
                 w_trial = w + 0.5 ** k * step
                 legs = yield from trace([w_trial]
                                         + jacobian_points(w_trial)[1])
-                trial = read(legs[0], d.reads)
+                trial = read(legs[0])
                 if trial is not None and trial[1] < miss:
                     break
             else:
                 break
             shot, columns = trial, legs[1:]
+        if shot[1] <= miss_tol * 0.3:
+            converged.append(shot)
         return shot
-
-    def advance(d, outs):
-        # send a descent its traced legs (None to start it)
-        try:
-            d.request = d.gen.send(outs)
-        except StopIteration as stop:
-            d.request, d.shot = None, stop.value
-
-    def adoption(d, converged):
-        # the first logged iterate heading for a converged shot (within
-        # _SHOOT_SAME_RAY of its parameters): (that shot, legs read by then)
-        for w_next, n_read in d.heading:
-            for prior in converged:
-                gap = float(np.linalg.norm(w_next - prior[2]))
-                if gap <= _SHOOT_SAME_RAY * max(
-                        1.0, float(np.linalg.norm(prior[2]))):
-                    return prior, n_read
-        return None
 
     if warm_start is not None:
         w = np.asarray(warm_start, dtype=np.float64)
@@ -685,52 +696,15 @@ def _distance_solve(m, mode, x_from, y_to, tau=1.0, n_starts=64, n_refine=3,
         starts = yield from trace(ws)
         columns = [None] * len(starts)
 
-    reads = []
-    shots = [read(leg, reads) for leg in starts]
-    scanned = [(shot[1], i, shot) for i, shot in enumerate(shots)
-               if shot is not None]
+    scanned = [(shot[1], i, shot)
+               for i, shot in enumerate(map(read, starts)) if shot is not None]
     scanned.sort(key=lambda item: item[:2])
-    descents = []
-    for _, i, start in scanned[:max(n_refine, 1)]:
-        d = _Descent()
-        d.gen = descend(d, start, columns[i])
-        advance(d, None)
-        descents.append(d)
-
-    # Every live descent's pending legs go into one round.  Descents settle
-    # in start order, each once all before it have: a descent whose iterate
-    # heads for a shot an earlier one converged to ends on that shot, and
-    # the legs it read after that iterate are dropped, as if never traced.
+    descents = [descend(start, columns[i])
+                for _, i, start in scanned[:max(n_refine, 1)]]
     best = None
-    converged = []      # shots settled descents ended on below the target
-    settled = 0
-    while True:
-        while settled < len(descents):
-            d = descents[settled]
-            adopted = adoption(d, converged)
-            if adopted is not None:
-                d.gen.close()
-                d.request, d.shot = None, adopted[0]
-                del d.reads[adopted[1]:]
-            elif d.request is not None:
-                break
-            settled += 1
-            shot = d.shot
-            if shot[1] <= miss_tol * 0.3 and not any(shot is c
-                                                    for c in converged):
-                converged.append(shot)
-            if better(shot, best):
-                best = shot
-            reads += d.reads
-        live = [d for d in descents[settled:] if d.request is not None]
-        if not live:
-            break
-        outs = yield [g for d in live for g in d.request]
-        pos = 0
-        for d in live:
-            chunk = outs[pos:pos + len(d.request)]
-            pos += len(chunk)
-            advance(d, chunk)
+    for shot in (yield from _lockstep(descents)):
+        if better(shot, best):
+            best = shot
 
     n_legs = len(reads)
     failed_legs = dict(sorted(Counter(filter(None, reads)).items()))
@@ -757,30 +731,21 @@ def boundary_distances(m, jobs, ctrl=None):
 
     Each job is a dict of ``boundary_distance``'s arguments after ``m``
     (``mode``, ``x_from``, ``y_to`` and any of the optional ones but
-    ``ctrl``).  Every round traces the pending legs of every live solve as
-    one batch, so the solves take as many rounds as the longest of them,
-    and each result is bitwise the one its solo call returns.  A job whose
-    endpoints coincide raises DistanceError before any leg is traced.
+    ``ctrl``).  The solves run under ``_lockstep``: every round traces the
+    pending legs of every live solve as one batch, so the solves take as
+    many rounds as the longest of them, and each result is bitwise the one
+    its solo call returns.  A job whose endpoints coincide raises
+    DistanceError before any leg is traced.
     """
-    solves = [_distance_solve(m, **job) for job in jobs]
-    modes = [job["mode"] for job in jobs]
-    results = [None] * len(solves)
-    pending = {i: next(solve) for i, solve in enumerate(solves)}
-    while pending:
-        batch = list(pending.items())
-        outs = _trace_legs(m, [g for _, gammas in batch for g in gammas],
-                           [modes[i] for i, gammas in batch for _ in gammas],
-                           ctrl)
-        pos = 0
-        for i, gammas in batch:
-            chunk = outs[pos:pos + len(gammas)]
-            pos += len(gammas)
-            try:
-                pending[i] = solves[i].send(chunk)
-            except StopIteration as stop:
-                results[i] = stop.value
-                del pending[i]
-    return results
+    run = _lockstep([_distance_solve(m, **job) for job in jobs])
+    outs = None
+    while True:
+        try:
+            batch = run.send(outs)
+        except StopIteration as stop:
+            return stop.value
+        outs = _trace_legs(m, [gamma for gamma, _ in batch],
+                           [mode for _, mode in batch], ctrl)
 
 
 def boundary_distance(m, mode, x_from, y_to, tau=1.0, n_starts=64,
@@ -804,14 +769,13 @@ def boundary_distance(m, mode, x_from, y_to, tau=1.0, n_starts=64,
     costs one round of legs instead of two.  The descents run in lockstep:
     each round traces the pending legs of every live descent together, so
     a cold solve takes one round for the start scan plus the rounds of its
-    longest descent.  Adoption is replayed in start order: once all earlier
-    descents have ended, a descent whose iterate heads for one of their
-    converged shots ends on that shot at that iterate, as it would in a
-    sequential solve.  ``n_legs`` and ``failed_legs`` count only the legs
-    the solve reads: the starts, the trials, and the Jacobian columns of
-    each iteration, up to where each descent ends.  Columns traced with a
-    leg that ends its descent, and legs an adopting descent traced past
-    its adoption, are never read and count in neither.
+    longest descent.  A descent whose Gauss-Newton iterate lands within
+    ``_SHOOT_SAME_RAY`` of a shot another descent has converged to by then,
+    in this round or an earlier one, ends on that shot.  ``n_legs`` and
+    ``failed_legs`` count every leg the solve reads: the starts, the
+    trials, and the Jacobian columns of each iteration, those an adopting
+    descent read before it adopted included.  Columns traced with a leg
+    that ends its descent are never read and count in neither.
 
     ``warm_start`` takes a known-good tangential parameter pair and replaces
     the start scan with that single start; the returned entry covector

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .engine import Hamilton
 from .errors import (DegenerateDirectionError, NotOnBoundaryError,
                      OutOfDomainError)
 
@@ -77,28 +78,15 @@ def metric_inv_grad(m, mode, x, xi):
     """Value of the dual metric plus its gradients in x and in xi.
 
     Real covectors only; ``x`` must lie in the closed domain.  Returns
-    (value, d/dx, d/dxi).
+    (value, d/dx, d/dxi).  A batch of one of the fused ``engine.Hamilton``
+    kernel, whose field is (-d/dxi, d/dx).
     """
     _check_mode(mode)
     _require_in_domain(m, x)
-    x = np.asarray(x, dtype=np.float64)
-    xi = np.asarray(xi, dtype=np.float64)
-    if mode == "S":
-        a, da = m.mu.value_and_gradient(x)
-    else:
-        lam, dlam = m.lam.value_and_gradient(x)
-        mu, dmu = m.mu.value_and_gradient(x)
-        a, da = lam + 2.0 * mu, dlam + 2.0 * dmu
-    rho, drho = m.rho.value_and_gradient(x)
-    r = m.stress.matrix(x)
-    dr = m.stress.derivative(x)
-    rxi = r @ xi
-    num = a * (xi @ xi) + xi @ rxi
-    val = num / rho
-    dnum_dx = da * (xi @ xi) + np.einsum("ijk,i,j->k", dr, xi, xi)
-    dval_dx = (dnum_dx - val * drho) / rho
-    dval_dxi = 2.0 * (a * xi + rxi) / rho
-    return val, dval_dx, dval_dxi
+    y = np.concatenate([np.asarray(x, dtype=np.float64),
+                        np.asarray(xi, dtype=np.float64)])[None]
+    f, g = Hamilton(m, np.array([mode == "P"]))(y)
+    return g[0], f[0, 3:], -f[0, :3]
 
 
 def principal_symbol(m, x, tau, xi):

@@ -166,7 +166,7 @@ def test_ball_normal_and_projection():
 
 def test_ellipsoid_normal():
     dom = er.Domain(kind="ellipsoid", semi_axes=(1.0, 0.8, 0.6))
-    p = dom.boundary_point(np.array([0.2, 0.7, -0.3]))
+    p = dom.radial_project(np.array([0.2, 0.7, -0.3]))
     assert dom.on_boundary(p)
     nu = dom.normal(p)
     assert np.linalg.norm(nu) == pytest.approx(1.0, abs=1e-14)
@@ -175,7 +175,7 @@ def test_ellipsoid_normal():
 
 def test_tangent_basis_orthonormal():
     dom = er.Domain()
-    p = dom.boundary_point(np.array([0.1, 0.9, 0.2]))
+    p = dom.radial_project(np.array([0.1, 0.9, 0.2]))
     t1, t2 = dom.tangent_basis(p)
     nu = dom.normal(p)
     for t in (t1, t2):

@@ -352,8 +352,11 @@ def test_boundary_distance_coinciding_endpoints(constant_medium):
         er.boundary_distance(constant_medium, "S", SOUTH, SOUTH)
 
 
-def test_boundary_distance_not_connected_report(constant_medium):
-    # an unreachable miss tolerance must be reported, not raised
+def test_boundary_distance_not_connected_report(constant_medium,
+                                                monkeypatch):
+    # a miss above tolerance must be reported, not raised; with no
+    # Gauss-Newton iteration the report is the start scan's best miss
+    monkeypatch.setattr(rays, "_SHOOT_MAX_ITER", 0)
     y = np.array([1.0, 0.0, 0.0])
     res = er.boundary_distance(constant_medium, "S", SOUTH, y, n_starts=4,
                                n_refine=1, miss_tol=1e-18)
@@ -701,10 +704,29 @@ def test_dense_output_spans_the_step(bump_medium):
                         part[:, :3], rtol=0.0, atol=1e-11)
 
 
+def _ref_metric_inv_grad(m, mode, x, xi):
+    # frozen scalar value and gradients of the dual metric, as
+    # ``metric_inv_grad`` computed them before it became a view of the
+    # fused kernel
+    if mode == "S":
+        a, da = m.mu.value_and_gradient(x)
+    else:
+        lam, dlam = m.lam.value_and_gradient(x)
+        mu, dmu = m.mu.value_and_gradient(x)
+        a, da = lam + 2.0 * mu, dlam + 2.0 * dmu
+    rho, drho = m.rho.value_and_gradient(x)
+    r = m.stress.matrix(x)
+    dr = m.stress.derivative(x)
+    rxi = r @ xi
+    val = (a * (xi @ xi) + xi @ rxi) / rho
+    dnum_dx = da * (xi @ xi) + np.einsum("ijk,i,j->k", dr, xi, xi)
+    return val, (dnum_dx - val * drho) / rho, 2.0 * (a * xi + rxi) / rho
+
+
 @pytest.mark.parametrize("name", MEDIA)
 def test_kernel_matches_metric_gradient(name, request):
-    # the fused kernel, S and P rows mixed, against the symbol layer's
-    # value and gradients of the dual metric
+    # the fused kernel, S and P rows mixed, against the scalar value and
+    # gradients of the dual metric; ``metric_inv_grad`` is a row of it
     m = request.getfixturevalue(name)
     rng = np.random.default_rng(67)
     x = m.domain.sample_interior(12, rng)
@@ -713,10 +735,14 @@ def test_kernel_matches_metric_gradient(name, request):
     f, g = Hamilton(m, np.array([md == "P" for md in modes]))(
         np.hstack([x, xi]))
     for i, mode in enumerate(modes):
-        val, d_x, d_xi = er.metric_inv_grad(m, mode, x[i], xi[i])
+        val, d_x, d_xi = _ref_metric_inv_grad(m, mode, x[i], xi[i])
         assert g[i] == pytest.approx(val, rel=1e-13)
         assert_allclose(f[i, :3], -d_xi, rtol=1e-13, atol=1e-13)
         assert_allclose(f[i, 3:], d_x, rtol=1e-12, atol=1e-13)
+        val, d_x, d_xi = er.metric_inv_grad(m, mode, x[i], xi[i])
+        assert val == g[i]
+        assert np.array_equal(d_x, f[i, 3:])
+        assert np.array_equal(d_xi, -f[i, :3])
 
 
 @pytest.mark.parametrize("name", MEDIA)
