@@ -566,17 +566,10 @@ def dn_symbol(m, gamma):
     xi_s = roots.s.xi_forward
     xi_p = roots.p.xi_forward
 
+    # a = (a.xi_S / xi_S.xi_P) xi_P + w with w.xi_S = 0, as a rank-one update
     s_s = traction_symbol(m, gamma.x, xi_s)
     s_p = traction_symbol(m, gamma.x, xi_p)
-    sp_xip = s_p @ xi_p
-    cols = []
-    for j in range(3):
-        e = np.zeros(3, dtype=complex)
-        e[j] = 1.0
-        alpha = adot(xi_s, e) / roots.xi_dot
-        w = e - alpha * xi_p
-        cols.append(alpha * sp_xip + s_s @ w)
-    route_e = np.stack(cols, axis=-1)
+    route_e = s_s + np.outer((s_p - s_s) @ xi_p, xi_s) / roots.xi_dot
 
     s_t = traction_symbol(m, gamma.x, gamma.xi_t).astype(complex)
     s_nu = traction_normal_derivative(m, gamma.x).astype(complex)

@@ -516,6 +516,8 @@ def build_parser():
         "--grid": {"type": _at_least(5), "default": 21},
     }
     fan = "--seed --fan-n --delta "
+    # an empty fan or probe set leaves these reports nothing to check
+    nonempty = {"type": _at_least(1)}
     # (name, help, the flags its handler reads, per-command spec changes)
     commands = [
         ("validate", "check class membership on a grid", "--grid", {}),
@@ -523,9 +525,11 @@ def build_parser():
         # roots builds its structured rows from the fan's first covector
         ("roots", "characteristic roots and Lopatinski margin",
          fan + "--csv --samples",
-         {"--fan-n": {"type": _at_least(1)}, "--samples": {"default": 20000}}),
-        ("dn", "DN principal symbol, dual-route checked", fan + "--tol", {}),
-        ("frame", "polarization frame, projectors, muting", fan + "--tol", {}),
+         {"--fan-n": nonempty, "--samples": {"default": 20000}}),
+        ("dn", "DN principal symbol, dual-route checked", fan + "--tol",
+         {"--fan-n": nonempty}),
+        ("frame", "polarization frame, projectors, muting", fan + "--tol",
+         {"--fan-n": nonempty}),
         ("trace", "trace one leg (or broken transport with --depth)",
          "--seed --tau --depth --tmax --mode --csv", {}),
         ("lensmap", "lens map table over a probe fan",
@@ -533,7 +537,8 @@ def build_parser():
         ("distance", "boundary distance matrix",
          "--seed --tau --points --starts", {}),
         ("recover", "lens-map recovery from single-mode event streams",
-         "--seed --tau --depth --tol --probes", {"--depth": {"default": 1}}),
+         "--seed --tau --depth --tol --probes",
+         {"--depth": {"default": 1}, "--probes": nonempty}),
         ("selftest", "condensed invariant suite on this medium",
          "--seed --samples", {}),
     ]

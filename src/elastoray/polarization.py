@@ -118,9 +118,7 @@ def polarization_frame(m, gamma):
     col = 0
     for tag in order:
         rank = bases[tag].shape[1]
-        sel = np.zeros((6, 6), dtype=complex)
-        sel[col:col + rank, col:col + rank] = np.eye(rank)
-        projectors[tag] = v @ sel @ v_inv
+        projectors[tag] = v[:, col:col + rank] @ v_inv[col:col + rank]
         col += rank
 
     return PolarizationFrame(gamma=gamma, kind=kind, e=e, bases=bases,

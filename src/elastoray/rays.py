@@ -11,12 +11,13 @@ with its own step size, time cap and acceptance test (the local error
 estimate plus an on-shell drift monitor).  A ray that fails leaves the
 batch without disturbing the others, and a ray traces bitwise alike alone
 or in any batch.  A boundary exit is found by an Illinois-modified regula
-falsi on the crossing step's 7th-order dense output, then polished by
-secant-placed exact substeps from the step's start to the boundary
-tolerance.  Lens-map fans, each level of a broken transport, the recovery
-experiment and each round of lockstep distance solves are each traced as one
-batch, and launched with one batched root evaluation; ``launch_state``,
-``trace_state``, ``trace_leg`` and ``boundary_distance`` are batches of one.
+falsi on the crossing step's 7th-order dense output, then reached by one
+exact substep from the step's start and one first-order move along the
+flow onto the boundary.  Lens-map fans, each level of a broken transport,
+the recovery experiment and each round of lockstep distance solves are each
+traced as one batch, and launched with one batched root evaluation;
+``launch_state``, ``trace_state``, ``trace_leg`` and ``boundary_distance``
+are batches of one.
 
 Distance solves, and the refine descents within each solve, are generators
 of traced rounds run by one lockstep driver.  A descent ends on a shot that

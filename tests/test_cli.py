@@ -112,6 +112,9 @@ def test_non_object_medium_blocks_are_config_errors(doc, tmp_path):
     ["distance", "--starts", "-1"], ["recover", "--probes", "-1"],
     ["roots", "--samples", "-1"], ["validate", "--grid", "-1"],
     ["classify", "--fan-n", "three"],
+    # an empty probe set or fan leaves nothing to report on
+    ["recover", "--probes", "0"], ["dn", "--fan-n", "0"],
+    ["frame", "--fan-n", "0"],
 ], ids=" ".join)
 def test_unusable_counts_are_config_errors(args, media_dir, tmp_path):
     # counts are checked in the parser: exit 2 with one error line, no

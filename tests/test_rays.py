@@ -155,6 +155,35 @@ def test_legs_match_tight_tolerance_legs(name, media_dir):
         assert np.abs(a.gamma_out.x - b.gamma_out.x).max() <= 5e-11
 
 
+def test_near_grazing_exits_land_on_the_boundary(media_dir):
+    # launches just inside each mode's hyperbolic radius leave along short,
+    # curved chords: the exit move puts every one on the boundary to
+    # rounding, and still within 5e-11 of a far tighter step control
+    m = er.load_medium(media_dir / "gaussian_bump.json")
+    gammas, modes = [], []
+    for g in chord_fan(m, 8, seed=5):
+        u = g.xi_t / np.linalg.norm(g.xi_t)
+        for mode in "SP":
+            r = rays._hyperbolic_radius(m, mode, g.x, g.nu, u, g.tau)
+            for frac in (0.99, 0.999, 0.9999, 0.99999):
+                gammas.append(er.BoundaryCovector(t=g.t, x=g.x, tau=g.tau,
+                                                  xi_t=frac * r * u, nu=g.nu))
+                modes.append(mode)
+    states = rays._launch_states(m, gammas, modes)
+    is_p = np.array([st.mode == "P" for st in states])
+    y0 = np.array([np.concatenate([st.x, st.xi]) for st in states])
+    tau = np.array([st.tau for st in states])
+    sgn = np.sign(tau)
+    legs, tight = (engine.march(m, is_p, y0, tau, sgn, sgn * np.inf, ctrl)
+                   for ctrl in (er.StepControl(),
+                                er.StepControl(rtol=1e-14, atol=1e-16)))
+    assert all(leg.status == "exited" for leg in legs + tight)
+    for a, b, t in zip(legs, tight, tau):
+        assert abs(m.domain.phi(a.y_exit[None, :3])[0]) <= 1e-15
+        assert abs(2.0 * t * (a.s_exit - b.s_exit)) <= 5e-11
+        assert np.abs(a.y_exit[:3] - b.y_exit[:3]).max() <= 5e-11
+
+
 def test_time_reversal(constant_medium, bump_medium):
     for m in (constant_medium, bump_medium):
         for g in chord_fan(m, 6, seed=43):
