@@ -11,9 +11,11 @@ distances.
 
 from .boundary import (BoundaryCovector, CharRoots, CompanionReport, DnSymbol,
                        LopatinskiReport, ModeRoots, QuadratureResult,
-                       RegionLabel, ResidueData, boundary_covector, char_roots,
-                       classify, companion_symbol_check, dn_symbol,
-                       lopatinski_margin, residue_matrices, residue_quadrature,
+                       RegionLabel, ResidueData, SymbolBatch, boundary_covector,
+                       char_roots, classify, companion_batch,
+                       companion_symbol_check, dn_batch, dn_symbol,
+                       lopatinski_margin, quadrature_batch, residue_batch,
+                       residue_matrices, residue_quadrature,
                        sample_boundary_covectors)
 from .errors import (ContourError, DegenerateDirectionError,
                      DegenerateMutingError, DistanceError, ElastorayError,
@@ -28,8 +30,9 @@ from .medium import (ClassParams, ClassReport, ConstantField, ConstantStress,
                      PotentialStress, check_class_membership, load_medium,
                      medium_digest, medium_from_dict, medium_to_dict,
                      save_medium, stress_from_potential)
-from .polarization import (PolarizationFrame, e_symbol, mute_symbol,
-                           muting_annihilation_check, polarization_frame)
+from .polarization import (PolarizationFrame, e_symbol, frame_batch,
+                           mute_symbol, muting_annihilation_check,
+                           muting_residuals, polarization_frame)
 from .rays import (DistanceResult, LensMapEntry, RayState, RecoveryRecord,
                    RecoveryReport, ReflectionResult, StepControl,
                    TransportResult, WFEvent, boundary_distance,

@@ -9,11 +9,19 @@ xi_t - z nu with z solving the quadratic
 where B is the dual mode metric as a bilinear form.  Real roots are classified
 forward/backward by the sign of tau * B(xi_t - z nu, nu); complex roots come
 in conjugate pairs and the one with positive imaginary part is selected.
+
+Residue matrices, contour quadrature, DN symbol and companion check run on
+one batched kernel: x, nu, xi_t of shape (n, 3) and tau of shape (n,) give
+a SymbolBatch of (n, ...) values, read from one ``root_table`` call and one
+evaluation of the fields, with one exception per failed row, of the class
+and message the scalar function raises.  A row comes out bitwise alike
+alone or in any batch, and the scalar functions are batches of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -21,14 +29,16 @@ from .errors import (ContourError, DegenerateDirectionError,
                      FrameDegenerateError, GlancingError, LopatinskiError,
                      NotOnBoundaryError, SingularResidueError)
 from .medium import check_class_membership
-from .symbols import (MODES, _mode_coeff, _mode_form, adot,
-                      principal_symbol_matrix, traction_normal_derivative,
-                      traction_symbol)
+# traction_symbol stays importable from this module
+from .symbols import (MODES, _apply, _fields, _mat, _mode_coeff,  # noqa: F401
+                      _mode_form, _off_boundary, _outer, _symbol_matrix,
+                      _traction, adot, traction_symbol)
 
 __all__ = [
     "BoundaryCovector",
     "boundary_covector",
     "e_symbol",
+    "tangential_frequency",
     "RegionLabel",
     "classify",
     "ModeRoots",
@@ -42,13 +52,18 @@ __all__ = [
     "LopatinskiReport",
     "lopatinski_margin",
     "sample_boundary_covectors",
+    "SymbolBatch",
     "ResidueData",
+    "residue_batch",
     "residue_matrices",
     "QuadratureResult",
+    "quadrature_batch",
     "residue_quadrature",
     "DnSymbol",
+    "dn_batch",
     "dn_symbol",
     "CompanionReport",
+    "companion_batch",
     "companion_symbol_check",
 ]
 
@@ -91,9 +106,15 @@ class BoundaryCovector:
         return abs(self.tau) >= delta * self.xi_t_norm
 
 
+def tangential_frequency(tau, xi_t):
+    """e = sqrt(tau^2 + |xi_t|^2) over leading axes of tau and xi_t."""
+    return np.sqrt(tau * tau + adot(xi_t, xi_t))
+
+
 def e_symbol(gamma):
-    """Tangential frequency weight e(gamma) = sqrt(tau^2 + |xi_t|^2)."""
-    return float(np.sqrt(gamma.tau ** 2 + np.dot(gamma.xi_t, gamma.xi_t)))
+    """Tangential frequency weight e(gamma) = sqrt(tau^2 + |xi_t|^2), a
+    batch of one of ``tangential_frequency``."""
+    return float(tangential_frequency(gamma.tau, gamma.xi_t))
 
 
 def boundary_covector(m, t, x, tau, xi):
@@ -123,9 +144,12 @@ def mode_quadratics(m, x, nu, xi_t, tau):
     returned scale2 is homogeneous of the same degree as the discriminant
     Bh^2 - A C and never vanishes for valid covectors.
     """
-    a = np.array([_mode_coeff(m, mode, x) for mode in MODES])
-    rho = m.rho(x)
-    r = m.stress.matrix(x)
+    return _quadratics(_fields(m, x), nu, xi_t, tau)
+
+
+def _quadratics(fields, nu, xi_t, tau):
+    lam, mu, rho, r = fields
+    a = np.array([mu, lam + 2.0 * mu])
     big_a = _mode_form(a, r, rho, nu, nu)
     bh = _mode_form(a, r, rho, xi_t, nu)
     bxx = _mode_form(a, r, rho, xi_t, xi_t)
@@ -174,6 +198,11 @@ class RootTable:
     big_a: np.ndarray
     bh: np.ndarray
 
+    @property
+    def margin(self):
+        """min over modes of |Bh^2 - A C| / scale2; zero exactly at glancing."""
+        return np.min(np.abs(self.d4) / self.scale2, axis=0)
+
     def glancing_error(self, k, *i):
         """The GlancingError of mode k (at covector i of a batch)."""
         return GlancingError(f"mode {MODES[k]} is glancing at this covector",
@@ -184,7 +213,11 @@ def root_table(m, x, nu, xi_t, tau, glancing_tol=GLANCING_TOL):
     """RootTable at covectors batched over leading axes, from one
     ``mode_quadratics`` and one ``forward_roots`` call.  A mode is glancing
     where |Bh^2 - A C| < glancing_tol * scale2."""
-    big_a, bh, c, scale2 = mode_quadratics(m, x, nu, xi_t, tau)
+    return _root_table(mode_quadratics(m, x, nu, xi_t, tau), tau, glancing_tol)
+
+
+def _root_table(quadratics, tau, glancing_tol=GLANCING_TOL):
+    big_a, bh, c, scale2 = quadratics
     z_fwd, z_bwd, real, d4 = forward_roots(big_a, bh, c, tau)
     return RootTable(z_forward=z_fwd, z_backward=z_bwd, real=real,
                      glancing=np.abs(d4) < glancing_tol * scale2, d4=d4,
@@ -296,37 +329,7 @@ def discriminant_margin(m, gamma):
     form should require a floor on this margin (sqrt of it bounds the
     relative root gap).
     """
-    t = root_table(m, gamma.x, gamma.nu, gamma.xi_t, gamma.tau)
-    return float(np.min(np.abs(t.d4) / t.scale2))
-
-
-def char_roots(m, gamma):
-    """Characteristic roots, selected covectors, and the Lopatinski product.
-
-    Raises GlancingError when either mode is glancing.  The residual of the
-    scalar symbol at each returned root is at machine level by construction.
-    """
-    t = root_table(m, gamma.x, gamma.nu, gamma.xi_t, gamma.tau)
-    rho = float(m.rho(gamma.x))
-    modes = []
-    for k, mode in enumerate(MODES):
-        if t.glancing[k]:
-            raise t.glancing_error(k)
-        # real roots stay real scalars, so their covectors are real arrays
-        zs = [z.real.item() if t.real[k] else z.item()
-              for z in (t.z_forward[k], t.z_backward[k])]
-        c_z = [complex(2.0 * rho * (float(t.bh[k]) - float(t.big_a[k]) * z))
-               for z in zs]
-        xi_z = [root_covector(gamma.xi_t, z, gamma.nu) for z in zs]
-        modes.append(ModeRoots(mode, bool(t.real[k]), *map(complex, zs),
-                               *c_z, *xi_z, float(t.d4[k])))
-    s_roots, p_roots = modes
-    dot, product, null = normalized_product(s_roots.xi_forward,
-                                            p_roots.xi_forward)
-    if null:
-        raise SingularResidueError("analytically null selected covector")
-    return CharRoots(gamma=gamma, s=s_roots, p=p_roots, xi_dot=complex(dot),
-                     normalized_product=float(product))
+    return float(root_table(m, gamma.x, gamma.nu, gamma.xi_t, gamma.tau).margin)
 
 
 # ---------------------------------------------------------------------------
@@ -440,15 +443,134 @@ def lopatinski_margin(m, params=None, sample_count=10000, seed=0,
 
 
 # ---------------------------------------------------------------------------
-# residue matrices
+# the batched kernel: one root table, per-row errors
 # ---------------------------------------------------------------------------
 
-def _analytic_projector(xi):
-    xx = adot(xi, xi)
-    if abs(xx) < 1e-14 * np.sum(np.abs(xi) ** 2):
-        raise SingularResidueError("xi . xi = 0: analytic projector undefined")
-    return np.outer(xi, xi) / xx
+class SymbolBatch:
+    """Boundary covectors on a leading axis of n rows, with both modes'
+    roots z, root derivatives c = 2 rho (Bh - A z) and covectors xi_t - z nu
+    (complex, on leading forward / backward and S / P axes) from one
+    ``root_table`` call, and one kernel's ``values``: arrays of n rows, NaN
+    (zero in flags and counts) at a failed row, none if every row failed.
+    ``errors[i]`` is the ElastorayError the scalar function raises at row
+    i, or None; ``ok`` marks the rows without.  A failed row computes on,
+    masked and kept out of np.linalg, so a row comes out bitwise alike
+    alone or in any batch.
+    """
 
+    def __init__(self, m, x, nu, xi_t, tau):
+        self.m, self.x, self.nu, self.xi_t, self.tau = m, x, nu, xi_t, tau
+        self.fields = _fields(m, x)
+        t = self.table = _root_table(_quadratics(self.fields, nu, xi_t, tau),
+                                     tau)
+        self.z = np.array([t.z_forward, t.z_backward])
+        with np.errstate(all="ignore"):     # inadmissible rows give inf, nan
+            self.xi = root_covector(xi_t, self.z[..., None], nu)
+            self.xi_dot, self.product, null = normalized_product(*self.xi[0])
+        self.errors, self.ok = [None] * len(tau), np.ones(len(tau), bool)
+        self.values = {}
+        if (t.glancing[0] | t.glancing[1] | null).any():
+            self.fail(*((t.glancing[k], partial(t.glancing_error, k))
+                        for k in range(2)),
+                      (null, lambda i: SingularResidueError(
+                          "analytically null selected covector")))
+
+    @cached_property
+    def c(self):
+        with np.errstate(all="ignore"):
+            return 2.0 * self.fields[2] * (self.table.bh
+                                           - self.table.big_a * self.z)
+
+    def fail(self, *checks, first=False):
+        """Give each row still ok the error of its first failing check (a
+        mask over the batch and the factory of row i's error); ``first``
+        overrides earlier errors.  Returns whether any row is left."""
+        for fails, make in checks:
+            if fails.any():
+                for i in np.flatnonzero(fails if first else fails & self.ok):
+                    self.errors[i] = make(i)
+                self.ok &= ~fails
+        return self.ok.any()
+
+    def masked(self, a, fill):
+        """``a`` with the failed rows replaced by ``fill``."""
+        if self.ok.all():
+            return a
+        return np.where(self.ok.reshape((-1,) + (1,) * (a.ndim - 1)), a, fill)
+
+    def traction(self, xi):
+        """traction_symbol at xi of shape (k, n, 3); rows off the boundary
+        fail."""
+        off = _off_boundary(self.m, self.x, "traction symbol")
+        if off:
+            self.fail((np.isin(np.arange(len(self.ok)), list(off)), off.get))
+        lam, mu, _, r = self.fields
+        return _traction(self.m.domain.normal(self.x), lam, mu, r, xi)
+
+    def row(self, i):
+        """{name: value} at row i; raises the row's error if it failed."""
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        return {name: a[i] for name, a in self.values.items()}
+
+    def char_roots(self, i, gamma):
+        """CharRoots of row i; real roots have real covectors."""
+        real, z, c = (a[..., i].tolist() for a in (self.table.real, self.z,
+                                                   self.c))
+        s, p = (ModeRoots(mode, real[k], *(complex(v[k].real if real[k]
+                                                   else v[k]) for v in z),
+                          c[0][k], c[1][k], *(v.real if real[k] else v
+                                              for v in self.xi[:, k, i]),
+                          float(self.table.d4[k, i]))
+                for k, mode in enumerate(MODES))
+        return CharRoots(gamma=gamma, s=s, p=p, xi_dot=complex(self.xi_dot[i]),
+                         normalized_product=float(self.product[i]))
+
+
+def _batched(kernel, m, x, nu, xi_t, tau, *args):
+    """SymbolBatch of ``kernel`` at x, nu, xi_t of shape (n, 3), tau (n,)."""
+    b = SymbolBatch(m, *(np.asarray(a, dtype=np.float64)
+                         for a in (x, nu, xi_t, tau)))
+    b.values = {name: b.masked(a, np.nan if a.dtype.kind in "fc"
+                               else a.dtype.type(0))
+                for name, a in kernel(b, *args).items()}
+    return b
+
+
+def _one(gamma):
+    return gamma.x[None], gamma.nu[None], gamma.xi_t[None], np.array(
+        [gamma.tau])
+
+
+def char_roots(m, gamma):
+    """Characteristic roots, selected covectors, and the Lopatinski product.
+
+    Raises GlancingError when either mode is glancing.  The residual of the
+    scalar symbol at each returned root is at machine level by construction.
+    """
+    b = SymbolBatch(m, *_one(gamma))
+    b.row(0)
+    return b.char_roots(0, gamma)
+
+
+def _fro(a):
+    """Frobenius norms of a stack of matrices."""
+    return np.sqrt(np.sum((a * a.conj()).real, axis=(-2, -1)))
+
+
+def _inv3(p):
+    """Inverses of a stack of 3x3 matrices, by their cofactors."""
+    (a, b, c), (d, e, f), (g, h, i) = np.moveaxis(p, (-2, -1), (0, 1))
+    adj = np.array([[e * i - f * h, c * h - b * i, b * f - c * e],
+                    [f * g - d * i, a * i - c * g, c * d - a * f],
+                    [d * h - e * g, b * g - a * h, a * e - b * d]])
+    det = a * adj[0, 0] + b * adj[1, 0] + c * adj[2, 0]
+    return np.moveaxis(adj / det, (0, 1), (-2, -1))
+
+
+# ---------------------------------------------------------------------------
+# residue matrices
+# ---------------------------------------------------------------------------
 
 @dataclass
 class ResidueData:
@@ -466,23 +588,42 @@ class ResidueData:
     roots: CharRoots
 
 
+@np.errstate(all="ignore")
+def _residues(b):
+    (z_s, z_p), (c_s, c_p), xi = b.z[0], b.c[0], b.xi[0]
+    n2 = np.sum(np.abs(xi) ** 2, axis=-1)
+    xx = adot(xi, xi)
+    if not b.fail(
+            (np.abs(z_s - z_p) < 1e-12 * np.maximum(
+                np.maximum(np.abs(z_s), np.abs(z_p)), 1e-30),
+             lambda i: SingularResidueError("coinciding S and P roots")),
+            (np.abs(b.xi_dot) < 1e-12 * np.maximum(*n2), lambda i:
+             SingularResidueError("xi_S . xi_P = 0: Lopatinski degeneracy")),
+            (np.any(np.abs(xx) < 1e-14 * n2, axis=0), lambda i:
+             SingularResidueError("xi . xi = 0: analytic projector undefined"))):
+        return {}
+    pi_s, pi_p = _outer(xi, xi) / _mat(xx)
+    q_s, q_p = (np.eye(3) - pi_s) / _mat(c_s), pi_p / _mat(c_p)
+    a0 = q_s + q_p
+    a0_ok = b.masked(a0, np.eye(3))
+    sv = np.linalg.svd(a0_ok, compute_uv=False)
+    return {"a0": a0, "a1": _mat(z_s) * q_s + _mat(z_p) * q_p,
+            "a0_inv": np.linalg.inv(a0_ok), "cond_a0": sv[:, 0] / sv[:, -1],
+            "z": b.z[0].T, "xi": xi.swapaxes(0, 1)}
+
+
+def residue_batch(m, x, nu, xi_t, tau):
+    """``residue_matrices`` as a SymbolBatch: a0, a1, a0_inv, cond_a0, and
+    the selected roots z (n, 2) and covectors xi (n, 2, 3), S then P."""
+    return _batched(_residues, m, x, nu, xi_t, tau)
+
+
 def residue_matrices(m, gamma):
-    roots = char_roots(m, gamma)
-    z_s, z_p = roots.s.z_forward, roots.p.z_forward
-    scale = max(abs(z_s), abs(z_p), 1e-30)
-    if abs(z_s - z_p) < 1e-12 * scale:
-        raise SingularResidueError("coinciding S and P roots")
-    if abs(roots.xi_dot) < 1e-12 * max(np.linalg.norm(roots.s.xi_forward) ** 2,
-                                       np.linalg.norm(roots.p.xi_forward) ** 2):
-        raise SingularResidueError("xi_S . xi_P = 0: Lopatinski degeneracy")
-    pi_s = _analytic_projector(roots.s.xi_forward)
-    pi_p = _analytic_projector(roots.p.xi_forward)
-    eye = np.eye(3, dtype=complex)
-    a0 = (eye - pi_s) / roots.s.c_forward + pi_p / roots.p.c_forward
-    a1 = z_s * (eye - pi_s) / roots.s.c_forward + z_p * pi_p / roots.p.c_forward
-    a0_inv = np.linalg.inv(a0)
-    return ResidueData(a0=a0, a1=a1, a0_inv=a0_inv,
-                       cond_a0=float(np.linalg.cond(a0)), roots=roots)
+    b = _batched(_residues, m, *_one(gamma))
+    v = b.row(0)
+    return ResidueData(a0=v["a0"], a1=v["a1"], a0_inv=v["a0_inv"],
+                       cond_a0=float(v["cond_a0"]),
+                       roots=b.char_roots(0, gamma))
 
 
 @dataclass
@@ -495,49 +636,71 @@ class QuadratureResult:
     windings: dict
 
 
+# the roots' winding numbers about the contour, in the order they are checked
+WINDINGS = (("S_forward", 1.0), ("P_forward", 1.0), ("S_backward", 0.0),
+            ("P_backward", 0.0))
+
+
+@lru_cache
+def _ring(nodes):
+    """The trapezoidal nodes exp(2 pi i k / nodes) on the unit circle."""
+    ring = np.exp(1j * (2.0 * np.pi * np.arange(nodes) / nodes))
+    ring.setflags(write=False)
+    return ring
+
+
+@np.errstate(all="ignore")
+def _quadrature(b, nodes):
+    roots = b.z.reshape(4, -1).T        # S, P forward, then S, P backward
+    center = 0.5 * (roots[:, 0] + roots[:, 1])
+    dist = np.abs(roots - center[:, None])
+    rmax, d_min = dist[:, :2].max(axis=-1), dist[:, 2:].min(axis=-1)
+    if not b.fail((d_min <= rmax * (1.0 + 1e-9), lambda i: ContourError(
+            "rejected root inside the minimal enclosing circle"))):
+        return {}
+    # geometric mean balances the inner and outer trapezoid decay rates
+    radius = np.where(rmax == 0.0, 0.5 * d_min, np.sqrt(rmax * d_min))
+
+    ring = _ring(nodes)
+    z = center[:, None] + radius[:, None] * ring
+    xi = b.xi_t[:, None, :] - z[..., None] * b.nu[:, None, :]
+    p = _symbol_matrix([f[:, None] for f in b.fields], b.tau[:, None], xi)
+    p_inv = _inv3(p).reshape(-1, nodes, 9)
+
+    weight = (radius / nodes)[:, None] * ring
+    a0, a1 = (np.concatenate([weight, weight * z], axis=-1).reshape(
+        -1, 2, nodes) @ p_inv).swapaxes(0, 1).reshape(2, -1, 3, 3)
+    windings = (weight[:, None] / (z[:, None] - roots[..., None])).sum(-1)
+    off = np.abs(windings - [expect for _, expect in WINDINGS]) > 1e-2
+    b.fail(*((off[:, j], lambda i, j=j, label=label, expect=expect:
+              ContourError(f"winding number of {label} root is "
+                           f"{complex(windings[i, j]):.3f}, expected {expect}"))
+             for j, (label, expect) in enumerate(WINDINGS)))
+    return {"a0": a0, "a1": a1, "center": center, "radius": radius,
+            "windings": windings}
+
+
+def quadrature_batch(m, x, nu, xi_t, tau, nodes=256):
+    """``residue_quadrature`` as a SymbolBatch: a0, a1, center, radius, and
+    the windings (n, 4) in the order of WINDINGS."""
+    return _batched(_quadrature, m, x, nu, xi_t, tau, nodes)
+
+
 def residue_quadrature(m, gamma, nodes=256):
     """Contour-integral evaluation of the residue matrices.
 
     Trapezoidal rule on a circle enclosing exactly the selected roots; the
-    matrix inverse of the expanded-form principal symbol is taken numerically
-    at each node, independent of the closed-form route.  Winding numbers of
+    expanded-form principal symbol is inverted numerically at each node, by
+    its cofactors, independent of the closed-form route.  Winding numbers of
     all four roots are evaluated from the same quadrature and must certify
     the selection, otherwise ContourError is raised.
     """
-    roots = char_roots(m, gamma)
-    z_s, z_p = roots.s.z_forward, roots.p.z_forward
-    rejected = [roots.s.z_backward, roots.p.z_backward]
-    center = 0.5 * (z_s + z_p)
-    rmax = max(abs(z_s - center), abs(z_p - center))
-    d_min = min(abs(z - center) for z in rejected)
-    if d_min <= rmax * (1.0 + 1e-9):
-        raise ContourError("rejected root inside the minimal enclosing circle")
-    # geometric mean balances the inner and outer trapezoid decay rates
-    radius = 0.5 * d_min if rmax == 0.0 else np.sqrt(rmax * d_min)
-
-    theta = 2.0 * np.pi * np.arange(nodes) / nodes
-    ring = np.exp(1j * theta)
-    z = center + radius * ring
-
-    xi = gamma.xi_t[None, :].astype(complex) - z[:, None] * gamma.nu[None, :]
-    p_inv = np.linalg.inv(principal_symbol_matrix(m, gamma.x, gamma.tau, xi))
-
-    weight = (radius / nodes) * ring
-    a0 = np.einsum("n,nij->ij", weight, p_inv)
-    a1 = np.einsum("n,n,nij->ij", weight, z, p_inv)
-
-    windings = {}
-    for label, root, expect in (("S_forward", z_s, 1.0), ("P_forward", z_p, 1.0),
-                                ("S_backward", rejected[0], 0.0),
-                                ("P_backward", rejected[1], 0.0)):
-        w = np.sum(weight / (z - root))
-        windings[label] = complex(w)
-        if abs(w - expect) > 1e-2:
-            raise ContourError(
-                f"winding number of {label} root is {w:.3f}, expected {expect}")
-    return QuadratureResult(a0=a0, a1=a1, center=complex(center),
-                            radius=float(radius), nodes=nodes,
-                            windings=windings)
+    v = _batched(_quadrature, m, *_one(gamma), nodes).row(0)
+    return QuadratureResult(
+        a0=v["a0"], a1=v["a1"], center=complex(v["center"]),
+        radius=float(v["radius"]), nodes=nodes,
+        windings={label: complex(w)
+                  for (label, _), w in zip(WINDINGS, v["windings"])})
 
 
 # ---------------------------------------------------------------------------
@@ -560,46 +723,38 @@ class DnSymbol:
     roots: CharRoots
 
 
-def dn_symbol(m, gamma):
-    residue = residue_matrices(m, gamma)
-    roots = residue.roots
-    xi_s = roots.s.xi_forward
-    xi_p = roots.p.xi_forward
-
+@np.errstate(all="ignore")
+def _dn(b):
+    res = _residues(b)
+    if not res:
+        return {}
+    # the derivative of s(x, xi) along the normal coordinate is s(x, nu)
+    s_s, s_p, s_t, s_nu = b.traction(np.array([*b.xi[0], b.xi_t, b.nu]))
+    xi_s, xi_p = b.xi[0]
     # a = (a.xi_S / xi_S.xi_P) xi_P + w with w.xi_S = 0, as a rank-one update
-    s_s = traction_symbol(m, gamma.x, xi_s)
-    s_p = traction_symbol(m, gamma.x, xi_p)
-    route_e = s_s + np.outer((s_p - s_s) @ xi_p, xi_s) / roots.xi_dot
+    route_e = s_s + _outer(_apply(s_p - s_s, xi_p), xi_s) / _mat(b.xi_dot)
+    route_r = s_t + NORMAL_DERIVATIVE_SIGN * s_nu @ (res["a1"] @ res["a0_inv"])
+    n_e, n_r, n_d = _fro(np.array([route_e, route_r, route_e - route_r]))
+    return {"matrix": route_e, "route_r": route_r,
+            "rel_residual": n_d / np.maximum(np.maximum(n_e, n_r), 1e-300)}
 
-    s_t = traction_symbol(m, gamma.x, gamma.xi_t).astype(complex)
-    s_nu = traction_normal_derivative(m, gamma.x).astype(complex)
-    u_prime = residue.a1 @ residue.a0_inv
-    route_r = s_t + NORMAL_DERIVATIVE_SIGN * s_nu @ u_prime
 
-    denom = max(np.linalg.norm(route_e), np.linalg.norm(route_r), 1e-300)
-    rel = float(np.linalg.norm(route_e - route_r) / denom)
-    return DnSymbol(matrix=route_e, route_r=route_r, rel_residual=rel,
-                    roots=roots)
+def dn_batch(m, x, nu, xi_t, tau):
+    """``dn_symbol`` as a SymbolBatch: matrix, route_r, rel_residual."""
+    return _batched(_dn, m, x, nu, xi_t, tau)
+
+
+def dn_symbol(m, gamma):
+    b = _batched(_dn, m, *_one(gamma))
+    v = b.row(0)
+    return DnSymbol(matrix=v["matrix"], route_r=v["route_r"],
+                    rel_residual=float(v["rel_residual"]),
+                    roots=b.char_roots(0, gamma))
 
 
 # ---------------------------------------------------------------------------
 # companion first-order reduction
 # ---------------------------------------------------------------------------
-
-def _kernel_basis(xi, mode):
-    """Orthonormal real basis of ker p at a real characteristic covector xi:
-    the line of xi for P, the plane {a : a . xi = 0} for S."""
-    if mode == "P":
-        return [xi / np.linalg.norm(xi)]
-    k = int(np.argmin(np.abs(xi)))
-    e = np.zeros(3)
-    e[k] = 1.0
-    v1 = np.cross(xi, e)
-    v1 /= np.linalg.norm(v1)
-    v2 = np.cross(xi, v1)
-    v2 /= np.linalg.norm(v2)
-    return [v1, v2]
-
 
 @dataclass
 class CompanionReport:
@@ -611,6 +766,83 @@ class CompanionReport:
     kernel_ok: bool
     kernel_dims: dict
     g: np.ndarray
+
+
+# the roots whose kernels are checked where they are real
+KERNEL_TAGS = ("S+", "S-", "P+", "P-")
+
+
+@np.errstate(all="ignore")
+def _companion(b, zeta):
+    eta = tangential_frequency(b.tau, b.xi_t)
+    if not b.fail((eta <= 0.0, lambda i: FrameDegenerateError(
+            "tangential frequency vanishes")), first=True):
+        return {}
+    n, e, eye, eye6 = len(eta), _mat(eta), np.eye(3), np.eye(6)
+
+    # p(z) at z = 0, 1, -1
+    p_0, p_plus, p_minus = _symbol_matrix(
+        b.fields, b.tau, b.xi_t - np.array([[[0.0]], [[1.0]], [[-1.0]]]) * b.nu)
+    p12 = np.linalg.solve(0.5 * (p_plus + p_minus) - p_0,
+                          np.concatenate([0.5 * (p_plus - p_minus), p_0], -1))
+    p1, p2 = p12[..., :3], p12[..., 3:]
+    g, gp = np.zeros((2, n, 6, 6))
+    g[:, :3, 3:], g[:, 3:, :3], g[:, 3:, 3:] = e * eye, -p2 / e, -p1
+    gp[:, :3, :3], gp[:, :3, 3:], gp[:, 3:, :3] = -p1, -e * eye, p2 / e
+
+    (zs_f, zp_f), (zs_b, zp_b) = b.z
+    roots = np.array([zs_f, zs_f, zs_b, zs_b, zp_f, zp_b]).T
+    # the residual is a maximum, so repeated probes are moot
+    z = _mat(np.concatenate([roots, 0.7 * eta[:, None]], axis=-1)
+             if zeta is None else np.full((n, 1), zeta, dtype=complex))
+    pn = z * z * eye + z * p1[:, None] + p2[:, None]
+    lhs = (z * eye6 - gp[:, None]) @ (z * eye6 - g[:, None])
+    lhs[..., :3, :3] -= pn
+    lhs[..., 3:, 3:] -= pn
+    # |diag(pn, pn)| = sqrt(2) |pn|
+    identity = np.max(_fro(lhs) / np.maximum(np.sqrt(2.0) * _fro(pn), 1.0),
+                      axis=-1)
+
+    # each root takes the nearest eigenvalue not taken before it
+    dist = np.abs(np.linalg.eigvals(b.masked(g, eye6))[:, None, :]
+                  - roots[..., None])
+    every, worst = np.arange(n), []
+    for d in dist.swapaxes(0, 1):
+        k = d.argmin(axis=-1)
+        worst.append(d[every, k])
+        dist[every, :, k] = np.inf
+
+    # over a real root z, ker (z - g) = {(eta a, z a) : p(z) a = 0} has the
+    # projector (w w^T) (x) Q, with w = (eta, z) / |(eta, z)| and Q the
+    # projector onto ker p(z): the plane xi^perp for S, the line of xi for P
+    rows, tags = np.nonzero(np.repeat(b.table.real.T, 2, axis=-1)
+                            & b.ok[:, None])
+    zr = np.concatenate(b.z.real.swapaxes(0, 1))[tags, rows]
+    xi = np.concatenate(b.xi.real.swapaxes(0, 1))[tags, rows]
+    q = _outer(xi, xi) / _mat(adot(xi, xi))
+    q[tags < 2] = eye - q[tags < 2]
+    w = np.stack([eta[rows], zr], axis=-1)
+    ww = _outer(w, w) / _mat(adot(w, w))
+    proj = (ww[:, :, None, :, None] * q[:, None, :, None, :]).reshape(-1, 6, 6)
+    _, sv, vh = np.linalg.svd(_mat(zr) * eye6 - g[rows])
+    null = sv < 1e-8 * sv[:, :1]
+    gap = _fro(proj - (vh.swapaxes(-1, -2) * null[:, None, :]) @ vh)
+    dims, fits = np.full((n, 4), -1), np.ones((n, 4), dtype=bool)
+    dims[rows, tags] = null.sum(axis=-1)
+    # ker p has rank 2 over an S root, 1 over a P root
+    fits[rows, tags] = ((dims[rows, tags] == np.array([2, 2, 1, 1])[tags])
+                        & ~(gap > 1e-8))
+    return {"eta_norm": eta, "identity_residual": identity,
+            "eigenvalue_error": np.max(worst, axis=0) / np.maximum(
+                1.0, np.max(np.abs(roots), axis=-1)),
+            "kernel_ok": fits.all(axis=-1), "kernel_dims": dims, "g": g}
+
+
+def companion_batch(m, x, nu, xi_t, tau, zeta=None):
+    """``companion_symbol_check`` as a SymbolBatch: eta_norm,
+    identity_residual, eigenvalue_error, kernel_ok, g, and kernel_dims
+    (n, 4) as in KERNEL_TAGS, -1 where that root is not real."""
+    return _batched(_companion, m, x, nu, xi_t, tau, zeta)
 
 
 def companion_symbol_check(m, gamma, zeta=None):
@@ -626,80 +858,13 @@ def companion_symbol_check(m, gamma, zeta=None):
     the characteristic roots with multiplicity (2, 2, 1, 1); over each real
     root the kernel of (z - g) is {(|eta| a, z a) : p(z) a = 0}.
     """
-    eta = e_symbol(gamma)
-    if eta <= 0.0:
-        raise FrameDegenerateError("tangential frequency vanishes")
-
-    # p(z) at z = 0, 1, -1
-    p_0, p_plus, p_minus = principal_symbol_matrix(
-        m, gamma.x, gamma.tau,
-        gamma.xi_t - np.array([[0.0], [1.0], [-1.0]]) * gamma.nu)
-    c0 = p_0
-    c1 = 0.5 * (p_plus - p_minus)
-    c2 = 0.5 * (p_plus + p_minus) - p_0
-    p1 = np.linalg.solve(c2, c1)
-    p2 = np.linalg.solve(c2, c0)
-
-    eye = np.eye(3)
-    zero = np.zeros((3, 3))
-    g = np.block([[zero, eta * eye], [-p2 / eta, -p1]])
-    gp = np.block([[-p1, -eta * eye], [p2 / eta, zero]])
-
-    roots = char_roots(m, gamma)
-    all_roots = [roots.s.z_forward, roots.s.z_forward,
-                 roots.s.z_backward, roots.s.z_backward,
-                 roots.p.z_forward, roots.p.z_backward]
-
-    # the residual is a maximum, so the order of the distinct roots is moot
-    probes = [zeta] if zeta is not None else [*set(all_roots), 0.7 * eta]
-    identity_residual = 0.0
-    eye6 = np.eye(6, dtype=complex)
-    for z in probes:
-        pn = (z * z * np.eye(3, dtype=complex) + z * p1.astype(complex)
-              + p2.astype(complex))
-        lhs = (z * eye6 - gp.astype(complex)) @ (z * eye6 - g.astype(complex))
-        rhs = np.block([[pn, np.zeros((3, 3))], [np.zeros((3, 3)), pn]])
-        scale = max(np.linalg.norm(rhs), 1.0)
-        identity_residual = max(identity_residual,
-                                float(np.linalg.norm(lhs - rhs) / scale))
-
-    eigs = np.linalg.eigvals(g)
-    remaining = list(eigs)
-    worst = 0.0
-    for z in all_roots:
-        k = int(np.argmin([abs(w - z) for w in remaining]))
-        worst = max(worst, abs(remaining.pop(k) - z))
-    eig_scale = max(1.0, max(abs(z) for z in all_roots))
-    eigenvalue_error = float(worst / eig_scale)
-
-    kernel_ok = True
-    kernel_dims = {}
-    for mode_roots in (roots.s, roots.p):
-        if not mode_roots.real:
-            continue
-        for tag, z, xi in ((f"{mode_roots.mode}+", mode_roots.z_forward,
-                            mode_roots.xi_forward),
-                           (f"{mode_roots.mode}-", mode_roots.z_backward,
-                            mode_roots.xi_backward)):
-            zr = z.real
-            basis = _kernel_basis(xi.real, mode_roots.mode)
-            cand = np.stack([np.concatenate([eta * a, zr * a]) for a in basis],
-                            axis=-1)
-            q_cand, _ = np.linalg.qr(cand)
-            mat = zr * np.eye(6) - g
-            _, svals, vh = np.linalg.svd(mat)
-            tol = 1e-8 * svals[0]
-            null = vh[svals < tol].conj().T
-            kernel_dims[tag] = null.shape[1]
-            if null.shape[1] != len(basis):
-                kernel_ok = False
-                continue
-            q_null, _ = np.linalg.qr(null)
-            gap = np.linalg.norm(q_cand @ q_cand.conj().T
-                                 - q_null @ q_null.conj().T)
-            if gap > 1e-8:
-                kernel_ok = False
-
-    return CompanionReport(eta_norm=eta, identity_residual=identity_residual,
-                           eigenvalue_error=eigenvalue_error,
-                           kernel_ok=kernel_ok, kernel_dims=kernel_dims, g=g)
+    v = _batched(_companion, m, *_one(gamma), zeta).row(0)
+    return CompanionReport(
+        eta_norm=float(v["eta_norm"]),
+        identity_residual=float(v["identity_residual"]),
+        eigenvalue_error=float(v["eigenvalue_error"]),
+        kernel_ok=bool(v["kernel_ok"]),
+        kernel_dims={tag: int(d) for tag, d in zip(KERNEL_TAGS,
+                                                    v["kernel_dims"])
+                     if d >= 0},
+        g=v["g"])

@@ -21,7 +21,7 @@ import numpy as np
 from . import boundary as bd
 from . import polarization as pol
 from . import rays
-from .errors import ElastorayError
+from .errors import ElastorayError, _attempt
 from .medium import check_class_membership, load_medium, medium_digest
 from .symbols import principal_symbol_batch
 
@@ -39,6 +39,8 @@ DEFAULT_TOL = {
 
 
 def _jsonable(obj):
+    if type(obj) is float:          # the common leaf
+        return obj if math.isfinite(obj) else None
     if isinstance(obj, (np.floating, np.integer)):
         obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
@@ -46,6 +48,11 @@ def _jsonable(obj):
     if isinstance(obj, (complex, np.complexfloating)):
         return [float(obj.real), float(obj.imag)]
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind in "biufc" and np.isfinite(obj).all():
+            # finite numbers convert as a whole, complex ones as [re, im]
+            if obj.dtype.kind == "c":
+                obj = np.stack([obj.real, obj.imag], axis=-1)
+            return obj.tolist()
         return _jsonable(obj.tolist())
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
@@ -68,29 +75,31 @@ def _write_csv(path, fieldnames, rows):
 
 
 def _covector_fan(m, n, seed, delta):
-    """Seeded boundary covector fan shared by classify / roots / dn / frame;
-    ``delta`` defaults to the medium's class parameter, else 0.5."""
+    """Seeded boundary covector fan (x, nu, xi_t, tau) shared by classify /
+    roots / dn / frame; ``delta`` defaults to the medium's class parameter,
+    else 0.5."""
     if delta is None:
         delta = m.class_params.delta if m.class_params is not None else 0.5
-    x, nu, xi_t, tau = bd.sample_boundary_covectors(
-        m, n, np.random.default_rng(seed), delta)
+    return bd.sample_boundary_covectors(m, n, np.random.default_rng(seed),
+                                        delta)
+
+
+def _covectors(fan):
+    x, nu, xi_t, tau = fan
     return [bd.BoundaryCovector(t=0.0, x=x[i], tau=float(tau[i]),
                                 xi_t=xi_t[i], nu=nu[i])
-            for i in range(n)]
+            for i in range(len(tau))]
 
 
-def _fan_rows(fan, compute, describe):
+def _fan_rows(fan, results, describe):
     """One report row per fan covector: its coordinates and ``describe(i,
-    gamma, compute(gamma))``, or as ``skipped`` the error ``compute`` raised."""
-    rows = []
-    for i, gamma in enumerate(fan):
-        try:
-            value = compute(gamma)
-        except ElastorayError as exc:
-            rows.append({**_gamma_dict(gamma), "skipped": str(exc)})
-        else:
-            rows.append({**_gamma_dict(gamma), **describe(i, gamma, value)})
-    return rows
+    result)``, or as ``skipped`` its result when that is an error."""
+    x, _, xi_t, tau = fan
+    return [{"t": 0.0, "x": x[i].tolist(), "tau": float(tau[i]),
+             "xi_t": xi_t[i].tolist(),
+             **({"skipped": str(res)} if isinstance(res, ElastorayError)
+                else describe(i, res))}
+            for i, res in enumerate(results)]
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +120,8 @@ def cmd_validate(m, args):
 
 def cmd_classify(m, args):
     fan = _covector_fan(m, args.fan_n, args.seed, args.delta)
-    rows = []
-    for gamma in fan:
-        label = bd.classify(m, gamma)
-        rows.append({**_gamma_dict(gamma), **label.to_dict()})
+    rows = _fan_rows(fan, [bd.classify(m, g) for g in _covectors(fan)],
+                     lambda i, label: label.to_dict())
     if args.csv:
         fields = ["t", "x1", "x2", "x3", "tau", "xi1", "xi2", "xi3",
                   "s_label", "p_label", "combined", "in_gamma_delta"]
@@ -133,18 +140,16 @@ def cmd_classify(m, args):
 
 
 def cmd_roots(m, args):
-    fan = _covector_fan(m, args.fan_n, args.seed, args.delta)
+    x, nu, xi_t, tau = _covector_fan(m, args.fan_n, args.seed, args.delta)
     # structured rows: normal incidence, and an exactly P-glancing covector
     # at the compressional hyperbolic radius (flagged, not fatal)
-    x0, nu0 = fan[0].x, fan[0].nu
-    u = fan[0].xi_t / np.linalg.norm(fan[0].xi_t)
-    r_p = rays._hyperbolic_radius(m, "P", x0, nu0, u, fan[0].tau)
-    fan = [bd.BoundaryCovector(t=0.0, x=x0, tau=fan[0].tau,
-                               xi_t=np.zeros(3), nu=nu0),
-           bd.BoundaryCovector(t=0.0, x=x0, tau=fan[0].tau,
-                               xi_t=r_p * u, nu=nu0)] + fan
+    u = xi_t[0] / np.linalg.norm(xi_t[0])
+    r_p = rays._hyperbolic_radius(m, "P", x[0], nu[0], u, float(tau[0]))
+    fan = [np.concatenate([a[:1], a[:1], a]) for a in (x, nu, xi_t, tau)]
+    fan[2][:2] = np.zeros(3), r_p * u
     failures = []
-    rows = _fan_rows(fan, lambda g: bd.char_roots(m, g), lambda i, g, roots: {
+    rows = _fan_rows(fan, [_attempt(bd.char_roots, m, g)
+                           for g in _covectors(fan)], lambda i, roots: {
         "z_s_forward": roots.s.z_forward, "z_s_backward": roots.s.z_backward,
         "z_p_forward": roots.p.z_forward, "z_p_backward": roots.p.z_backward,
         "c_s": roots.s.c_forward, "c_p": roots.p.c_forward,
@@ -186,43 +191,58 @@ def cmd_roots(m, args):
 def cmd_dn(m, args):
     tol = args.tol if args.tol is not None else DEFAULT_TOL["dn"]
     failures = []
+    fan = _covector_fan(m, args.fan_n, args.seed, args.delta)
+    dn = bd.dn_batch(m, *fan)
 
-    def describe(i, gamma, dn):
-        if dn.rel_residual > tol:
+    def describe(i, _):
+        rel = dn.values["rel_residual"][i]
+        if rel > tol:
             failures.append(
-                f"covector {i}: DN route disagreement {dn.rel_residual:.3e} > {tol:.0e}")
-        return {"matrix": dn.matrix, "rel_residual": dn.rel_residual}
+                f"covector {i}: DN route disagreement {rel:.3e} > {tol:.0e}")
+        return {"matrix": dn.values["matrix"][i], "rel_residual": rel}
 
-    rows = _fan_rows(_covector_fan(m, args.fan_n, args.seed, args.delta),
-                     lambda g: bd.dn_symbol(m, g), describe)
+    rows = _fan_rows(fan, dn.errors, describe)
     n_checked = sum("skipped" not in row for row in rows)
     if n_checked == 0:
         failures.append("no covector admitted a DN symbol (all skipped)")
     return {"rows": rows, "n_checked": n_checked, "tol": tol}, failures
 
 
+def _mute_residuals(frames, nu, xi_t):
+    """Muting residual of each frame row with xi_t != 0, else NaN."""
+    muted = frames.ok & (np.linalg.norm(xi_t, axis=-1) > 0)
+    out = np.full(len(muted), np.nan)
+    if muted.any():
+        proj = frames.values["projectors"][muted]
+        out[muted] = pol.muting_residuals(proj[:, 2] + proj[:, 3], nu[muted],
+                                          xi_t[muted])
+    return out
+
+
 def cmd_frame(m, args):
     tol = args.tol if args.tol is not None else DEFAULT_TOL["frame"]
     failures = []
+    fan = _covector_fan(m, args.fan_n, args.seed, args.delta)
+    frames = pol.frame_batch(m, *fan)
+    v, mute = frames.values, _mute_residuals(frames, fan[1], fan[2])
 
-    def describe(i, gamma, frame):
-        resid = frame.projector_residual
-        row = {"kind": frame.kind, "cond": frame.cond,
-               "ranks": {tag: int(b.shape[1]) for tag, b in frame.bases.items()},
+    def describe(i, _):
+        kind = "hyperbolic" if v["hyperbolic"][i] else "mixed"
+        resid = v["projector_residual"][i]
+        row = {"kind": kind, "cond": v["cond"][i],
+               "ranks": {tag: j - k for tag, k, j in pol.BLOCKS[kind]},
                "projector_residual": resid}
-        if np.linalg.norm(gamma.xi_t) > 0:
-            row["mute_residual"] = pol.muting_annihilation_check(m, gamma,
-                                                                 frame)
-            if row["mute_residual"] > tol:
+        if not np.isnan(mute[i]):
+            row["mute_residual"] = mute[i]
+            if mute[i] > tol:
                 failures.append(f"covector {i}: muting residual "
-                                f"{row['mute_residual']:.3e} > {tol:.0e}")
+                                f"{mute[i]:.3e} > {tol:.0e}")
         if resid > tol:
             failures.append(
                 f"covector {i}: projector residual {resid:.3e} > {tol:.0e}")
         return row
 
-    rows = _fan_rows(_covector_fan(m, args.fan_n, args.seed, args.delta),
-                     lambda g: pol.polarization_frame(m, g), describe)
+    rows = _fan_rows(fan, frames.errors, describe)
     n_checked = sum("skipped" not in row for row in rows)
     if n_checked == 0:
         failures.append("no covector admitted a polarization frame")
@@ -370,61 +390,53 @@ def cmd_selftest(m, args):
     if not np.all(qp < qs):
         failures.append("q_P < q_S violated on interior sample")
 
-    # boundary machinery on a covector fan
+    # boundary machinery on a covector fan, each quantity in one batch
     fan = _covector_fan(m, 50, args.seed + 1, None)
+    res, quad, dn, comp, frames = (batch(m, *fan) for batch in (
+        bd.residue_batch, bd.quadrature_batch, bd.dn_batch, bd.companion_batch,
+        pol.frame_batch))
+    margin = bd.root_table(m, *fan).margin
+    mute = _mute_residuals(frames, fan[1], fan[2])
     worst = {"residue": 0.0, "a_one": 0.0, "dn": 0.0, "frame": 0.0,
              "mute": 0.0, "companion_identity": 0.0, "companion_eigs": 0.0}
     n_res = n_dn = n_frame = 0
-    for gamma in fan:
-        try:
-            data = bd.residue_matrices(m, gamma)
-        except ElastorayError:
-            continue
+    for i in np.flatnonzero(res.ok):
+        data = res.row(i)
         # 256-node quadrature resolves the residues only away from glancing
-        if bd.discriminant_margin(m, gamma) >= 5e-2:
-            quad = bd.residue_quadrature(m, gamma)
+        if margin[i] >= 5e-2:
+            q = quad.row(i)
             n_res += 1
-            scale = max(np.linalg.norm(data.a0), np.linalg.norm(data.a1),
+            scale = max(np.linalg.norm(data["a0"]), np.linalg.norm(data["a1"]),
                         1e-300)
             worst["residue"] = max(
                 worst["residue"],
-                float(np.linalg.norm(data.a0 - quad.a0) / scale),
-                float(np.linalg.norm(data.a1 - quad.a1) / scale))
+                float(np.linalg.norm(data["a0"] - q["a0"]) / scale),
+                float(np.linalg.norm(data["a1"] - q["a1"]) / scale))
         v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        xi_p = data.roots.p.xi_forward
-        xi_s = data.roots.s.xi_forward
+        (z_s, z_p), (xi_s, xi_p) = data["z"], data["xi"]
         v_perp = v - xi_p * (xi_p @ v) / (xi_p @ xi_p)
-        lhs = data.a1 @ v_perp - data.roots.s.z_forward * (data.a0 @ v_perp)
+        lhs = data["a1"] @ v_perp - z_s * (data["a0"] @ v_perp)
         worst["a_one"] = max(worst["a_one"], float(np.linalg.norm(lhs)))
-        lhs = data.a1 @ xi_s - data.roots.p.z_forward * (data.a0 @ xi_s)
+        lhs = data["a1"] @ xi_s - z_p * (data["a0"] @ xi_s)
         worst["a_one"] = max(worst["a_one"],
                              float(np.linalg.norm(lhs) / np.linalg.norm(xi_s)))
-        try:
-            dn = bd.dn_symbol(m, gamma)
+        if dn.errors[i] is None:
             n_dn += 1
-            worst["dn"] = max(worst["dn"], dn.rel_residual)
-        except ElastorayError:
-            pass
-        try:
-            comp = bd.companion_symbol_check(m, gamma)
+            worst["dn"] = max(worst["dn"], dn.values["rel_residual"][i])
+        if comp.errors[i] is None:
+            c = comp.row(i)
             worst["companion_identity"] = max(worst["companion_identity"],
-                                              comp.identity_residual)
+                                              c["identity_residual"])
             worst["companion_eigs"] = max(worst["companion_eigs"],
-                                          comp.eigenvalue_error)
-            if not comp.kernel_ok:
+                                          c["eigenvalue_error"])
+            if not c["kernel_ok"]:
                 failures.append("companion kernel mismatch")
-        except ElastorayError:
-            pass
-        try:
-            frame = pol.polarization_frame(m, gamma)
+        if frames.errors[i] is None:
             n_frame += 1
-            worst["frame"] = max(worst["frame"], frame.projector_residual)
-            if np.linalg.norm(gamma.xi_t) > 0:
-                worst["mute"] = max(worst["mute"],
-                                    pol.muting_annihilation_check(m, gamma,
-                                                                  frame))
-        except ElastorayError:
-            pass
+            worst["frame"] = max(worst["frame"],
+                                 frames.values["projector_residual"][i])
+            if not np.isnan(mute[i]):
+                worst["mute"] = max(worst["mute"], mute[i])
     results["boundary_worst"] = worst
     results["boundary_counts"] = {"residue": n_res, "dn": n_dn,
                                   "frame": n_frame}

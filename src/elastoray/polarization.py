@@ -7,6 +7,10 @@ of the principal symbol at the corresponding characteristic covector xi and
 e(gamma) = sqrt(tau^2 + |xi_t|^2).  Over the hyperbolic region the splitting
 is B_S^+ (+) B_S^- (+) B_P^+ (+) B_P^- with ranks (2, 2, 1, 1); over the
 mixed region the two complex P roots merge into a rank-2 bundle B_P.
+
+``frame_batch`` builds the frames of n covectors at once on the boundary
+kernel (see ``boundary``), with per-row errors and rows bitwise alike alone
+or in any batch; ``polarization_frame`` is its batch of one.
 """
 
 from __future__ import annotations
@@ -15,15 +19,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import _kernel_basis, char_roots, e_symbol
+# char_roots and traction_symbol stay importable from this module
+from .boundary import (_batched, _fro, _one, char_roots,  # noqa: F401
+                       e_symbol, tangential_frequency)
 from .errors import DegenerateMutingError, FrameConditionError, GlancingError
-from .symbols import traction_symbol
+from .symbols import _apply, _outer, traction_symbol  # noqa: F401
 
 __all__ = [
     "e_symbol",
     "PolarizationFrame",
+    "frame_batch",
     "polarization_frame",
     "mute_symbol",
+    "muting_residuals",
     "muting_annihilation_check",
 ]
 
@@ -31,6 +39,10 @@ __all__ = [
 COND_LIMIT = 1e8
 # the muting direction is undefined when |nu x xi_t| <= MUTING_TOL |xi_t|
 MUTING_TOL = 1e-12
+# (block, first column, end column) of the stacked basis, by kind
+BLOCKS = {"hyperbolic": (("S+", 0, 2), ("S-", 2, 4), ("P+", 4, 5),
+                         ("P-", 5, 6)),
+          "mixed": (("S+", 0, 2), ("S-", 2, 4), ("P", 4, 6))}
 
 
 @dataclass
@@ -40,7 +52,8 @@ class PolarizationFrame:
     ``kind`` is "hyperbolic" (blocks S+, S-, P+, P-) or "mixed" (blocks S+,
     S-, P).  ``bases`` maps block names to (6, rank) column matrices and
     ``projectors`` to the orthogonally-acting (generally oblique) projectors
-    extracted from the full-basis solve.
+    extracted from the full-basis solve.  ``projector_residual`` is the
+    largest of ||P^2 - P|| over the blocks and ||sum of P - Id||.
     """
 
     gamma: object
@@ -49,6 +62,7 @@ class PolarizationFrame:
     bases: dict
     projectors: dict
     cond: float
+    projector_residual: float
 
     @property
     def p_projector(self):
@@ -61,15 +75,68 @@ class PolarizationFrame:
     def s_projector(self):
         return self.projectors["S+"] + self.projectors["S-"]
 
-    @property
-    def projector_residual(self):
-        """Largest of ||P^2 - P|| over the blocks and ||sum of P - Id||."""
-        resid = 0.0
-        total = np.zeros((6, 6), dtype=complex)
-        for proj in self.projectors.values():
-            resid = max(resid, float(np.linalg.norm(proj @ proj - proj)))
-            total += proj
-        return max(resid, float(np.linalg.norm(total - np.eye(6))))
+
+def _cross(a, b):
+    """a x b over leading axes, in np.cross's arithmetic."""
+    i, j = [1, 2, 0], [2, 0, 1]
+    return a[..., i] * b[..., j] - a[..., j] * b[..., i]
+
+
+def _unit(v):
+    return v / np.sqrt(np.sum(np.abs(v) ** 2, axis=-1, keepdims=True))
+
+
+def _plane_basis(xi):
+    """Orthonormal real basis v1, v2 of {a : a . xi = 0} at real covectors:
+    v1 = xi x e_k with e_k the axis of the smallest |xi_k|, v2 = xi x v1."""
+    v1 = _unit(_cross(xi, np.eye(3)[np.argmin(np.abs(xi), axis=-1)]))
+    return v1, _unit(_cross(xi, v1))
+
+
+@np.errstate(all="ignore")
+def _frame(b):
+    t = b.table
+    if not b.fail((~t.real[0], lambda i: GlancingError(
+            "polarization frame needs an S-hyperbolic covector",
+            discriminant=float(t.d4[0, i])))):
+        return {}
+    e = tangential_frequency(b.tau, b.xi_t)
+    # columns (e a, s(x, xi) a) in the order of BLOCKS: per S root two
+    # orthonormal a with a . xi = 0, per P root a = xi / |xi|, complex where
+    # the P roots merge
+    xi_s, xi_p = b.xi[:, 0].real, b.xi[:, 1]
+    v1, v2 = _plane_basis(xi_s)
+    a = np.array([v1[0], v2[0], v1[1], v2[1], *_unit(xi_p)])
+    s = b.traction(np.array([xi_s[0], xi_s[0], xi_s[1], xi_s[1], *xi_p]))
+    v = np.concatenate([e[:, None] * a, _apply(s, a)], -1).transpose(1, 2, 0)
+    sv = np.linalg.svd(b.masked(v, np.eye(6)), compute_uv=False)
+    cond = sv[:, 0] / sv[:, -1]
+    if not b.fail((cond > COND_LIMIT, lambda i: FrameConditionError(
+            f"polarization basis condition number {cond[i]:.2e} exceeds "
+            f"{COND_LIMIT:.0e}"))):
+        return {}
+    v_inv = np.linalg.inv(b.masked(v, np.eye(6)))
+
+    # the block projectors; where P merges they are S+, S-, P and zero
+    s_plus, s_minus, p_plus, p_minus, p_merged = (
+        v[..., i:j] @ v_inv[:, i:j]
+        for _, i, j in BLOCKS["hyperbolic"] + BLOCKS["mixed"][2:])
+    hyp = t.real[1][:, None, None]
+    proj = np.array([s_plus, s_minus, np.where(hyp, p_plus, p_merged),
+                     np.where(hyp, p_minus, 0.0)])
+    total = proj[0] + proj[1] + proj[2] + proj[3]
+    resid = np.max(_fro(np.concatenate([proj @ proj - proj,
+                                        [total - np.eye(6)]])), axis=0)
+    return {"hyperbolic": t.real[1], "e": e, "bases": v, "cond": cond,
+            "projectors": proj.swapaxes(0, 1), "projector_residual": resid}
+
+
+def frame_batch(m, x, nu, xi_t, tau):
+    """``polarization_frame`` at x, nu, xi_t (n, 3) and tau (n,), as a
+    SymbolBatch: hyperbolic, e, cond, projector_residual, the stacked bases
+    (n, 6, 6) with columns as in BLOCKS, and the block projectors
+    (n, 4, 6, 6) in that order, zero in the fourth slot of a mixed row."""
+    return _batched(_frame, m, x, nu, xi_t, tau)
 
 
 def polarization_frame(m, gamma):
@@ -79,50 +146,27 @@ def polarization_frame(m, gamma):
     root computation).  Raises FrameConditionError when the stacked basis is
     too ill-conditioned to invert reliably (near-glancing covectors).
     """
-    roots = char_roots(m, gamma)
-    if not roots.s.real:
-        raise GlancingError("polarization frame needs an S-hyperbolic covector",
-                            discriminant=roots.s.discriminant)
-    e = e_symbol(gamma)
+    v = _batched(_frame, m, *_one(gamma)).row(0)
+    kind = "hyperbolic" if v["hyperbolic"] else "mixed"
+    blocks = BLOCKS[kind]
+    return PolarizationFrame(
+        gamma=gamma, kind=kind, e=float(v["e"]),
+        bases={tag: v["bases"][:, i:j] for tag, i, j in blocks},
+        projectors={tag: p for (tag, _, _), p in zip(blocks,
+                                                     v["projectors"])},
+        cond=float(v["cond"]),
+        projector_residual=float(v["projector_residual"]))
 
-    def column(xi, a):
-        s = traction_symbol(m, gamma.x, xi)
-        return np.concatenate([e * np.asarray(a, dtype=complex),
-                               (s @ a).astype(complex)])
 
-    kind = "hyperbolic" if roots.p.real else "mixed"
-    bases = {}
-    for mode_roots in (roots.s, roots.p) if roots.p.real else (roots.s,):
-        for sign, xi in (("+", mode_roots.xi_forward),
-                         ("-", mode_roots.xi_backward)):
-            xi_r = xi.real
-            bases[mode_roots.mode + sign] = np.stack(
-                [column(xi_r, a) for a in _kernel_basis(xi_r, mode_roots.mode)],
-                axis=-1)
-    if kind == "mixed":
-        cols = []
-        for xi in (roots.p.xi_forward, roots.p.xi_backward):
-            a = xi / np.sqrt(np.sum(np.abs(xi) ** 2))
-            cols.append(column(xi, a))
-        bases["P"] = np.stack(cols, axis=-1)
-
-    order = list(bases)     # S+, S-, then P+, P- or the merged P
-    v = np.concatenate([bases[tag] for tag in order], axis=-1)
-    cond = float(np.linalg.cond(v))
-    if cond > COND_LIMIT:
-        raise FrameConditionError(
-            f"polarization basis condition number {cond:.2e} exceeds {COND_LIMIT:.0e}")
-    v_inv = np.linalg.inv(v)
-
-    projectors = {}
-    col = 0
-    for tag in order:
-        rank = bases[tag].shape[1]
-        projectors[tag] = v[:, col:col + rank] @ v_inv[col:col + rank]
-        col += rank
-
-    return PolarizationFrame(gamma=gamma, kind=kind, e=e, bases=bases,
-                             projectors=projectors, cond=cond)
+def _mute(nu, xi_t):
+    """``mute_symbol`` over leading axes of nu and xi_t."""
+    w = _cross(nu, xi_t)
+    n = np.linalg.norm(w, axis=-1, keepdims=True)
+    if np.any(n[..., 0] <= MUTING_TOL * np.maximum(
+            np.linalg.norm(xi_t, axis=-1), 1e-300)):
+        raise DegenerateMutingError(
+            "muting direction undefined: xi_t parallel to nu (normal incidence)")
+    return _outer(w / n, w / n)
 
 
 def mute_symbol(gamma):
@@ -132,14 +176,15 @@ def mute_symbol(gamma):
     the tangential covector.  Undefined at normal incidence (xi_t = 0) or
     whenever xi_t is parallel to nu; raises DegenerateMutingError there.
     """
-    w = np.cross(gamma.nu, gamma.xi_t)
-    n = np.linalg.norm(w)
-    scale = max(np.linalg.norm(gamma.xi_t), 1e-300)
-    if n <= MUTING_TOL * scale:
-        raise DegenerateMutingError(
-            "muting direction undefined: xi_t parallel to nu (normal incidence)")
-    w = w / n
-    return np.outer(w, w)
+    return _mute(gamma.nu, gamma.xi_t)
+
+
+def muting_residuals(p_projector, nu, xi_t):
+    """Operator norms of pi_P diag(m, m) over leading axes."""
+    mm = _mute(nu, xi_t)
+    lifted = np.zeros(mm.shape[:-2] + (6, 6))
+    lifted[..., :3, :3] = lifted[..., 3:, 3:] = mm
+    return np.linalg.norm(p_projector @ lifted, 2, axis=(-2, -1))
 
 
 def muting_annihilation_check(m, gamma, frame=None):
@@ -151,8 +196,4 @@ def muting_annihilation_check(m, gamma, frame=None):
     """
     if frame is None:
         frame = polarization_frame(m, gamma)
-    mm = mute_symbol(gamma)
-    lifted = np.zeros((6, 6), dtype=complex)
-    lifted[:3, :3] = mm
-    lifted[3:, 3:] = mm
-    return float(np.linalg.norm(frame.p_projector @ lifted, 2))
+    return float(muting_residuals(frame.p_projector, gamma.nu, gamma.xi_t))

@@ -38,7 +38,7 @@ from .boundary import (BoundaryCovector, boundary_covector, char_roots,
                        mode_quadratics, root_covector, root_table)
 from .engine import march
 from .errors import (DistanceError, ElastorayError, EvanescentModeError,
-                     GlancingError, GlancingExitError)
+                     GlancingError, GlancingExitError, _attempt)
 from .polarization import muting_annihilation_check
 from .symbols import MODES, _mode_coeff
 
@@ -392,29 +392,48 @@ class ReflectionResult:
     glancing: list
 
 
+def _reflections(m, states):
+    """ReflectionResult, or the ElastorayError ``reflect`` raises, per
+    outgoing state; both modes of every state launch in one batch."""
+    gammas = [_attempt(boundary_covector, m, st.t, st.x, st.tau, st.xi)
+              for st in states]
+    ok = [g for g in gammas if isinstance(g, BoundaryCovector)]
+    launched = iter(_launch_states(m, [g for g in ok for _ in MODES],
+                                   list(MODES) * len(ok)))
+    out = []
+    for state, gamma in zip(states, gammas):
+        if isinstance(gamma, ElastorayError):
+            out.append(gamma)
+            continue
+        result = ReflectionResult(states=[], evanescent=[], glancing=[])
+        for mode, launch in [(mode, next(launched)) for mode in MODES]:
+            if isinstance(launch, RayState):
+                result.states.append(launch)
+            elif isinstance(launch, EvanescentModeError):
+                result.evanescent.append(mode)
+            elif mode == state.mode:
+                result = GlancingError(
+                    f"incident mode {mode} glancing at reflection point",
+                    discriminant=launch.discriminant)
+                break
+            else:
+                result.glancing.append(mode)
+        out.append(result)
+    return out
+
+
 def reflect(m, state):
     """Reflect an outgoing boundary state into all hyperbolic branches.
 
-    A view of the batched launch of both modes, on their forward roots, at
-    the exit covector.  Evanescent branches are reported, not traced.  A
-    glancing incident mode raises GlancingError; a glancing converted mode
-    is reported and dropped.
+    A batch of one of ``_reflections``: both modes launch on their forward
+    roots at the exit covector.  Evanescent branches are reported, not
+    traced.  A glancing incident mode raises GlancingError; a glancing
+    converted mode is reported and dropped.
     """
-    gamma = boundary_covector(m, state.t, state.x, state.tau, state.xi)
-    result = ReflectionResult(states=[], evanescent=[], glancing=[])
-    for mode, out in zip(MODES, _launch_states(m, [gamma] * len(MODES),
-                                               MODES)):
-        if isinstance(out, RayState):
-            result.states.append(out)
-        elif isinstance(out, EvanescentModeError):
-            result.evanescent.append(mode)
-        elif mode == state.mode:
-            raise GlancingError(
-                f"incident mode {mode} glancing at reflection point",
-                discriminant=out.discriminant)
-        else:
-            result.glancing.append(mode)
-    return result
+    out = _reflections(m, [state])[0]
+    if isinstance(out, ElastorayError):
+        raise out
+    return out
 
 
 @dataclass(frozen=True)
@@ -461,8 +480,16 @@ def _transport(m, sources, depth, t_max, ctrl):
     while level:
         traced = _trace_states(m, [item[1] for item in level], ctrl,
                                t_cap=t_max)
+        # the boundary exits of a level reflect in one batch, those whose
+        # branch stops before it reflects included
+        branching = [k for k, (item, out) in enumerate(zip(level, traced))
+                     if item[2] < depth and not isinstance(out, ElastorayError)
+                     and out[2] != "time_capped"]
+        reflected = dict(zip(branching, _reflections(
+            m, [traced[k][0] for k in branching])))
         queued = []
-        for (i, state, n_refl, lineage), out in zip(level, traced):
+        for k, ((i, state, n_refl, lineage), out) in enumerate(zip(level,
+                                                                   traced)):
             if errors[i] is not None:
                 continue
             notes = reports[i]
@@ -472,7 +499,7 @@ def _transport(m, sources, depth, t_max, ctrl):
             if isinstance(out, ElastorayError):
                 errors[i] = out
                 continue
-            exit_state, entry, status = out
+            _, entry, status = out
             if status == "time_capped":
                 notes.append(f"{lineage}: time cap reached before boundary")
                 continue
@@ -482,14 +509,13 @@ def _transport(m, sources, depth, t_max, ctrl):
             events[i].append((entry.gamma_out, state.mode, n_refl))
             if n_refl >= depth:
                 continue
-            try:
-                refl = reflect(m, exit_state)
-            except GlancingError as exc:
+            refl = reflected[k]
+            if isinstance(refl, GlancingError):
                 notes.append(f"{lineage}: glancing reflection halted branch "
-                             f"({exc})")
+                             f"({refl})")
                 continue
-            except ElastorayError as exc:
-                errors[i] = exc
+            if isinstance(refl, ElastorayError):
+                errors[i] = refl
                 continue
             for mode in refl.evanescent:
                 notes.append(f"{lineage}: converted {mode} branch evanescent")

@@ -112,18 +112,20 @@ def principal_symbol_matrix(m, x, tau, xi):
     used as the independent route for contour quadrature checks.  Broadcasts
     over leading axes of ``x``, ``tau`` and ``xi`` (shape (..., 3)).
     """
-    x = np.asarray(x, dtype=np.float64)
-    xi = np.asarray(xi)
-    lam = m.lam(x)
-    mu = m.mu(x)
-    rho = m.rho(x)
-    r = m.stress.matrix(x)
-    rxx = np.einsum("...i,...ij,...j->...", xi, r, xi)
-    eye = np.eye(3, dtype=np.result_type(xi, float))
-    diag = rho * tau ** 2 - mu * adot(xi, xi) - rxx
-    return (diag[..., None, None] * eye
-            - np.asarray(lam + mu)[..., None, None]
-            * xi[..., :, None] * xi[..., None, :])
+    return _symbol_matrix(_fields(m, np.asarray(x, dtype=np.float64)), tau,
+                          np.asarray(xi))
+
+
+def _fields(m, x):
+    """lambda, mu, rho and R at points x."""
+    return m.lam(x), m.mu(x), m.rho(x), m.stress.matrix(x)
+
+
+def _symbol_matrix(fields, tau, xi):
+    """``principal_symbol_matrix`` from evaluated fields."""
+    lam, mu, rho, r = fields
+    diag = rho * tau * tau - mu * adot(xi, xi) - adot(xi, _apply(r, xi))
+    return _mat(diag) * np.eye(3) - _mat(lam + mu) * _outer(xi, xi)
 
 
 def principal_symbol_batch(m, x, tau, xi):
@@ -152,12 +154,40 @@ def principal_symbol_batch(m, x, tau, xi):
     return p, p_tilde, q_s, q_p
 
 
+def _mat(a):
+    """``a`` with two trailing axes, to scale a stack of matrices."""
+    return np.asarray(a)[..., None, None]
+
+
+def _outer(a, b):
+    return a[..., :, None] * b[..., None, :]
+
+
+def _apply(r, xi):
+    """Matrices r applied to vectors xi over leading axes, column by column."""
+    return (r[..., 0] * xi[..., :1] + r[..., 1] * xi[..., 1:2]
+            + r[..., 2] * xi[..., 2:])
+
+
+def _off_boundary(m, x, what):
+    """{index: NotOnBoundaryError} of the points of x (shape (..., 3),
+    flattened) that are off the boundary."""
+    on = np.ravel(m.domain.on_boundary(x))
+    if on.all():
+        return {}
+    phi = np.ravel(np.abs(m.domain.phi(x)))
+    return {i: NotOnBoundaryError(f"{what} needs a boundary point, "
+                                  f"|phi| = {phi[i]:.2e}")
+            for i in np.flatnonzero(~on)}
+
+
 def _boundary_fields(m, x, what):
-    """Unit normal and lambda, mu, R at a boundary point; raises off it."""
+    """Unit normal and lambda, mu, R at boundary points; raises for the first
+    point off the boundary."""
     x = np.asarray(x, dtype=np.float64)
-    if not m.domain.on_boundary(x):
-        raise NotOnBoundaryError(f"{what} needs a boundary point, |phi| = "
-                                 f"{abs(float(m.domain.phi(x))):.2e}")
+    off = _off_boundary(m, x, what)
+    if off:
+        raise next(iter(off.values()))
     return m.domain.normal(x), m.lam(x), m.mu(x), m.stress.matrix(x)
 
 
@@ -166,21 +196,25 @@ def traction_symbol(m, x, xi):
 
     s(x, xi) = lambda (nu (x) xi) + mu (xi (x) nu) + mu (xi.nu) Id
                + (R xi . nu) Id,
-    with nu the outward unit normal.  Analytic in xi.
+    with nu the outward unit normal.  Analytic in xi.  Broadcasts over
+    leading axes of ``x`` and ``xi``.
     """
-    nu, lam, mu, r = _boundary_fields(m, x, "traction symbol")
-    xi = np.asarray(xi)
-    eye = np.eye(3, dtype=np.result_type(xi, float))
-    return (lam * np.outer(nu, xi) + mu * np.outer(xi, nu)
-            + (mu * adot(xi, nu) + adot(r @ xi, nu)) * eye)
+    return _traction(*_boundary_fields(m, x, "traction symbol"),
+                     np.asarray(xi))
+
+
+def _traction(nu, lam, mu, r, xi):
+    """``traction_symbol`` from the evaluated normal and fields."""
+    return (_mat(lam) * _outer(nu, xi) + _mat(mu) * _outer(xi, nu)
+            + _mat(mu * adot(xi, nu) + adot(_apply(r, xi), nu)) * np.eye(3))
 
 
 def traction_normal_derivative(m, x):
     """Derivative of the traction symbol along the normal covector coordinate.
 
-    Equals (lambda + mu) (nu (x) nu) + (mu + R nu . nu) Id; elliptic for
-    admissible media (eigenvalues lambda + 2 mu + R nu.nu and mu + R nu.nu).
+    Equals s(x, nu) = (lambda + mu) (nu (x) nu) + (mu + R nu . nu) Id, as s is
+    linear in xi; elliptic for admissible media (eigenvalues
+    lambda + 2 mu + R nu.nu and mu + R nu.nu).
     """
     nu, lam, mu, r = _boundary_fields(m, x, "normal traction derivative")
-    return ((lam + mu) * np.outer(nu, nu)
-            + (mu + adot(nu, r @ nu)) * np.eye(3))
+    return _traction(nu, lam, mu, r, nu)

@@ -1,0 +1,404 @@
+"""Frozen scalar references for the batched boundary-symbol kernel.
+
+These are the one-covector-at-a-time bodies that ``residue_batch``,
+``quadrature_batch``, ``dn_batch``, ``companion_batch`` and ``frame_batch``
+replaced, kept verbatim (with the symbol and traction helpers they called)
+so that the differential test in ``test_symbol_kernel.py`` compares the
+kernel against the code it replaces.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from elastoray.boundary import (NORMAL_DERIVATIVE_SIGN, CharRoots,
+                                CompanionReport, DnSymbol, ModeRoots,
+                                QuadratureResult, ResidueData,
+                                normalized_product, root_covector, root_table)
+from elastoray.errors import (ContourError, FrameConditionError,
+                              FrameDegenerateError, GlancingError,
+                              NotOnBoundaryError, SingularResidueError)
+from elastoray.polarization import COND_LIMIT
+from elastoray.symbols import MODES, adot
+
+
+def principal_symbol_matrix(m, x, tau, xi):
+    """Principal symbol in expanded polynomial form (no projector).
+
+    p = rho tau^2 Id - (lambda + mu) xi (x) xi - (mu xi.xi + R xi.xi) Id.
+    Defined for every complex covector, including analytic null directions;
+    used as the independent route for contour quadrature checks.  Broadcasts
+    over leading axes of ``x``, ``tau`` and ``xi`` (shape (..., 3)).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    xi = np.asarray(xi)
+    lam = m.lam(x)
+    mu = m.mu(x)
+    rho = m.rho(x)
+    r = m.stress.matrix(x)
+    rxx = np.einsum("...i,...ij,...j->...", xi, r, xi)
+    eye = np.eye(3, dtype=np.result_type(xi, float))
+    diag = rho * tau ** 2 - mu * adot(xi, xi) - rxx
+    return (diag[..., None, None] * eye
+            - np.asarray(lam + mu)[..., None, None]
+            * xi[..., :, None] * xi[..., None, :])
+
+
+def _boundary_fields(m, x, what):
+    """Unit normal and lambda, mu, R at a boundary point; raises off it."""
+    x = np.asarray(x, dtype=np.float64)
+    if not m.domain.on_boundary(x):
+        raise NotOnBoundaryError(f"{what} needs a boundary point, |phi| = "
+                                 f"{abs(float(m.domain.phi(x))):.2e}")
+    return m.domain.normal(x), m.lam(x), m.mu(x), m.stress.matrix(x)
+
+
+def traction_symbol(m, x, xi):
+    """Principal symbol of the traction operator at a boundary point.
+
+    s(x, xi) = lambda (nu (x) xi) + mu (xi (x) nu) + mu (xi.nu) Id
+               + (R xi . nu) Id,
+    with nu the outward unit normal.  Analytic in xi.
+    """
+    nu, lam, mu, r = _boundary_fields(m, x, "traction symbol")
+    xi = np.asarray(xi)
+    eye = np.eye(3, dtype=np.result_type(xi, float))
+    return (lam * np.outer(nu, xi) + mu * np.outer(xi, nu)
+            + (mu * adot(xi, nu) + adot(r @ xi, nu)) * eye)
+
+
+def traction_normal_derivative(m, x):
+    """Derivative of the traction symbol along the normal covector coordinate.
+
+    Equals (lambda + mu) (nu (x) nu) + (mu + R nu . nu) Id; elliptic for
+    admissible media (eigenvalues lambda + 2 mu + R nu.nu and mu + R nu.nu).
+    """
+    nu, lam, mu, r = _boundary_fields(m, x, "normal traction derivative")
+    return ((lam + mu) * np.outer(nu, nu)
+            + (mu + adot(nu, r @ nu)) * np.eye(3))
+
+
+def e_symbol(gamma):
+    """Tangential frequency weight e(gamma) = sqrt(tau^2 + |xi_t|^2)."""
+    return float(np.sqrt(gamma.tau ** 2 + np.dot(gamma.xi_t, gamma.xi_t)))
+
+
+def char_roots(m, gamma):
+    """Characteristic roots, selected covectors, and the Lopatinski product.
+
+    Raises GlancingError when either mode is glancing.  The residual of the
+    scalar symbol at each returned root is at machine level by construction.
+    """
+    t = root_table(m, gamma.x, gamma.nu, gamma.xi_t, gamma.tau)
+    rho = float(m.rho(gamma.x))
+    modes = []
+    for k, mode in enumerate(MODES):
+        if t.glancing[k]:
+            raise t.glancing_error(k)
+        # real roots stay real scalars, so their covectors are real arrays
+        zs = [z.real.item() if t.real[k] else z.item()
+              for z in (t.z_forward[k], t.z_backward[k])]
+        c_z = [complex(2.0 * rho * (float(t.bh[k]) - float(t.big_a[k]) * z))
+               for z in zs]
+        xi_z = [root_covector(gamma.xi_t, z, gamma.nu) for z in zs]
+        modes.append(ModeRoots(mode, bool(t.real[k]), *map(complex, zs),
+                               *c_z, *xi_z, float(t.d4[k])))
+    s_roots, p_roots = modes
+    dot, product, null = normalized_product(s_roots.xi_forward,
+                                            p_roots.xi_forward)
+    if null:
+        raise SingularResidueError("analytically null selected covector")
+    return CharRoots(gamma=gamma, s=s_roots, p=p_roots, xi_dot=complex(dot),
+                     normalized_product=float(product))
+
+
+def _analytic_projector(xi):
+    xx = adot(xi, xi)
+    if abs(xx) < 1e-14 * np.sum(np.abs(xi) ** 2):
+        raise SingularResidueError("xi . xi = 0: analytic projector undefined")
+    return np.outer(xi, xi) / xx
+
+
+def residue_matrices(m, gamma):
+    roots = char_roots(m, gamma)
+    z_s, z_p = roots.s.z_forward, roots.p.z_forward
+    scale = max(abs(z_s), abs(z_p), 1e-30)
+    if abs(z_s - z_p) < 1e-12 * scale:
+        raise SingularResidueError("coinciding S and P roots")
+    if abs(roots.xi_dot) < 1e-12 * max(np.linalg.norm(roots.s.xi_forward) ** 2,
+                                       np.linalg.norm(roots.p.xi_forward) ** 2):
+        raise SingularResidueError("xi_S . xi_P = 0: Lopatinski degeneracy")
+    pi_s = _analytic_projector(roots.s.xi_forward)
+    pi_p = _analytic_projector(roots.p.xi_forward)
+    eye = np.eye(3, dtype=complex)
+    a0 = (eye - pi_s) / roots.s.c_forward + pi_p / roots.p.c_forward
+    a1 = z_s * (eye - pi_s) / roots.s.c_forward + z_p * pi_p / roots.p.c_forward
+    a0_inv = np.linalg.inv(a0)
+    return ResidueData(a0=a0, a1=a1, a0_inv=a0_inv,
+                       cond_a0=float(np.linalg.cond(a0)), roots=roots)
+
+
+def residue_quadrature(m, gamma, nodes=256):
+    """Contour-integral evaluation of the residue matrices.
+
+    Trapezoidal rule on a circle enclosing exactly the selected roots; the
+    matrix inverse of the expanded-form principal symbol is taken numerically
+    at each node, independent of the closed-form route.  Winding numbers of
+    all four roots are evaluated from the same quadrature and must certify
+    the selection, otherwise ContourError is raised.
+    """
+    roots = char_roots(m, gamma)
+    z_s, z_p = roots.s.z_forward, roots.p.z_forward
+    rejected = [roots.s.z_backward, roots.p.z_backward]
+    center = 0.5 * (z_s + z_p)
+    rmax = max(abs(z_s - center), abs(z_p - center))
+    d_min = min(abs(z - center) for z in rejected)
+    if d_min <= rmax * (1.0 + 1e-9):
+        raise ContourError("rejected root inside the minimal enclosing circle")
+    # geometric mean balances the inner and outer trapezoid decay rates
+    radius = 0.5 * d_min if rmax == 0.0 else np.sqrt(rmax * d_min)
+
+    theta = 2.0 * np.pi * np.arange(nodes) / nodes
+    ring = np.exp(1j * theta)
+    z = center + radius * ring
+
+    xi = gamma.xi_t[None, :].astype(complex) - z[:, None] * gamma.nu[None, :]
+    p_inv = np.linalg.inv(principal_symbol_matrix(m, gamma.x, gamma.tau, xi))
+
+    weight = (radius / nodes) * ring
+    a0 = np.einsum("n,nij->ij", weight, p_inv)
+    a1 = np.einsum("n,n,nij->ij", weight, z, p_inv)
+
+    windings = {}
+    for label, root, expect in (("S_forward", z_s, 1.0), ("P_forward", z_p, 1.0),
+                                ("S_backward", rejected[0], 0.0),
+                                ("P_backward", rejected[1], 0.0)):
+        w = np.sum(weight / (z - root))
+        windings[label] = complex(w)
+        if abs(w - expect) > 1e-2:
+            raise ContourError(
+                f"winding number of {label} root is {w:.3f}, expected {expect}")
+    return QuadratureResult(a0=a0, a1=a1, center=complex(center),
+                            radius=float(radius), nodes=nodes,
+                            windings=windings)
+
+
+def dn_symbol(m, gamma):
+    residue = residue_matrices(m, gamma)
+    roots = residue.roots
+    xi_s = roots.s.xi_forward
+    xi_p = roots.p.xi_forward
+
+    # a = (a.xi_S / xi_S.xi_P) xi_P + w with w.xi_S = 0, as a rank-one update
+    s_s = traction_symbol(m, gamma.x, xi_s)
+    s_p = traction_symbol(m, gamma.x, xi_p)
+    route_e = s_s + np.outer((s_p - s_s) @ xi_p, xi_s) / roots.xi_dot
+
+    s_t = traction_symbol(m, gamma.x, gamma.xi_t).astype(complex)
+    s_nu = traction_normal_derivative(m, gamma.x).astype(complex)
+    u_prime = residue.a1 @ residue.a0_inv
+    route_r = s_t + NORMAL_DERIVATIVE_SIGN * s_nu @ u_prime
+
+    denom = max(np.linalg.norm(route_e), np.linalg.norm(route_r), 1e-300)
+    rel = float(np.linalg.norm(route_e - route_r) / denom)
+    return DnSymbol(matrix=route_e, route_r=route_r, rel_residual=rel,
+                    roots=roots)
+
+
+def _kernel_basis(xi, mode):
+    """Orthonormal real basis of ker p at a real characteristic covector xi:
+    the line of xi for P, the plane {a : a . xi = 0} for S."""
+    if mode == "P":
+        return [xi / np.linalg.norm(xi)]
+    k = int(np.argmin(np.abs(xi)))
+    e = np.zeros(3)
+    e[k] = 1.0
+    v1 = np.cross(xi, e)
+    v1 /= np.linalg.norm(v1)
+    v2 = np.cross(xi, v1)
+    v2 /= np.linalg.norm(v2)
+    return [v1, v2]
+
+
+def companion_symbol_check(m, gamma, zeta=None):
+    """Build the companion symbol and verify its defining identities.
+
+    With p(z) the principal symbol along xi_t - z nu, normalized to a monic
+    matrix quadratic z^2 Id + p1 z + p2, the companion symbol is
+
+        g = [[0, |eta| Id], [-p2 / |eta|, -p1]],   |eta|^2 = tau^2 + |xi_t|^2.
+
+    Checks: the factorization (zeta - g')(zeta - g) = diag(p(zeta), p(zeta))
+    with g' = [[-p1, -|eta| Id], [p2 / |eta|, 0]]; the eigenvalues of g equal
+    the characteristic roots with multiplicity (2, 2, 1, 1); over each real
+    root the kernel of (z - g) is {(|eta| a, z a) : p(z) a = 0}.
+    """
+    eta = e_symbol(gamma)
+    if eta <= 0.0:
+        raise FrameDegenerateError("tangential frequency vanishes")
+
+    # p(z) at z = 0, 1, -1
+    p_0, p_plus, p_minus = principal_symbol_matrix(
+        m, gamma.x, gamma.tau,
+        gamma.xi_t - np.array([[0.0], [1.0], [-1.0]]) * gamma.nu)
+    c0 = p_0
+    c1 = 0.5 * (p_plus - p_minus)
+    c2 = 0.5 * (p_plus + p_minus) - p_0
+    p1 = np.linalg.solve(c2, c1)
+    p2 = np.linalg.solve(c2, c0)
+
+    eye = np.eye(3)
+    zero = np.zeros((3, 3))
+    g = np.block([[zero, eta * eye], [-p2 / eta, -p1]])
+    gp = np.block([[-p1, -eta * eye], [p2 / eta, zero]])
+
+    roots = char_roots(m, gamma)
+    all_roots = [roots.s.z_forward, roots.s.z_forward,
+                 roots.s.z_backward, roots.s.z_backward,
+                 roots.p.z_forward, roots.p.z_backward]
+
+    # the residual is a maximum, so the order of the distinct roots is moot
+    probes = [zeta] if zeta is not None else [*set(all_roots), 0.7 * eta]
+    identity_residual = 0.0
+    eye6 = np.eye(6, dtype=complex)
+    for z in probes:
+        pn = (z * z * np.eye(3, dtype=complex) + z * p1.astype(complex)
+              + p2.astype(complex))
+        lhs = (z * eye6 - gp.astype(complex)) @ (z * eye6 - g.astype(complex))
+        rhs = np.block([[pn, np.zeros((3, 3))], [np.zeros((3, 3)), pn]])
+        scale = max(np.linalg.norm(rhs), 1.0)
+        identity_residual = max(identity_residual,
+                                float(np.linalg.norm(lhs - rhs) / scale))
+
+    eigs = np.linalg.eigvals(g)
+    remaining = list(eigs)
+    worst = 0.0
+    for z in all_roots:
+        k = int(np.argmin([abs(w - z) for w in remaining]))
+        worst = max(worst, abs(remaining.pop(k) - z))
+    eig_scale = max(1.0, max(abs(z) for z in all_roots))
+    eigenvalue_error = float(worst / eig_scale)
+
+    kernel_ok = True
+    kernel_dims = {}
+    for mode_roots in (roots.s, roots.p):
+        if not mode_roots.real:
+            continue
+        for tag, z, xi in ((f"{mode_roots.mode}+", mode_roots.z_forward,
+                            mode_roots.xi_forward),
+                           (f"{mode_roots.mode}-", mode_roots.z_backward,
+                            mode_roots.xi_backward)):
+            zr = z.real
+            basis = _kernel_basis(xi.real, mode_roots.mode)
+            cand = np.stack([np.concatenate([eta * a, zr * a]) for a in basis],
+                            axis=-1)
+            q_cand, _ = np.linalg.qr(cand)
+            mat = zr * np.eye(6) - g
+            _, svals, vh = np.linalg.svd(mat)
+            tol = 1e-8 * svals[0]
+            null = vh[svals < tol].conj().T
+            kernel_dims[tag] = null.shape[1]
+            if null.shape[1] != len(basis):
+                kernel_ok = False
+                continue
+            q_null, _ = np.linalg.qr(null)
+            gap = np.linalg.norm(q_cand @ q_cand.conj().T
+                                 - q_null @ q_null.conj().T)
+            if gap > 1e-8:
+                kernel_ok = False
+
+    return CompanionReport(eta_norm=eta, identity_residual=identity_residual,
+                           eigenvalue_error=eigenvalue_error,
+                           kernel_ok=kernel_ok, kernel_dims=kernel_dims, g=g)
+
+
+@dataclass
+class PolarizationFrame:
+    """Mode bundles of C^6 at a boundary covector and their projectors.
+
+    ``kind`` is "hyperbolic" (blocks S+, S-, P+, P-) or "mixed" (blocks S+,
+    S-, P).  ``bases`` maps block names to (6, rank) column matrices and
+    ``projectors`` to the orthogonally-acting (generally oblique) projectors
+    extracted from the full-basis solve.
+    """
+
+    gamma: object
+    kind: str
+    e: float
+    bases: dict
+    projectors: dict
+    cond: float
+
+    @property
+    def p_projector(self):
+        """Projector onto the full compressional subspace."""
+        if self.kind == "hyperbolic":
+            return self.projectors["P+"] + self.projectors["P-"]
+        return self.projectors["P"]
+
+    @property
+    def s_projector(self):
+        return self.projectors["S+"] + self.projectors["S-"]
+
+    @property
+    def projector_residual(self):
+        """Largest of ||P^2 - P|| over the blocks and ||sum of P - Id||."""
+        resid = 0.0
+        total = np.zeros((6, 6), dtype=complex)
+        for proj in self.projectors.values():
+            resid = max(resid, float(np.linalg.norm(proj @ proj - proj)))
+            total += proj
+        return max(resid, float(np.linalg.norm(total - np.eye(6))))
+
+
+def polarization_frame(m, gamma):
+    """Assemble the polarization bundles and projectors at gamma.
+
+    Requires gamma hyperbolic for S (raises GlancingError otherwise, via the
+    root computation).  Raises FrameConditionError when the stacked basis is
+    too ill-conditioned to invert reliably (near-glancing covectors).
+    """
+    roots = char_roots(m, gamma)
+    if not roots.s.real:
+        raise GlancingError("polarization frame needs an S-hyperbolic covector",
+                            discriminant=roots.s.discriminant)
+    e = e_symbol(gamma)
+
+    def column(xi, a):
+        s = traction_symbol(m, gamma.x, xi)
+        return np.concatenate([e * np.asarray(a, dtype=complex),
+                               (s @ a).astype(complex)])
+
+    kind = "hyperbolic" if roots.p.real else "mixed"
+    bases = {}
+    for mode_roots in (roots.s, roots.p) if roots.p.real else (roots.s,):
+        for sign, xi in (("+", mode_roots.xi_forward),
+                         ("-", mode_roots.xi_backward)):
+            xi_r = xi.real
+            bases[mode_roots.mode + sign] = np.stack(
+                [column(xi_r, a) for a in _kernel_basis(xi_r, mode_roots.mode)],
+                axis=-1)
+    if kind == "mixed":
+        cols = []
+        for xi in (roots.p.xi_forward, roots.p.xi_backward):
+            a = xi / np.sqrt(np.sum(np.abs(xi) ** 2))
+            cols.append(column(xi, a))
+        bases["P"] = np.stack(cols, axis=-1)
+
+    order = list(bases)     # S+, S-, then P+, P- or the merged P
+    v = np.concatenate([bases[tag] for tag in order], axis=-1)
+    cond = float(np.linalg.cond(v))
+    if cond > COND_LIMIT:
+        raise FrameConditionError(
+            f"polarization basis condition number {cond:.2e} exceeds {COND_LIMIT:.0e}")
+    v_inv = np.linalg.inv(v)
+
+    projectors = {}
+    col = 0
+    for tag in order:
+        rank = bases[tag].shape[1]
+        projectors[tag] = v[:, col:col + rank] @ v_inv[col:col + rank]
+        col += rank
+
+    return PolarizationFrame(gamma=gamma, kind=kind, e=e, bases=bases,
+                             projectors=projectors, cond=cond)

@@ -344,6 +344,25 @@ def test_companion_degenerate_frame(constant_medium):
         er.companion_symbol_check(constant_medium, bad)
 
 
+def test_companion_eigenvalues_count_multiplicity(constant_medium,
+                                                  monkeypatch):
+    # an eigenvalue list that has lost one copy of the double S+ root to S-
+    # must not match the roots (2, 2, 1, 1)
+    g = bcov(constant_medium, 2.0, [1, 0, 0])
+    roots = er.char_roots(constant_medium, g)
+    eigvals = np.linalg.eigvals
+
+    def lose_one(a):
+        w = eigvals(a).astype(complex)
+        k = np.argmin(np.abs(w - roots.s.z_forward), axis=-1, keepdims=True)
+        np.put_along_axis(w, k, roots.s.z_backward, axis=-1)
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigvals", lose_one)
+    rep = er.companion_symbol_check(constant_medium, g)
+    assert rep.eigenvalue_error > 0.1
+
+
 # ------------------------------------ differential: the replaced root codes
 
 # Frozen copies of the root code that ``mode_quadratics`` and
@@ -538,8 +557,8 @@ def test_roots_match_replaced_root_code(name, media_dir, monkeypatch):
 def test_tau_squares_alike_alone_and_in_a_batch(name, media_dir):
     # tau ** 2 of a Python float (a BoundaryCovector's tau) goes through libm
     # pow, which rounds a few squares otherwise than x * x; at those tau a
-    # covector alone must still give the quadratics, labels and roots it
-    # gets in a batch
+    # covector alone must still give the quadratics, labels, roots and
+    # tangential frequency e it gets in a batch
     rng = np.random.default_rng(2026)
     taus = [t for t in rng.uniform(0.5, 5.0, 20000).tolist()
             if t ** 2 != t * t]
@@ -549,10 +568,12 @@ def test_tau_squares_alike_alone_and_in_a_batch(name, media_dir):
     tau = np.sign(sign) * np.array(taus)
     quads = er.boundary.mode_quadratics(m, x, nu, xi_t, tau)
     z_fwd, z_bwd, real, d4 = er.boundary.forward_roots(*quads[:3], tau)
+    e = er.boundary.tangential_frequency(tau, xi_t)
     n_roots = 0
     for i in range(len(taus)):
         gamma = er.BoundaryCovector(t=0.0, x=x[i], tau=float(tau[i]),
                                     xi_t=xi_t[i], nu=nu[i])
+        assert er.e_symbol(gamma) == e[i]
         one = er.boundary.mode_quadratics(m, gamma.x, gamma.nu, gamma.xi_t,
                                           gamma.tau)
         for alone, batch in zip(one, quads):

@@ -362,6 +362,33 @@ def test_transport_deterministic(stressed_medium):
         assert np.array_equal(a.gamma.x, b.gamma.x)
 
 
+def test_transport_reflects_each_level_in_one_batch(media_dir, monkeypatch):
+    m = er.load_medium(media_dir / "gaussian_bump.json")
+    g = er.probe_fan(m, 1, np.random.default_rng(0))[0]
+    calls = []
+    table = rays.root_table
+    monkeypatch.setattr(rays, "root_table",
+                        lambda *a, **k: calls.append(1) or table(*a, **k))
+    res = er.broken_transport(m, g, depth=3)
+    # the launch, then one batch of reflections for each of three levels
+    assert len(calls) == 4 and len(res.events) == 30
+    # the same events and reports as reflecting one exit at a time
+    batched = rays._reflections
+    monkeypatch.setattr(rays, "_reflections", lambda m, states: [
+        out for st in states for out in batched(m, [st])])
+    one = er.broken_transport(m, g, depth=3)
+    assert len(calls) == 4 + 1 + sum(ev.n_reflections < 3
+                                     for ev in res.events)
+    assert one.reports == res.reports
+    assert [(ev.mode, ev.order_index, ev.n_reflections, ev.gamma.t)
+            for ev in one.events] == [(ev.mode, ev.order_index,
+                                       ev.n_reflections, ev.gamma.t)
+                                      for ev in res.events]
+    for a, b in zip(one.events, res.events):
+        assert np.array_equal(a.gamma.x, b.gamma.x)
+        assert np.array_equal(a.gamma.xi_t, b.gamma.xi_t)
+
+
 # ----------------------------------------------------------------- distances
 
 def test_boundary_distance_hand_values(constant_medium):

@@ -1,0 +1,183 @@
+"""The batched boundary-symbol kernel: against the scalar code it replaced
+(frozen in ``scalar_reference.py``), and row by row against itself alone.
+
+Residues, contour quadrature, DN symbol, companion check and polarization
+frame are taken over 256-covector fans of the four reference media plus
+hand-made rows: P glancing, near S and P glancing, mixed, elliptic, normal
+incidence, a base point off the boundary, and an ill-conditioned frame on a
+stiff medium.
+"""
+
+import numpy as np
+import pytest
+import scalar_reference as ref
+
+import elastoray as er
+from elastoray import boundary as bd
+from elastoray import polarization as pol
+from elastoray import rays
+
+MEDIA = ["constant", "constant_stress", "gaussian_bump", "potential_stress"]
+# relative agreement with the replaced code, widened near glancing
+TOL = 1e-12
+BATCHES = {"residue": bd.residue_batch, "quadrature": bd.quadrature_batch,
+           "dn": bd.dn_batch, "companion": bd.companion_batch,
+           "frame": pol.frame_batch}
+REFERENCES = {"residue": ref.residue_matrices,
+              "quadrature": ref.residue_quadrature, "dn": ref.dn_symbol,
+              "companion": ref.companion_symbol_check,
+              "frame": ref.polarization_frame}
+
+
+def _hand_rows(m, seed):
+    """(x, nu, xi_t, tau) of covectors at one sampled base point: P
+    glancing, near P and S glancing on either side, mixed, elliptic and
+    normal incidence, and last a hyperbolic one whose base point is moved
+    off the boundary."""
+    x, nu, xi_t, tau = er.sample_boundary_covectors(
+        m, 1, np.random.default_rng(seed), 0.5)
+    u, t = xi_t[0], float(tau[0])
+    r_s, r_p = (rays._hyperbolic_radius(m, mode, x[0], nu[0], u, t)
+                for mode in "SP")
+    radii = [r_p, r_p * (1 - 1e-7), r_p * (1 + 1e-7), r_s * (1 - 1e-7),
+             0.5 * (r_s + r_p), 2.0 * r_s, 0.0, 0.5 * r_p]
+    n = len(radii)
+    x = np.repeat(x, n, axis=0)
+    x[-1] *= 0.99
+    return (x, np.repeat(nu, n, axis=0), np.array(radii)[:, None] * u,
+            np.full(n, t))
+
+
+def _stiff_row():
+    """A medium with lambda / mu = 1e8 and a covector near S glancing where
+    the polarization basis is too ill-conditioned to invert."""
+    m = er.Medium(rho=1.0, lam=1e4, mu=1e-4)
+    x, nu, xi_t, tau = er.sample_boundary_covectors(
+        m, 1, np.random.default_rng(1), 0.5)
+    r_s = rays._hyperbolic_radius(m, "S", x[0], nu[0], xi_t[0],
+                                  float(tau[0]))
+    return m, (x, nu, (1 - 5e-10) * r_s * xi_t, tau)
+
+
+def _fan(m, seed, n):
+    fan = er.sample_boundary_covectors(m, n, np.random.default_rng(seed),
+                                       0.5)
+    return tuple(np.concatenate([a, b])
+                 for a, b in zip(fan, _hand_rows(m, seed)))
+
+
+def _covector(arrays, i):
+    x, nu, xi_t, tau = arrays
+    return er.BoundaryCovector(t=0.0, x=x[i], tau=float(tau[i]),
+                               xi_t=xi_t[i], nu=nu[i])
+
+
+def _reference_values(kind, out):
+    """The reference result as the batch's values at one row."""
+    if kind == "residue":
+        return {"a0": out.a0, "a1": out.a1, "a0_inv": out.a0_inv,
+                "cond_a0": out.cond_a0}
+    if kind == "quadrature":
+        return {"a0": out.a0, "a1": out.a1, "center": out.center,
+                "radius": out.radius,
+                "windings": [out.windings[label] for label, _ in bd.WINDINGS]}
+    if kind == "dn":
+        return {"matrix": out.matrix, "route_r": out.route_r,
+                "rel_residual": out.rel_residual}
+    if kind == "companion":
+        return {"eta_norm": out.eta_norm,
+                "identity_residual": out.identity_residual,
+                "eigenvalue_error": out.eigenvalue_error, "g": out.g}
+    proj = list(out.projectors.values()) + [np.zeros((6, 6))] * (
+        4 - len(out.projectors))
+    return {"e": out.e, "cond": out.cond, "bases": np.concatenate(
+        list(out.bases.values()), axis=-1), "projectors": proj,
+            "projector_residual": out.projector_residual}
+
+
+def _check_rows(m, kind, arrays):
+    batch = BATCHES[kind](m, *arrays)
+    n_values = 0
+    for i, err in enumerate(batch.errors):
+        gamma = _covector(arrays, i)
+        try:
+            want = REFERENCES[kind](m, gamma)
+        except er.ElastorayError as exc:
+            assert (type(err), str(err)) == (type(exc), str(exc)), (kind, i)
+            continue
+        assert err is None, (kind, i, err)
+        got = batch.row(i)
+        kappa = max(1.0, 1e-4 / max(bd.discriminant_margin(m, gamma),
+                                    1e-300))
+        for key, value in _reference_values(kind, want).items():
+            value = np.asarray(value)
+            err = np.linalg.norm(got[key] - value)
+            assert err <= TOL * kappa * max(1.0, np.linalg.norm(value)), \
+                (kind, i, key, err)
+        if kind == "frame":
+            tags, _, _ = zip(*pol.BLOCKS[want.kind])
+            assert got["hyperbolic"] == (want.kind == "hyperbolic")
+            assert tags == tuple(want.bases)
+            assert [j - k for _, k, j in pol.BLOCKS[want.kind]] == [
+                b.shape[1] for b in want.bases.values()]
+        if kind == "companion":
+            assert got["kernel_ok"] == want.kernel_ok
+            assert {tag: int(d) for tag, d in zip(bd.KERNEL_TAGS,
+                                                   got["kernel_dims"])
+                    if d >= 0} == want.kernel_dims
+        n_values += 1
+    return n_values
+
+
+@pytest.mark.parametrize("name", MEDIA)
+def test_kernel_matches_replaced_scalar_code(name, media_dir):
+    m = er.load_medium(media_dir / f"{name}.json")
+    arrays = _fan(m, seed=len(name), n=256)
+    counts = {kind: _check_rows(m, kind, arrays) for kind in BATCHES}
+    # most of the fan admits every quantity; the hand rows do not
+    assert all(count >= 100 for count in counts.values()), counts
+
+
+def test_kernel_matches_replaced_frame_condition_error():
+    m, arrays = _stiff_row()
+    with pytest.raises(er.FrameConditionError):
+        ref.polarization_frame(m, _covector(arrays, 0))
+    _check_rows(m, "frame", arrays)
+    assert isinstance(pol.frame_batch(m, *arrays).errors[0],
+                      er.FrameConditionError)
+
+
+@pytest.mark.parametrize("name", MEDIA)
+def test_rows_alike_alone_and_in_a_batch(name, media_dir):
+    m = er.load_medium(media_dir / f"{name}.json")
+    arrays = _fan(m, seed=7 * len(name), n=56)
+    assert len(arrays[3]) == 64
+    for kind, batch_of in BATCHES.items():
+        batch = batch_of(m, *arrays)
+        assert not all(batch.ok) and any(batch.ok)
+        for i, err in enumerate(batch.errors):
+            one = batch_of(m, *(a[i:i + 1] for a in arrays))
+            assert type(one.errors[0]) is type(err), (kind, i)
+            if err is not None:
+                assert str(one.errors[0]) == str(err)
+                continue
+            for key, value in one.values.items():
+                row = batch.values[key][i]
+                assert row.dtype == value.dtype, (kind, i, key)
+                assert np.array_equal(row, value[0]), (kind, i, key)
+
+
+def test_scalar_views_are_batches_of_one(potential_medium):
+    arrays = _fan(potential_medium, seed=3, n=8)
+    for i in range(len(arrays[3])):
+        gamma = _covector(arrays, i)
+        for kind, batch_of in BATCHES.items():
+            one = batch_of(potential_medium, *(a[i:i + 1] for a in arrays))
+            scalar = getattr(er, ref_name := REFERENCES[kind].__name__)
+            if one.errors[0] is not None:
+                with pytest.raises(type(one.errors[0])):
+                    scalar(potential_medium, gamma)
+                continue
+            want = _reference_values(kind, scalar(potential_medium, gamma))
+            for key, value in want.items():
+                assert np.array_equal(one.values[key][0], value), ref_name
