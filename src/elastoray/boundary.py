@@ -12,16 +12,18 @@ in conjugate pairs and the one with positive imaginary part is selected.
 
 Residue matrices, contour quadrature, DN symbol and companion check run on
 one batched kernel: x, nu, xi_t of shape (n, 3) and tau of shape (n,) give
-a SymbolBatch of (n, ...) values, read from one ``root_table`` call and one
-evaluation of the fields, with one exception per failed row, of the class
-and message the scalar function raises.  A row comes out bitwise alike
-alone or in any batch, and the scalar functions are batches of one.
+a SymbolBatch of (n, ...) values, read from a RootCore (one ``root_table``
+call and one evaluation of the fields), with one exception per failed row,
+of the class and message the scalar function raises.  A row comes out
+bitwise alike alone or in any batch, and the scalar functions are batches
+of one.  The scalar views of one covector share one RootCore; only that of
+the last (medium, covector) pair is kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -271,9 +273,9 @@ def classify(m, gamma, params=None):
     region is contained in the P elliptic region, so the combined
     label is determined by (S label, P label).
     """
-    t = root_table(m, gamma.x, gamma.nu, gamma.xi_t, gamma.tau)
-    s, p = ("glancing" if t.glancing[k] else
-            "hyperbolic" if t.real[k] else "elliptic" for k in range(2))
+    t = _core_of(m, gamma).table
+    s, p = ("glancing" if t.glancing[k, 0] else
+            "hyperbolic" if t.real[k, 0] else "elliptic" for k in range(2))
     combined = ("glancing" if "glancing" in (s, p) else
                 "elliptic" if s == "elliptic" else
                 "hyperbolic" if p == "hyperbolic" else "mixed")
@@ -283,9 +285,10 @@ def classify(m, gamma, params=None):
     in_gd = gamma.in_gamma_delta(params.delta) if params is not None else None
     return RegionLabel(s_label=s, p_label=p,
                        combined=combined, in_gamma_delta=in_gd,
-                       s_discriminant=float(t.d4[0]),
-                       p_discriminant=float(t.d4[1]),
-                       s_scale2=float(t.scale2[0]), p_scale2=float(t.scale2[1]))
+                       s_discriminant=float(t.d4[0, 0]),
+                       p_discriminant=float(t.d4[1, 0]),
+                       s_scale2=float(t.scale2[0, 0]),
+                       p_scale2=float(t.scale2[1, 0]))
 
 
 @dataclass(frozen=True)
@@ -329,7 +332,7 @@ def discriminant_margin(m, gamma):
     form should require a floor on this margin (sqrt of it bounds the
     relative root gap).
     """
-    return float(root_table(m, gamma.x, gamma.nu, gamma.xi_t, gamma.tau).margin)
+    return float(_core_of(m, gamma).table.margin[0])
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +430,13 @@ def lopatinski_margin(m, params=None, sample_count=10000, seed=0,
               "mixed": int(np.sum(real[0] & ~real[1] & denom_ok)),
               "elliptic": int(np.sum(~real[0] & denom_ok))}
 
-    admissible = None
-    try:
-        admissible = check_class_membership(m, params).admissible
-    except ValueError:
-        pass
+    memo = m._admissible    # the class check runs once per medium and params
+    if params not in memo:
+        try:
+            memo[params] = check_class_membership(m, params).admissible
+        except ValueError:
+            memo[params] = None
+    admissible = memo[params]
     report = LopatinskiReport(min_normalized=min_val, argmin=argmin,
                               n_samples=sample_count, n_used=n_used,
                               n_glancing_skipped=int(glancing.sum()),
@@ -446,17 +451,12 @@ def lopatinski_margin(m, params=None, sample_count=10000, seed=0,
 # the batched kernel: one root table, per-row errors
 # ---------------------------------------------------------------------------
 
-class SymbolBatch:
-    """Boundary covectors on a leading axis of n rows, with both modes'
-    roots z, root derivatives c = 2 rho (Bh - A z) and covectors xi_t - z nu
-    (complex, on leading forward / backward and S / P axes) from one
-    ``root_table`` call, and one kernel's ``values``: arrays of n rows, NaN
-    (zero in flags and counts) at a failed row, none if every row failed.
-    ``errors[i]`` is the ElastorayError the scalar function raises at row
-    i, or None; ``ok`` marks the rows without.  A failed row computes on,
-    masked and kept out of np.linalg, so a row comes out bitwise alike
-    alone or in any batch.
-    """
+class RootCore:
+    """Boundary covectors on a leading axis of n rows, the fields at x and
+    one ``root_table``: both modes' roots z, root derivatives
+    c = 2 rho (Bh - A z) and covectors xi_t - z nu (complex, on leading
+    forward / backward and S / P axes), the Lopatinski product and its
+    ``null`` mask.  Only read after it is built, so kernel runs share it."""
 
     def __init__(self, m, x, nu, xi_t, tau):
         self.m, self.x, self.nu, self.xi_t, self.tau = m, x, nu, xi_t, tau
@@ -466,20 +466,31 @@ class SymbolBatch:
         self.z = np.array([t.z_forward, t.z_backward])
         with np.errstate(all="ignore"):     # inadmissible rows give inf, nan
             self.xi = root_covector(xi_t, self.z[..., None], nu)
-            self.xi_dot, self.product, null = normalized_product(*self.xi[0])
-        self.errors, self.ok = [None] * len(tau), np.ones(len(tau), bool)
+            self.xi_dot, self.product, self.null = normalized_product(
+                *self.xi[0])
+            self.c = 2.0 * self.fields[2] * (t.bh - t.big_a * self.z)
+
+
+class SymbolBatch:
+    """One kernel run on a RootCore, whose arrays it reads and never
+    writes, and the run's own state: ``values``, arrays of n rows, NaN
+    (zero in flags and counts) at a failed row, none if every row failed;
+    ``errors[i]``, the ElastorayError the scalar function raises at row i,
+    or None, made afresh by each run; ``ok``, the rows without.  A failed
+    row computes on, masked and kept out of np.linalg, so a row comes out
+    bitwise alike alone or in any batch."""
+
+    def __init__(self, core):
+        self.__dict__.update(core.__dict__)
+        self.errors, self.ok = [None] * len(self.tau), np.ones(len(self.tau),
+                                                               bool)
         self.values = {}
-        if (t.glancing[0] | t.glancing[1] | null).any():
+        t = self.table
+        if (t.glancing[0] | t.glancing[1] | self.null).any():
             self.fail(*((t.glancing[k], partial(t.glancing_error, k))
                         for k in range(2)),
-                      (null, lambda i: SingularResidueError(
+                      (self.null, lambda i: SingularResidueError(
                           "analytically null selected covector")))
-
-    @cached_property
-    def c(self):
-        with np.errstate(all="ignore"):
-            return 2.0 * self.fields[2] * (self.table.bh
-                                           - self.table.big_a * self.z)
 
     def fail(self, *checks, first=False):
         """Give each row still ok the error of its first failing check (a
@@ -527,19 +538,42 @@ class SymbolBatch:
                          normalized_product=float(self.product[i]))
 
 
-def _batched(kernel, m, x, nu, xi_t, tau, *args):
-    """SymbolBatch of ``kernel`` at x, nu, xi_t of shape (n, 3), tau (n,)."""
-    b = SymbolBatch(m, *(np.asarray(a, dtype=np.float64)
-                         for a in (x, nu, xi_t, tau)))
+def _run(kernel, core, *args):
+    """SymbolBatch of one run of ``kernel`` on a RootCore."""
+    b = SymbolBatch(core)
     b.values = {name: b.masked(a, np.nan if a.dtype.kind in "fc"
                                else a.dtype.type(0))
                 for name, a in kernel(b, *args).items()}
     return b
 
 
-def _one(gamma):
-    return gamma.x[None], gamma.nu[None], gamma.xi_t[None], np.array(
-        [gamma.tau])
+def _batched(kernel, m, x, nu, xi_t, tau, *args):
+    """SymbolBatch of ``kernel`` on a fresh RootCore at x, nu, xi_t (n, 3)
+    and tau (n,)."""
+    return _run(kernel, RootCore(m, *(np.asarray(a, dtype=np.float64)
+                                      for a in (x, nu, xi_t, tau))), *args)
+
+
+# (medium, covector, RootCore) of the last covector a scalar view was given
+_last_core = None
+
+
+def _core_of(m, gamma):
+    """The RootCore of gamma as a batch of one, shared by the scalar views.
+
+    Only the core of the last (medium, covector) pair is kept, matched by
+    identity.  The entry holds strong references to both, so neither
+    identity can be reused while it is kept.  A BoundaryCovector is frozen
+    and its arrays are read-only, and nothing reassigns a medium's fields
+    after construction, so a kept core stays that of its pair.
+    """
+    global _last_core
+    entry = _last_core
+    if entry is None or entry[0] is not m or entry[1] is not gamma:
+        entry = _last_core = (m, gamma, RootCore(
+            m, gamma.x[None], gamma.nu[None], gamma.xi_t[None],
+            np.array([gamma.tau])))
+    return entry[2]
 
 
 def char_roots(m, gamma):
@@ -548,7 +582,7 @@ def char_roots(m, gamma):
     Raises GlancingError when either mode is glancing.  The residual of the
     scalar symbol at each returned root is at machine level by construction.
     """
-    b = SymbolBatch(m, *_one(gamma))
+    b = SymbolBatch(_core_of(m, gamma))
     b.row(0)
     return b.char_roots(0, gamma)
 
@@ -619,7 +653,7 @@ def residue_batch(m, x, nu, xi_t, tau):
 
 
 def residue_matrices(m, gamma):
-    b = _batched(_residues, m, *_one(gamma))
+    b = _run(_residues, _core_of(m, gamma))
     v = b.row(0)
     return ResidueData(a0=v["a0"], a1=v["a1"], a0_inv=v["a0_inv"],
                        cond_a0=float(v["cond_a0"]),
@@ -695,7 +729,7 @@ def residue_quadrature(m, gamma, nodes=256):
     all four roots are evaluated from the same quadrature and must certify
     the selection, otherwise ContourError is raised.
     """
-    v = _batched(_quadrature, m, *_one(gamma), nodes).row(0)
+    v = _run(_quadrature, _core_of(m, gamma), nodes).row(0)
     return QuadratureResult(
         a0=v["a0"], a1=v["a1"], center=complex(v["center"]),
         radius=float(v["radius"]), nodes=nodes,
@@ -745,7 +779,7 @@ def dn_batch(m, x, nu, xi_t, tau):
 
 
 def dn_symbol(m, gamma):
-    b = _batched(_dn, m, *_one(gamma))
+    b = _run(_dn, _core_of(m, gamma))
     v = b.row(0)
     return DnSymbol(matrix=v["matrix"], route_r=v["route_r"],
                     rel_residual=float(v["rel_residual"]),
@@ -858,7 +892,7 @@ def companion_symbol_check(m, gamma, zeta=None):
     the characteristic roots with multiplicity (2, 2, 1, 1); over each real
     root the kernel of (z - g) is {(|eta| a, z a) : p(z) a = 0}.
     """
-    v = _batched(_companion, m, *_one(gamma), zeta).row(0)
+    v = _run(_companion, _core_of(m, gamma), zeta).row(0)
     return CompanionReport(
         eta_norm=float(v["eta_norm"]),
         identity_residual=float(v["identity_residual"]),

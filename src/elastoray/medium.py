@@ -549,6 +549,7 @@ class Medium:
         self.stress = residual_stress(stress)
         self.domain = domain if domain is not None else Domain("ball")
         self.class_params = class_params
+        self._admissible = {}   # lopatinski_margin's class checks, by params
         self._check_positivity()
 
     def _check_positivity(self):

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # char_roots and traction_symbol stay importable from this module
-from .boundary import (_batched, _fro, _one, char_roots,  # noqa: F401
-                       e_symbol, tangential_frequency)
+from .boundary import (_batched, _core_of, _fro, _run,  # noqa: F401
+                       char_roots, e_symbol, tangential_frequency)
 from .errors import DegenerateMutingError, FrameConditionError, GlancingError
 from .symbols import _apply, _outer, traction_symbol  # noqa: F401
 
@@ -146,7 +146,7 @@ def polarization_frame(m, gamma):
     root computation).  Raises FrameConditionError when the stacked basis is
     too ill-conditioned to invert reliably (near-glancing covectors).
     """
-    v = _batched(_frame, m, *_one(gamma)).row(0)
+    v = _run(_frame, _core_of(m, gamma)).row(0)
     kind = "hyperbolic" if v["hyperbolic"] else "mixed"
     blocks = BLOCKS[kind]
     return PolarizationFrame(

@@ -452,6 +452,18 @@ class TransportResult:
     reports: list
 
 
+def _arrival_order(times, rtol):
+    """Indices of arrival ``times`` in time order.  Arrivals within
+    rtol * max(1, |t|) of the first arrival t of their run are tied and keep
+    their creation order, so rounding cannot reorder coinciding arrivals."""
+    first, run = None, {}
+    for k in sorted(range(len(times)), key=times.__getitem__):
+        if first is None or times[k] - first > rtol * max(1.0, abs(first)):
+            first = times[k]
+        run[k] = first
+    return sorted(run, key=lambda k: (run[k], k))
+
+
 def _transport(m, sources, depth, t_max, ctrl):
     """Broken transport of several sources together, breadth first.
 
@@ -526,9 +538,10 @@ def _transport(m, sources, depth, t_max, ctrl):
                                f"{lineage}->{new_state.mode}"))
         level = [item for item in queued if errors[item[0]] is None]
 
+    rtol = (ctrl or DEFAULT_STEP).rtol
     results = []
     for found, notes, error in zip(events, reports, errors):
-        order = sorted(range(len(found)), key=lambda k: (found[k][0].t, k))
+        order = _arrival_order([gamma.t for gamma, _, _ in found], rtol)
         out = [WFEvent(gamma=found[k][0], mode=found[k][1], order_index=rank,
                        n_reflections=found[k][2])
                for rank, k in enumerate(order)]
@@ -541,9 +554,10 @@ def broken_transport(m, gamma, initial_modes=("S", "P"), depth=3, t_max=None,
     """Propagate gamma through up to ``depth`` reflections, collecting events.
 
     Breadth-first over reflected branches, one batch per level; events are
-    sorted by arrival time (ties by creation order, so the result is
-    deterministic).  Branches that exceed ``t_max``, exit tangentially, or
-    hit a glancing reflection are dropped with a report.
+    sorted by arrival time, where arrivals within ``ctrl.rtol`` of each
+    other tie and keep creation order, so rounding cannot swap them.
+    Branches that exceed ``t_max``, exit tangentially, or hit a glancing
+    reflection are dropped with a report.
     """
     result, error = _transport(m, [(gamma, tuple(initial_modes))], depth,
                                t_max, ctrl)[0]

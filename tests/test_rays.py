@@ -925,7 +925,9 @@ def sequential_transport(m, gamma, initial_modes=("S", "P"), depth=3,
                     for md in refl.glancing]
         queue += [(s, n_refl + 1, f"{lineage}->{s.mode}")
                   for s in refl.states]
-    order = sorted(range(len(events)), key=lambda i: (events[i][0].t, i))
+    # arrivals within the step control's rtol tie and keep creation order
+    order = rays._arrival_order([ev[0].t for ev in events],
+                                rays.DEFAULT_STEP.rtol)
     return [events[i] for i in order], reports
 
 
@@ -1040,3 +1042,26 @@ def test_boundary_distance_adopts_converged_descent(name, modes, request,
             assert res[True].distance == pytest.approx(res[False].distance,
                                                        rel=1e-9)
     assert legs[True] < legs[False]
+
+
+@pytest.mark.parametrize("gap", [3e-13, -3e-13])
+def test_tied_arrivals_keep_creation_order(gap):
+    # within rtol * max(1, |t|) of the first arrival of their run
+    t = 5.66345936684965
+    assert rays._arrival_order([t, t + gap], 1e-10) == [0, 1]
+    assert rays._arrival_order([9.0, t, t + gap, 1.0], 1e-10) == [3, 1, 2, 0]
+
+
+@pytest.mark.parametrize("gap", [1e-6, -1e-6])
+def test_separate_arrivals_come_by_time(gap):
+    t = 5.66345936684965
+    assert rays._arrival_order([t, t + gap], 1e-10) == ([0, 1] if gap > 0
+                                                         else [1, 0])
+
+
+def test_arrival_ties_run_from_the_first_arrival():
+    # 0.6e-10 steps: each is within rtol of the one before, the third is
+    # not within rtol of the first and so starts a new run
+    times = [1.0 + 1.2e-10, 1.0 + 0.6e-10, 1.0]
+    assert rays._arrival_order(times, 1e-10) == [1, 2, 0]
+    assert rays._arrival_order([-3.0, -3.0 - 2e-10], 1e-10) == [0, 1]

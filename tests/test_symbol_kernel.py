@@ -181,3 +181,127 @@ def test_scalar_views_are_batches_of_one(potential_medium):
             want = _reference_values(kind, scalar(potential_medium, gamma))
             for key, value in want.items():
                 assert np.array_equal(one.values[key][0], value), ref_name
+
+
+# ------------------------------------------ the scalar views' shared root core
+
+# the scalar views of one covector, each called on (m, gamma)
+VIEWS = [bd.classify, bd.discriminant_margin, bd.char_roots,
+         bd.residue_matrices, bd.residue_quadrature, bd.dn_symbol,
+         pol.polarization_frame, pol.muting_annihilation_check,
+         bd.companion_symbol_check]
+
+
+def _bits(value):
+    """A view's result with every number as its bytes, or the class and
+    message of the ElastorayError it raised."""
+    if isinstance(value, er.ElastorayError):
+        return type(value), str(value)
+    if hasattr(value, "__dataclass_fields__"):
+        return {name: _bits(getattr(value, name))
+                for name in value.__dataclass_fields__}
+    if isinstance(value, dict):
+        return {key: _bits(v) for key, v in value.items()}
+    if isinstance(value, (np.ndarray, float, complex)):
+        value = np.asarray(value)
+        return value.dtype.str, value.shape, value.tobytes()
+    return value
+
+
+def _call(view, m, gamma):
+    try:
+        return _bits(view(m, gamma))
+    except er.ElastorayError as exc:
+        return _bits(exc)
+
+
+def _fresh(view, m, gamma):
+    """``view`` on a root core built for this call alone."""
+    bd._last_core = None
+    return _call(view, m, gamma)
+
+
+@pytest.mark.parametrize("name", MEDIA)
+def test_shared_root_core_matches_fresh_cores(name, media_dir):
+    m = er.load_medium(media_dir / f"{name}.json")
+    arrays = _fan(m, seed=5 * len(name), n=256)
+    n_failed = 0
+    for i in range(len(arrays[3])):
+        gamma = _covector(arrays, i)
+        bd._last_core = None
+        shared = [_call(view, m, gamma) for view in VIEWS]
+        assert bd._last_core[0] is m and bd._last_core[1] is gamma
+        assert shared == [_fresh(view, m, gamma) for view in VIEWS], i
+        n_failed += any(isinstance(v, tuple) and isinstance(v[0], type)
+                        for v in shared)
+    assert 0 < n_failed < len(arrays[3])
+
+
+def test_shared_root_core_follows_the_medium(constant_medium,
+                                             stressed_medium):
+    gamma = er.boundary_covector(constant_medium, 0.0, [0.0, 0.0, 1.0], 2.0,
+                                 [0.6, 0.3, 0.0])
+    want = {id(m): [_fresh(view, m, gamma) for view in VIEWS]
+            for m in (constant_medium, stressed_medium)}
+    assert want[id(constant_medium)] != want[id(stressed_medium)]
+    bd._last_core = None
+    for m in (constant_medium, stressed_medium) * 2:
+        assert [_call(view, m, gamma) for view in VIEWS] == want[id(m)]
+
+
+def test_failing_views_raise_distinct_exceptions(constant_medium):
+    # |xi_t| = 1 = c_S^-1 |tau| puts the S mode at glancing
+    gamma = er.boundary_covector(constant_medium, 0.0, [0.0, 0.0, 1.0], 1.0,
+                                 [1.0, 0.0, 0.0])
+    raised = []
+    for view in (er.char_roots, er.char_roots, er.dn_symbol,
+                 er.polarization_frame):
+        with pytest.raises(er.GlancingError) as exc:
+            view(constant_medium, gamma)
+        raised.append(exc.value)
+    assert len({id(exc) for exc in raised}) == len(raised)
+    assert str(raised[0]) == str(raised[1])
+
+
+@pytest.mark.parametrize("name", MEDIA)
+def test_kernels_leave_the_root_core_unchanged(name, media_dir):
+    m = er.load_medium(media_dir / f"{name}.json")
+    core = bd.RootCore(m, *_fan(m, seed=len(name), n=64))
+
+    def arrays():
+        out = {key: np.array(value, copy=True)
+               for key, value in vars(core).items()
+               if isinstance(value, np.ndarray)}
+        out.update((f"fields{k}", np.array(f, copy=True))
+                   for k, f in enumerate(core.fields))
+        out.update((f"table.{key}", np.array(value, copy=True))
+                   for key, value in vars(core.table).items())
+        return out
+
+    before = arrays()
+    for kernel, args in ((bd._residues, ()), (bd._quadrature, (256,)),
+                         (bd._dn, ()), (bd._companion, (None,)),
+                         (pol._frame, ())):
+        b = bd._run(kernel, core, *args)
+        assert not b.ok.all() and b.ok.any()
+    after = arrays()
+    assert before.keys() == after.keys()
+    for key, value in before.items():
+        assert value.tobytes() == after[key].tobytes(), key
+
+
+def test_lopatinski_admissibility_is_kept_per_class_parameters(
+        monkeypatch):
+    m = er.Medium(rho=1.0, lam=1.0, mu=1.0, class_params=er.ClassParams(
+        L=3.5, eps=0.2, delta=0.5))
+    checks = []
+    check = bd.check_class_membership
+    monkeypatch.setattr(bd, "check_class_membership",
+                        lambda *a: checks.append(a) or check(*a))
+    # lambda + 2 mu = 3 exceeds L = 2
+    tight = er.ClassParams(L=2.0, eps=0.2, delta=0.5)
+    for params, admissible in ((None, True), (tight, False), (None, True),
+                               (tight, False)):
+        rep = er.lopatinski_margin(m, params, sample_count=200, seed=1)
+        assert rep.admissible is admissible
+    assert len(checks) == 2
