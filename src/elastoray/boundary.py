@@ -71,6 +71,10 @@ __all__ = [
 
 GLANCING_TOL = 1e-10
 
+# rows per block of the Lopatinski scan: its transient arrays stay near 1 MB
+# at any sample count, and numpy's per-call overhead stays small
+_SCAN_BLOCK = 2048
+
 # Sign of the normal-derivative term in the traction route of the DN symbol,
 # fixed once by calibration against the eigenvector route on the constant
 # medium (see tests); with covectors written xi_t - z nu this is -1.
@@ -205,6 +209,22 @@ class RootTable:
         """min over modes of |Bh^2 - A C| / scale2; zero exactly at glancing."""
         return np.min(np.abs(self.d4) / self.scale2, axis=0)
 
+    def region_label(self, i, in_gamma_delta):
+        """RegionLabel of covector i; the S elliptic region lies in the P
+        elliptic one, so (S label, P label) determine the combined label."""
+        s, p = ("glancing" if self.glancing[k, i] else
+                "hyperbolic" if self.real[k, i] else "elliptic"
+                for k in range(2))
+        combined = ("glancing" if "glancing" in (s, p) else
+                    "elliptic" if s == "elliptic" else
+                    "hyperbolic" if p == "hyperbolic" else "mixed")
+        return RegionLabel(s_label=s, p_label=p, combined=combined,
+                           in_gamma_delta=in_gamma_delta,
+                           s_discriminant=float(self.d4[0, i]),
+                           p_discriminant=float(self.d4[1, i]),
+                           s_scale2=float(self.scale2[0, i]),
+                           p_scale2=float(self.scale2[1, i]))
+
     def glancing_error(self, k, *i):
         """The GlancingError of mode k (at covector i of a batch)."""
         return GlancingError(f"mode {MODES[k]} is glancing at this covector",
@@ -267,28 +287,13 @@ class RegionLabel:
 
 
 def classify(m, gamma, params=None):
-    """Classify gamma into hyperbolic / mixed / elliptic / glancing regions.
-
-    A mode is glancing where ``root_table`` marks it so.  The S elliptic
-    region is contained in the P elliptic region, so the combined
-    label is determined by (S label, P label).
-    """
-    t = _core_of(m, gamma).table
-    s, p = ("glancing" if t.glancing[k, 0] else
-            "hyperbolic" if t.real[k, 0] else "elliptic" for k in range(2))
-    combined = ("glancing" if "glancing" in (s, p) else
-                "elliptic" if s == "elliptic" else
-                "hyperbolic" if p == "hyperbolic" else "mixed")
-
+    """Classify gamma into hyperbolic / mixed / elliptic / glancing regions
+    by ``RootTable.region_label``; a mode is glancing where ``root_table``
+    marks it so."""
     if params is None:
         params = getattr(m, "class_params", None)
     in_gd = gamma.in_gamma_delta(params.delta) if params is not None else None
-    return RegionLabel(s_label=s, p_label=p,
-                       combined=combined, in_gamma_delta=in_gd,
-                       s_discriminant=float(t.d4[0, 0]),
-                       p_discriminant=float(t.d4[1, 0]),
-                       s_scale2=float(t.scale2[0, 0]),
-                       p_scale2=float(t.scale2[1, 0]))
+    return _core_of(m, gamma).table.region_label(0, in_gd)
 
 
 @dataclass(frozen=True)
@@ -349,13 +354,13 @@ def sample_boundary_covectors(m, n, rng, delta):
     x = m.domain.sample_boundary(n, rng)
     nu = m.domain.normal(x)
     v = rng.standard_normal((n, 3))
-    v -= np.sum(v * nu, axis=-1, keepdims=True) * nu
-    bad = np.linalg.norm(v, axis=-1) < 1e-8
+    v -= adot(v, nu)[:, None] * nu
+    bad = np.sqrt(adot(v, v)) < 1e-8
     while np.any(bad):
         v[bad] = rng.standard_normal((int(bad.sum()), 3))
-        v[bad] -= np.sum(v[bad] * nu[bad], axis=-1, keepdims=True) * nu[bad]
-        bad = np.linalg.norm(v, axis=-1) < 1e-8
-    xi_t = v / np.linalg.norm(v, axis=-1, keepdims=True)
+        v[bad] -= adot(v[bad], nu[bad])[:, None] * nu[bad]
+        bad = np.sqrt(adot(v, v)) < 1e-8
+    xi_t = v / np.sqrt(adot(v, v))[:, None]
     pts = m.domain.grid(9)
     c2 = _mode_coeff(m, "P", pts) * (1.0 + 0.5) / m.rho(pts)
     top = max(3.0 * float(np.sqrt(c2.max())), 2.0 * delta)
@@ -398,7 +403,12 @@ def lopatinski_margin(m, params=None, sample_count=10000, seed=0,
     returns the minimum of |xi_S . xi_P| / (|xi_S| |xi_P|) with analytic
     norms |xi| = sqrt(|xi . xi|).  For a medium passing the class membership
     check the minimum must be positive; a non-positive minimum then raises
-    LopatinskiError.  For inadmissible media the value is reported only.
+    LopatinskiError, as does a sample with no usable covector.  For
+    inadmissible media the value is reported only.
+
+    The samples are drawn at once and evaluated in blocks of rows, and the
+    report is bitwise that of one pass over them: the minimizer is the first
+    index ``np.argmin`` gives.
     """
     if params is None:
         params = getattr(m, "class_params", None)
@@ -408,27 +418,33 @@ def lopatinski_margin(m, params=None, sample_count=10000, seed=0,
     x, nu, xi_t, tau = sample_boundary_covectors(m, sample_count, rng,
                                                  params.delta)
 
-    t = root_table(m, x, nu, xi_t, tau, glancing_tol=glancing_margin)
-    glancing = np.any(t.glancing, axis=0)
-    use = np.all(t.big_a > 0, axis=0) & ~glancing
-    real, z_fwd = t.real, t.z_forward
-    del t    # the quadratics are freed before the (n, 3) covectors
-    xi_s, xi_p = (root_covector(xi_t, z[:, None], nu) for z in z_fwd)
-    _, product, null = normalized_product(xi_s, xi_p)
-    denom_ok = use & ~null
-    norm_prod = np.where(denom_ok, product, np.inf)
-
-    n_used = int(denom_ok.sum())
+    min_val, imin, n_used, n_glancing = np.inf, 0, 0, 0
+    counts = dict.fromkeys(("hyperbolic", "mixed", "elliptic"), 0)
+    for lo in range(0, sample_count, _SCAN_BLOCK):
+        rows = slice(lo, lo + _SCAN_BLOCK)
+        t = root_table(m, x[rows], nu[rows], xi_t[rows], tau[rows],
+                       glancing_tol=glancing_margin)
+        glancing = np.any(t.glancing, axis=0)
+        xi_s, xi_p = (root_covector(xi_t[rows], z[:, None], nu[rows])
+                      for z in t.z_forward)
+        _, product, null = normalized_product(xi_s, xi_p)
+        ok = np.all(t.big_a > 0, axis=0) & ~glancing & ~null
+        norm_prod = np.where(ok, product, np.inf)
+        i = int(np.argmin(norm_prod))
+        # np.argmin of (running, block) minimum: an earlier tie or NaN wins
+        if np.argmin([min_val, norm_prod[i]]):
+            min_val, imin = float(norm_prod[i]), lo + i
+        n_used += int(ok.sum())
+        n_glancing += int(glancing.sum())
+        real = t.real
+        counts["hyperbolic"] += int(np.sum(real[0] & real[1] & ok))
+        counts["mixed"] += int(np.sum(real[0] & ~real[1] & ok))
+        counts["elliptic"] += int(np.sum(~real[0] & ok))
     if n_used == 0:
-        raise ValueError("no usable covector samples (all glancing/invalid)")
-    imin = int(np.argmin(norm_prod))
-    min_val = float(norm_prod[imin])
+        raise LopatinskiError(
+            "no usable covector samples (all glancing/invalid)")
     argmin = BoundaryCovector(t=0.0, x=x[imin], tau=float(tau[imin]),
                               xi_t=xi_t[imin], nu=nu[imin])
-
-    counts = {"hyperbolic": int(np.sum(real[0] & real[1] & denom_ok)),
-              "mixed": int(np.sum(real[0] & ~real[1] & denom_ok)),
-              "elliptic": int(np.sum(~real[0] & denom_ok))}
 
     memo = m._admissible    # the class check runs once per medium and params
     if params not in memo:
@@ -439,7 +455,7 @@ def lopatinski_margin(m, params=None, sample_count=10000, seed=0,
     admissible = memo[params]
     report = LopatinskiReport(min_normalized=min_val, argmin=argmin,
                               n_samples=sample_count, n_used=n_used,
-                              n_glancing_skipped=int(glancing.sum()),
+                              n_glancing_skipped=n_glancing,
                               region_counts=counts, admissible=admissible)
     if admissible and not report.positive:
         raise LopatinskiError(

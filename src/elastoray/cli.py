@@ -21,7 +21,7 @@ import numpy as np
 from . import boundary as bd
 from . import polarization as pol
 from . import rays
-from .errors import ElastorayError, _attempt
+from .errors import ElastorayError
 from .medium import check_class_membership, load_medium, medium_digest
 from .symbols import principal_symbol_batch
 
@@ -120,8 +120,10 @@ def cmd_validate(m, args):
 
 def cmd_classify(m, args):
     fan = _covector_fan(m, args.fan_n, args.seed, args.delta)
-    rows = _fan_rows(fan, [bd.classify(m, g) for g in _covectors(fan)],
-                     lambda i, label: label.to_dict())
+    table = bd.RootCore(m, *fan).table
+    delta = m.class_params.delta if m.class_params is not None else None
+    rows = _fan_rows(fan, _covectors(fan), lambda i, g: table.region_label(
+        i, None if delta is None else g.in_gamma_delta(delta)).to_dict())
     if args.csv:
         fields = ["t", "x1", "x2", "x3", "tau", "xi1", "xi2", "xi3",
                   "s_label", "p_label", "combined", "in_gamma_delta"]
@@ -148,8 +150,11 @@ def cmd_roots(m, args):
     fan = [np.concatenate([a[:1], a[:1], a]) for a in (x, nu, xi_t, tau)]
     fan[2][:2] = np.zeros(3), r_p * u
     failures = []
-    rows = _fan_rows(fan, [_attempt(bd.char_roots, m, g)
-                           for g in _covectors(fan)], lambda i, roots: {
+    b = bd.SymbolBatch(bd.RootCore(m, *fan))
+    # each row's error, else its roots
+    results = [b.errors[i] or b.char_roots(i, g)
+               for i, g in enumerate(_covectors(fan))]
+    rows = _fan_rows(fan, results, lambda i, roots: {
         "z_s_forward": roots.s.z_forward, "z_s_backward": roots.s.z_backward,
         "z_p_forward": roots.p.z_forward, "z_p_backward": roots.p.z_backward,
         "c_s": roots.s.c_forward, "c_p": roots.p.c_forward,

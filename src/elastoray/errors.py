@@ -57,7 +57,8 @@ class FrameConditionError(ElastorayError):
 
 
 class LopatinskiError(ElastorayError):
-    """Lopatinski margin is non-positive for an admissible medium."""
+    """Lopatinski margin is non-positive for an admissible medium, or no
+    sampled covector was usable."""
 
 
 class EvanescentModeError(ElastorayError):

@@ -4,22 +4,27 @@ These are the one-covector-at-a-time bodies that ``residue_batch``,
 ``quadrature_batch``, ``dn_batch``, ``companion_batch`` and ``frame_batch``
 replaced, kept verbatim (with the symbol and traction helpers they called)
 so that the differential test in ``test_symbol_kernel.py`` compares the
-kernel against the code it replaces.
+kernel against the code it replaces.  ``lopatinski_margin`` and
+``sample_boundary_covectors`` are the one-pass scan and its sampler, with
+numpy's sums and norms, that the block-streamed scan replaced.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from elastoray.boundary import (NORMAL_DERIVATIVE_SIGN, CharRoots,
-                                CompanionReport, DnSymbol, ModeRoots,
-                                QuadratureResult, ResidueData,
-                                normalized_product, root_covector, root_table)
+from elastoray.boundary import (NORMAL_DERIVATIVE_SIGN, BoundaryCovector,
+                                CharRoots, CompanionReport, DnSymbol,
+                                LopatinskiReport, ModeRoots, QuadratureResult,
+                                ResidueData, normalized_product, root_covector,
+                                root_table)
 from elastoray.errors import (ContourError, FrameConditionError,
                               FrameDegenerateError, GlancingError,
-                              NotOnBoundaryError, SingularResidueError)
+                              LopatinskiError, NotOnBoundaryError,
+                              SingularResidueError)
+from elastoray.medium import check_class_membership
 from elastoray.polarization import COND_LIMIT
-from elastoray.symbols import MODES, adot
+from elastoray.symbols import MODES, _mode_coeff, adot
 
 
 def principal_symbol_matrix(m, x, tau, xi):
@@ -402,3 +407,86 @@ def polarization_frame(m, gamma):
 
     return PolarizationFrame(gamma=gamma, kind=kind, e=e, bases=bases,
                              projectors=projectors, cond=cond)
+
+
+def sample_boundary_covectors(m, n, rng, delta):
+    """Random boundary covector batch inside the time-like cone Gamma_delta.
+
+    Returns arrays (x, nu, xi_t, tau) with |xi_t| = 1 and |tau| / |xi_t|
+    log-uniform from delta up to three times the largest compressional
+    speed, which covers the hyperbolic region.
+    """
+    x = m.domain.sample_boundary(n, rng)
+    nu = m.domain.normal(x)
+    v = rng.standard_normal((n, 3))
+    v -= np.sum(v * nu, axis=-1, keepdims=True) * nu
+    bad = np.linalg.norm(v, axis=-1) < 1e-8
+    while np.any(bad):
+        v[bad] = rng.standard_normal((int(bad.sum()), 3))
+        v[bad] -= np.sum(v[bad] * nu[bad], axis=-1, keepdims=True) * nu[bad]
+        bad = np.linalg.norm(v, axis=-1) < 1e-8
+    xi_t = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    pts = m.domain.grid(9)
+    c2 = _mode_coeff(m, "P", pts) * (1.0 + 0.5) / m.rho(pts)
+    top = max(3.0 * float(np.sqrt(c2.max())), 2.0 * delta)
+    u = np.exp(rng.uniform(np.log(delta), np.log(top), n))
+    tau = u * rng.choice([-1.0, 1.0], n)
+    return x, nu, xi_t, tau
+
+
+def lopatinski_margin(m, params=None, sample_count=10000, seed=0,
+                      glancing_margin=1e-3):
+    """Sampled lower bound for the Lopatinski product over Gamma_delta.
+
+    Samples covectors in the time-like cone, skips near-glancing ones
+    (discriminant within ``glancing_margin`` of zero relative to scale), and
+    returns the minimum of |xi_S . xi_P| / (|xi_S| |xi_P|) with analytic
+    norms |xi| = sqrt(|xi . xi|).  For a medium passing the class membership
+    check the minimum must be positive; a non-positive minimum then raises
+    LopatinskiError.  For inadmissible media the value is reported only.
+    """
+    if params is None:
+        params = getattr(m, "class_params", None)
+    if params is None:
+        raise ValueError("no class parameters supplied")
+    rng = np.random.default_rng(seed)
+    x, nu, xi_t, tau = sample_boundary_covectors(m, sample_count, rng,
+                                                 params.delta)
+
+    t = root_table(m, x, nu, xi_t, tau, glancing_tol=glancing_margin)
+    glancing = np.any(t.glancing, axis=0)
+    use = np.all(t.big_a > 0, axis=0) & ~glancing
+    real, z_fwd = t.real, t.z_forward
+    del t    # the quadratics are freed before the (n, 3) covectors
+    xi_s, xi_p = (root_covector(xi_t, z[:, None], nu) for z in z_fwd)
+    _, product, null = normalized_product(xi_s, xi_p)
+    denom_ok = use & ~null
+    norm_prod = np.where(denom_ok, product, np.inf)
+
+    n_used = int(denom_ok.sum())
+    if n_used == 0:
+        raise ValueError("no usable covector samples (all glancing/invalid)")
+    imin = int(np.argmin(norm_prod))
+    min_val = float(norm_prod[imin])
+    argmin = BoundaryCovector(t=0.0, x=x[imin], tau=float(tau[imin]),
+                              xi_t=xi_t[imin], nu=nu[imin])
+
+    counts = {"hyperbolic": int(np.sum(real[0] & real[1] & denom_ok)),
+              "mixed": int(np.sum(real[0] & ~real[1] & denom_ok)),
+              "elliptic": int(np.sum(~real[0] & denom_ok))}
+
+    memo = m._admissible    # the class check runs once per medium and params
+    if params not in memo:
+        try:
+            memo[params] = check_class_membership(m, params).admissible
+        except ValueError:
+            memo[params] = None
+    admissible = memo[params]
+    report = LopatinskiReport(min_normalized=min_val, argmin=argmin,
+                              n_samples=sample_count, n_used=n_used,
+                              n_glancing_skipped=int(glancing.sum()),
+                              region_counts=counts, admissible=admissible)
+    if admissible and not report.positive:
+        raise LopatinskiError(
+            f"Lopatinski product vanished ({min_val}) for an admissible medium")
+    return report

@@ -103,6 +103,26 @@ def test_non_object_medium_blocks_are_config_errors(doc, tmp_path):
     assert not (tmp_path / "out.json").exists()
 
 
+def test_scan_without_usable_samples_is_a_failure(media_dir, tmp_path):
+    # constant stress -2 I with mu = 1 makes the S form negative everywhere:
+    # the medium loads, no Lopatinski scan sample is usable, and roots
+    # reports that as a failure (exit 1), never as a traceback
+    doc = json.loads((media_dir / "constant_stress.json").read_text())
+    doc["residual_stress"]["matrix"] = (-2.0 * np.eye(3)).tolist()
+    path, out = tmp_path / "negative_s.json", tmp_path / "out.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "elastoray.cli", "--medium", str(path),
+         "--out", str(out), "roots", "--fan-n", "3", "--samples", "100"],
+        env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    report = json.loads(out.read_text())
+    assert report["failures"] == [
+        "lopatinski: no usable covector samples (all glancing/invalid)"]
+    assert report["results"]["lopatinski"] is None
+
+
 @pytest.mark.parametrize("args", [
     ["roots", "--fan-n", "0"], ["classify", "--fan-n", "-1"],
     ["frame", "--fan-n", "-2"], ["distance", "--points", "-1"],

@@ -5,8 +5,11 @@ Residues, contour quadrature, DN symbol, companion check and polarization
 frame are taken over 256-covector fans of the four reference media plus
 hand-made rows: P glancing, near S and P glancing, mixed, elliptic, normal
 incidence, a base point off the boundary, and an ill-conditioned frame on a
-stiff medium.
+stiff medium.  The block-streamed Lopatinski scan is compared with the
+one-pass scan it replaced, across block boundaries.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,3 +308,75 @@ def test_lopatinski_admissibility_is_kept_per_class_parameters(
         rep = er.lopatinski_margin(m, params, sample_count=200, seed=1)
         assert rep.admissible is admissible
     assert len(checks) == 2
+
+
+# around the scan's 2048-row blocks: one row, a block less one, one block,
+# a block and one, a partial fourth block, and a symbol_fan-sized scan
+SCAN_COUNTS = [1, 2047, 2048, 2049, 3 * 2048 + 17, 20000]
+
+
+def _scan_outcome(scan, m, n, seed, errors):
+    """Every field of a Lopatinski scan's report, bitwise, or the message of
+    the error in ``errors`` it raised."""
+    try:
+        rep = scan(m, sample_count=n, seed=seed)
+    except errors as exc:
+        return str(exc)
+    g = rep.argmin
+    return (rep.min_normalized.hex(), rep.n_samples, rep.n_used,
+            rep.n_glancing_skipped, rep.region_counts, rep.admissible,
+            g.t.hex(), g.tau.hex(), g.x.tobytes(), g.nu.tobytes(),
+            g.xi_t.tobytes())
+
+
+@pytest.mark.parametrize("name", MEDIA)
+def test_streamed_scan_matches_one_pass_scan(name, media_dir):
+    m = er.load_medium(media_dir / f"{name}.json")
+    for seed in range(4):
+        for n in SCAN_COUNTS:
+            # the one-pass scan raised ValueError where no sample was usable
+            want = _scan_outcome(ref.lopatinski_margin, m, n, seed,
+                                 (ValueError, er.LopatinskiError))
+            got = _scan_outcome(er.lopatinski_margin, m, n, seed,
+                                er.LopatinskiError)
+            assert got == want, (seed, n)
+
+
+def test_streamed_scan_skips_a_glancing_block_and_keeps_the_first_tie(
+        constant_medium, monkeypatch):
+    # the first block is all P glancing (|xi_t| = 1 at tau = c_P), and the
+    # minimum is taken by two covectors in the second and third blocks,
+    # tied bitwise because they differ only by a permutation of the axes
+    n, block = 3 * 2048 + 17, 2048
+    x, nu, xi_t, tau = ref.sample_boundary_covectors(
+        constant_medium, n, np.random.default_rng(0), 0.5)
+    tau = np.where(np.arange(n) < block, np.sqrt(3.0), 3.0) * np.sign(tau)
+    e = np.eye(3)
+    first, second = block + 5, 2 * block + 7
+    for i, (a, b) in ((first, (0, 1)), (second, (1, 2))):
+        x[i], nu[i], xi_t[i], tau[i] = e[a], e[a], e[b], 1.7
+    fan = (x, nu, xi_t, tau)
+    for module in (bd, ref):
+        monkeypatch.setattr(module, "sample_boundary_covectors",
+                            lambda m, count, rng, delta: fan)
+    rep = er.lopatinski_margin(constant_medium, sample_count=n)
+    twins = bd.RootCore(constant_medium, *(a[[first, second]] for a in fan))
+    assert twins.product[0] == twins.product[1] == rep.min_normalized
+    assert rep.n_glancing_skipped >= block
+    assert rep.argmin.x.tobytes() == e[0].tobytes()
+    assert _scan_outcome(er.lopatinski_margin, constant_medium, n, 0,
+                         ()) == _scan_outcome(ref.lopatinski_margin,
+                                              constant_medium, n, 0, ())
+
+
+def test_streamed_scan_memory_does_not_grow_with_samples(media_dir):
+    # 68 MB of traced allocations in one pass; the (n, 3) samples remain
+    m = er.load_medium(media_dir / "potential_stress.json")
+    er.lopatinski_margin(m, sample_count=10)    # the class check, memoized
+    tracemalloc.start()
+    try:
+        er.lopatinski_margin(m, sample_count=200_000, seed=404)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6

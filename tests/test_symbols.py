@@ -2,16 +2,57 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 import elastoray as er
+from elastoray.symbols import adot
 
 NORTH = np.array([0.0, 0.0, 1.0])
 
 finite = st.floats(min_value=-3.0, max_value=3.0)
 nonzero_tau = st.floats(min_value=0.1, max_value=3.0)
+
+
+# ------------------------------------------------- analytic dot product
+
+# signed zeros drawn often, magnitudes bounded so no product overflows,
+# and values of one scale, whose sums round differently in another order
+parts = st.one_of(st.sampled_from([0.0, -0.0]),
+                  st.floats(min_value=-1e100, max_value=1e100),
+                  st.floats(min_value=-1.0, max_value=1.0))
+
+
+@st.composite
+def dot_operands(draw):
+    """Two real or complex arrays of broadcast shapes whose last axes, of
+    length 1 to 6, broadcast too."""
+    n = draw(st.integers(1, 6))
+    lead = draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3,
+                                                  max_side=3)).input_shapes
+    operands = []
+    for shape in lead:
+        last = draw(st.sampled_from([n, 1])) if operands else n
+        complex_ = draw(st.booleans())
+        operands.append(draw(hnp.arrays(
+            np.complex128 if complex_ else np.float64, shape + (last,),
+            elements=st.builds(complex, parts, parts) if complex_
+            else parts)))
+    return operands
+
+
+@settings(max_examples=300, deadline=None)
+@given(operands=dot_operands())
+# numpy pairs four complex terms: ((1 + 1e16) + (-1e16 + 1)) is 0, where
+# adding them in turn gives 1
+@example(operands=[np.array([1.0, 1e16, -1e16, 1.0], complex), np.ones(4)])
+def test_adot_is_bitwise_numpy_sum(operands):
+    a, b = operands
+    got, want = np.asarray(adot(a, b)), np.asarray((a * b).sum(axis=-1))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- metrics
