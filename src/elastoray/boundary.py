@@ -12,12 +12,13 @@ in conjugate pairs and the one with positive imaginary part is selected.
 
 Residue matrices, contour quadrature, DN symbol and companion check run on
 one batched kernel: x, nu, xi_t of shape (n, 3) and tau of shape (n,) give
-a SymbolBatch of (n, ...) values, read from a RootCore (one ``root_table``
-call and one evaluation of the fields), with one exception per failed row,
-of the class and message the scalar function raises.  A row comes out
-bitwise alike alone or in any batch, and the scalar functions are batches
-of one.  The scalar views of one covector share one RootCore; only that of
-the last (medium, covector) pair is kept.
+a SymbolBatch of (n, ...) values, read from a RootCore (one root table and
+one evaluation of the fields), with one exception per failed row, of the
+class and message the scalar function raises.  A row comes out bitwise
+alike alone or in any batch, and the scalar functions are batches of one.
+The scalar views of one covector share one RootCore; only that of the last
+(medium, covector) pair is kept.  Ray launches read a RootCore too; only
+the Lopatinski scan reads bare root tables.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import (ContourError, DegenerateDirectionError,
+from .errors import (ContourError, DegenerateDirectionError, ElastorayError,
                      FrameDegenerateError, GlancingError, LopatinskiError,
                      NotOnBoundaryError, SingularResidueError)
 from .medium import check_class_membership
@@ -50,7 +51,6 @@ __all__ = [
     "mode_quadratics",
     "forward_roots",
     "RootTable",
-    "root_table",
     "LopatinskiReport",
     "lopatinski_margin",
     "sample_boundary_covectors",
@@ -70,6 +70,8 @@ __all__ = [
 ]
 
 GLANCING_TOL = 1e-10
+# the Lopatinski scan skips covectors this close to glancing, relatively
+_SCAN_GLANCING = 1e-3
 
 # rows per block of the Lopatinski scan: its transient arrays stay near 1 MB
 # at any sample count, and numpy's per-call overhead stays small
@@ -193,12 +195,14 @@ def forward_roots(big_a, bh, c, tau):
 @dataclass
 class RootTable:
     """Both modes' roots at a batch of covectors, mode on a leading (S, P)
-    axis; A and Bh give the root derivative 2 rho (Bh - A z)."""
+    axis; A and Bh give the root derivative 2 rho (Bh - A z).  No root is
+    forward where ``nonpositive``: either mode's A = B(nu, nu) is <= 0."""
 
     z_forward: np.ndarray
     z_backward: np.ndarray
     real: np.ndarray
     glancing: np.ndarray
+    nonpositive: np.ndarray
     d4: np.ndarray
     scale2: np.ndarray
     big_a: np.ndarray
@@ -211,7 +215,10 @@ class RootTable:
 
     def region_label(self, i, in_gamma_delta):
         """RegionLabel of covector i; the S elliptic region lies in the P
-        elliptic one, so (S label, P label) determine the combined label."""
+        elliptic one, so (S label, P label) determine the combined label.
+        Raises the ``form_error`` of a ``nonpositive`` covector."""
+        if self.nonpositive[i]:
+            raise self.form_error(i)
         s, p = ("glancing" if self.glancing[k, i] else
                 "hyperbolic" if self.real[k, i] else "elliptic"
                 for k in range(2))
@@ -230,26 +237,23 @@ class RootTable:
         return GlancingError(f"mode {MODES[k]} is glancing at this covector",
                              discriminant=float(self.d4[(k, *i)]))
 
-
-def root_table(m, x, nu, xi_t, tau, glancing_tol=GLANCING_TOL):
-    """RootTable at covectors batched over leading axes, from one
-    ``mode_quadratics`` and one ``forward_roots`` call.  A mode is glancing
-    where |Bh^2 - A C| < glancing_tol * scale2."""
-    return _root_table(mode_quadratics(m, x, nu, xi_t, tau), tau, glancing_tol)
+    def form_error(self, i):
+        """The ElastorayError of a ``nonpositive`` covector i, naming its
+        first mode whose B(nu, nu) is not positive."""
+        k = int(self.big_a[0, i] > 0)
+        return ElastorayError(f"mode {MODES[k]} form B(nu, nu) is not "
+                              "positive at this covector")
 
 
 def _root_table(quadratics, tau, glancing_tol=GLANCING_TOL):
+    """RootTable of ``mode_quadratics`` by one ``forward_roots`` call; a
+    mode is glancing where |Bh^2 - A C| < glancing_tol * scale2."""
     big_a, bh, c, scale2 = quadratics
     z_fwd, z_bwd, real, d4 = forward_roots(big_a, bh, c, tau)
     return RootTable(z_forward=z_fwd, z_backward=z_bwd, real=real,
-                     glancing=np.abs(d4) < glancing_tol * scale2, d4=d4,
+                     glancing=np.abs(d4) < glancing_tol * scale2,
+                     nonpositive=~np.all(big_a > 0, axis=0), d4=d4,
                      scale2=scale2, big_a=big_a, bh=bh)
-
-
-def root_covector(xi_t, z, nu):
-    """Characteristic covector xi_t - z nu through a root z: a scalar, or a
-    column with one root per row of xi_t and nu."""
-    return xi_t - z * nu
 
 
 def normalized_product(xi_s, xi_p):
@@ -288,8 +292,8 @@ class RegionLabel:
 
 def classify(m, gamma, params=None):
     """Classify gamma into hyperbolic / mixed / elliptic / glancing regions
-    by ``RootTable.region_label``; a mode is glancing where ``root_table``
-    marks it so."""
+    by ``RootTable.region_label``, which raises where a mode's B(nu, nu) is
+    not positive."""
     if params is None:
         params = getattr(m, "class_params", None)
     in_gd = gamma.in_gamma_delta(params.delta) if params is not None else None
@@ -319,7 +323,6 @@ class ModeRoots:
 
 @dataclass(frozen=True)
 class CharRoots:
-    gamma: BoundaryCovector
     s: ModeRoots
     p: ModeRoots
     xi_dot: complex          # xi_S . xi_P (analytic)
@@ -394,12 +397,12 @@ class LopatinskiReport:
                 "positive": self.positive}
 
 
-def lopatinski_margin(m, params=None, sample_count=10000, seed=0,
-                      glancing_margin=1e-3):
+def lopatinski_margin(m, params=None, sample_count=10000, seed=0):
     """Sampled lower bound for the Lopatinski product over Gamma_delta.
 
     Samples covectors in the time-like cone, skips near-glancing ones
-    (discriminant within ``glancing_margin`` of zero relative to scale), and
+    (discriminant within ``_SCAN_GLANCING`` of zero relative to scale) and
+    those where a mode's B(nu, nu) is not positive, and
     returns the minimum of |xi_S . xi_P| / (|xi_S| |xi_P|) with analytic
     norms |xi| = sqrt(|xi . xi|).  For a medium passing the class membership
     check the minimum must be positive; a non-positive minimum then raises
@@ -422,13 +425,14 @@ def lopatinski_margin(m, params=None, sample_count=10000, seed=0,
     counts = dict.fromkeys(("hyperbolic", "mixed", "elliptic"), 0)
     for lo in range(0, sample_count, _SCAN_BLOCK):
         rows = slice(lo, lo + _SCAN_BLOCK)
-        t = root_table(m, x[rows], nu[rows], xi_t[rows], tau[rows],
-                       glancing_tol=glancing_margin)
+        # roots only: a RootCore per block, with its derivatives, was slower
+        t = _root_table(mode_quadratics(m, x[rows], nu[rows], xi_t[rows],
+                                        tau[rows]), tau[rows], _SCAN_GLANCING)
         glancing = np.any(t.glancing, axis=0)
-        xi_s, xi_p = (root_covector(xi_t[rows], z[:, None], nu[rows])
+        xi_s, xi_p = (xi_t[rows] - z[:, None] * nu[rows]
                       for z in t.z_forward)
         _, product, null = normalized_product(xi_s, xi_p)
-        ok = np.all(t.big_a > 0, axis=0) & ~glancing & ~null
+        ok = ~t.nonpositive & ~glancing & ~null
         norm_prod = np.where(ok, product, np.inf)
         i = int(np.argmin(norm_prod))
         # np.argmin of (running, block) minimum: an earlier tie or NaN wins
@@ -464,12 +468,12 @@ def lopatinski_margin(m, params=None, sample_count=10000, seed=0,
 
 
 # ---------------------------------------------------------------------------
-# the batched kernel: one root table, per-row errors
+# the batched kernel: one root core, per-row errors
 # ---------------------------------------------------------------------------
 
 class RootCore:
     """Boundary covectors on a leading axis of n rows, the fields at x and
-    one ``root_table``: both modes' roots z, root derivatives
+    one root table: both modes' roots z, root derivatives
     c = 2 rho (Bh - A z) and covectors xi_t - z nu (complex, on leading
     forward / backward and S / P axes), the Lopatinski product and its
     ``null`` mask.  Only read after it is built, so kernel runs share it."""
@@ -481,7 +485,7 @@ class RootCore:
                                      tau)
         self.z = np.array([t.z_forward, t.z_backward])
         with np.errstate(all="ignore"):     # inadmissible rows give inf, nan
-            self.xi = root_covector(xi_t, self.z[..., None], nu)
+            self.xi = xi_t - self.z[..., None] * nu
             self.xi_dot, self.product, self.null = normalized_product(
                 *self.xi[0])
             self.c = 2.0 * self.fields[2] * (t.bh - t.big_a * self.z)
@@ -502,8 +506,9 @@ class SymbolBatch:
                                                                bool)
         self.values = {}
         t = self.table
-        if (t.glancing[0] | t.glancing[1] | self.null).any():
-            self.fail(*((t.glancing[k], partial(t.glancing_error, k))
+        if (t.nonpositive | t.glancing[0] | t.glancing[1] | self.null).any():
+            self.fail((t.nonpositive, t.form_error),
+                      *((t.glancing[k], partial(t.glancing_error, k))
                         for k in range(2)),
                       (self.null, lambda i: SingularResidueError(
                           "analytically null selected covector")))
@@ -540,7 +545,7 @@ class SymbolBatch:
             raise self.errors[i]
         return {name: a[i] for name, a in self.values.items()}
 
-    def char_roots(self, i, gamma):
+    def char_roots(self, i):
         """CharRoots of row i; real roots have real covectors."""
         real, z, c = (a[..., i].tolist() for a in (self.table.real, self.z,
                                                    self.c))
@@ -550,7 +555,7 @@ class SymbolBatch:
                                               for v in self.xi[:, k, i]),
                           float(self.table.d4[k, i]))
                 for k, mode in enumerate(MODES))
-        return CharRoots(gamma=gamma, s=s, p=p, xi_dot=complex(self.xi_dot[i]),
+        return CharRoots(s=s, p=p, xi_dot=complex(self.xi_dot[i]),
                          normalized_product=float(self.product[i]))
 
 
@@ -600,7 +605,7 @@ def char_roots(m, gamma):
     """
     b = SymbolBatch(_core_of(m, gamma))
     b.row(0)
-    return b.char_roots(0, gamma)
+    return b.char_roots(0)
 
 
 def _fro(a):
@@ -673,7 +678,7 @@ def residue_matrices(m, gamma):
     v = b.row(0)
     return ResidueData(a0=v["a0"], a1=v["a1"], a0_inv=v["a0_inv"],
                        cond_a0=float(v["cond_a0"]),
-                       roots=b.char_roots(0, gamma))
+                       roots=b.char_roots(0))
 
 
 @dataclass
@@ -799,7 +804,7 @@ def dn_symbol(m, gamma):
     v = b.row(0)
     return DnSymbol(matrix=v["matrix"], route_r=v["route_r"],
                     rel_residual=float(v["rel_residual"]),
-                    roots=b.char_roots(0, gamma))
+                    roots=b.char_roots(0))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -74,6 +75,16 @@ def _write_csv(path, fieldnames, rows):
             writer.writerow(row)
 
 
+def _write_fan_csv(path, fieldnames, rows, extra=lambda row: {}):
+    """The fan ``rows`` not skipped as CSV: their keys among ``fieldnames``,
+    x1..x3, xi1..xi3 and the columns ``extra(row)``."""
+    _write_csv(path, fieldnames, [
+        {**{key: row[key] for key in fieldnames if key in row},
+         **{f"x{i+1}": row["x"][i] for i in range(3)},
+         **{f"xi{i+1}": row["xi_t"][i] for i in range(3)}, **extra(row)}
+        for row in rows if "skipped" not in row])
+
+
 def _covector_fan(m, n, seed, delta):
     """Seeded boundary covector fan (x, nu, xi_t, tau) shared by classify /
     roots / dn / frame; ``delta`` defaults to the medium's class parameter,
@@ -82,13 +93,6 @@ def _covector_fan(m, n, seed, delta):
         delta = m.class_params.delta if m.class_params is not None else 0.5
     return bd.sample_boundary_covectors(m, n, np.random.default_rng(seed),
                                         delta)
-
-
-def _covectors(fan):
-    x, nu, xi_t, tau = fan
-    return [bd.BoundaryCovector(t=0.0, x=x[i], tau=float(tau[i]),
-                                xi_t=xi_t[i], nu=nu[i])
-            for i in range(len(tau))]
 
 
 def _fan_rows(fan, results, describe):
@@ -120,25 +124,28 @@ def cmd_validate(m, args):
 
 def cmd_classify(m, args):
     fan = _covector_fan(m, args.fan_n, args.seed, args.delta)
+    _, _, xi_t, tau = fan
     table = bd.RootCore(m, *fan).table
     delta = m.class_params.delta if m.class_params is not None else None
-    rows = _fan_rows(fan, _covectors(fan), lambda i, g: table.region_label(
-        i, None if delta is None else g.in_gamma_delta(delta)).to_dict())
+
+    def describe(i, _):
+        # BoundaryCovector.in_gamma_delta at row i
+        in_gd = (None if delta is None else
+                 abs(float(tau[i])) >= delta * float(np.linalg.norm(xi_t[i])))
+        return table.region_label(i, in_gd).to_dict()
+
+    rows = _fan_rows(fan, [table.form_error(i) if bad else None
+                           for i, bad in enumerate(table.nonpositive)],
+                     describe)
+    skipped = [row["skipped"] for row in rows if "skipped" in row]
+    failures = [f"{len(skipped)} of {len(rows)} covectors skipped: "
+                f"{skipped[0]}"] if skipped else []
     if args.csv:
-        fields = ["t", "x1", "x2", "x3", "tau", "xi1", "xi2", "xi3",
-                  "s_label", "p_label", "combined", "in_gamma_delta"]
-        csv_rows = []
-        for row in rows:
-            flat = {key: row[key] for key in ("t", "tau", "s_label", "p_label",
-                                              "combined", "in_gamma_delta")}
-            flat.update({f"x{i+1}": row["x"][i] for i in range(3)})
-            flat.update({f"xi{i+1}": row["xi_t"][i] for i in range(3)})
-            csv_rows.append(flat)
-        _write_csv(args.csv, fields, csv_rows)
-    counts = {}
-    for row in rows:
-        counts[row["combined"]] = counts.get(row["combined"], 0) + 1
-    return {"rows": rows, "region_counts": counts}, []
+        _write_fan_csv(args.csv, ["t", "x1", "x2", "x3", "tau", "xi1", "xi2",
+                                  "xi3", "s_label", "p_label", "combined",
+                                  "in_gamma_delta"], rows)
+    counts = Counter(row["combined"] for row in rows if "skipped" not in row)
+    return {"rows": rows, "region_counts": dict(counts)}, failures
 
 
 def cmd_roots(m, args):
@@ -152,8 +159,7 @@ def cmd_roots(m, args):
     failures = []
     b = bd.SymbolBatch(bd.RootCore(m, *fan))
     # each row's error, else its roots
-    results = [b.errors[i] or b.char_roots(i, g)
-               for i, g in enumerate(_covectors(fan))]
+    results = [b.errors[i] or b.char_roots(i) for i in range(len(b.ok))]
     rows = _fan_rows(fan, results, lambda i, roots: {
         "z_s_forward": roots.s.z_forward, "z_s_backward": roots.s.z_backward,
         "z_p_forward": roots.p.z_forward, "z_p_backward": roots.p.z_backward,
@@ -173,23 +179,13 @@ def cmd_roots(m, args):
             failures.append(f"lopatinski: {exc}")
             scan_dict = None
     if args.csv:
-        csv_rows = []
-        for row in rows:
-            if "skipped" in row:
-                continue
-            flat = {"tau": row["tau"],
-                    "normalized_product": row["normalized_product"]}
-            flat.update({f"x{i+1}": row["x"][i] for i in range(3)})
-            flat.update({f"xi{i+1}": row["xi_t"][i] for i in range(3)})
-            for key in ("z_s_forward", "z_p_forward"):
-                z = row[key]
-                flat[key + "_re"] = z.real
-                flat[key + "_im"] = z.imag
-            csv_rows.append(flat)
-        fields = ["x1", "x2", "x3", "tau", "xi1", "xi2", "xi3",
-                  "z_s_forward_re", "z_s_forward_im",
-                  "z_p_forward_re", "z_p_forward_im", "normalized_product"]
-        _write_csv(args.csv, fields, csv_rows)
+        _write_fan_csv(args.csv, [
+            "x1", "x2", "x3", "tau", "xi1", "xi2", "xi3", "z_s_forward_re",
+            "z_s_forward_im", "z_p_forward_re", "z_p_forward_im",
+            "normalized_product"], rows, lambda row: {
+                f"{key}_{part}": getattr(row[key], attr)
+                for key in ("z_s_forward", "z_p_forward")
+                for part, attr in (("re", "real"), ("im", "imag"))})
     return {"rows": rows, "lopatinski": scan_dict}, failures
 
 
@@ -400,7 +396,7 @@ def cmd_selftest(m, args):
     res, quad, dn, comp, frames = (batch(m, *fan) for batch in (
         bd.residue_batch, bd.quadrature_batch, bd.dn_batch, bd.companion_batch,
         pol.frame_batch))
-    margin = bd.root_table(m, *fan).margin
+    margin = res.table.margin
     mute = _mute_residuals(frames, fan[1], fan[2])
     worst = {"residue": 0.0, "a_one": 0.0, "dn": 0.0, "frame": 0.0,
              "mute": 0.0, "companion_identity": 0.0, "companion_eigs": 0.0}

@@ -79,11 +79,3 @@ class MaxStepsError(ElastorayError):
 
 class DistanceError(ElastorayError):
     """Boundary distance solve failed to reach the miss tolerance."""
-
-
-def _attempt(fn, *args):
-    """fn(*args), or the ElastorayError it raises."""
-    try:
-        return fn(*args)
-    except ElastorayError as exc:
-        return exc

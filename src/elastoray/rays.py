@@ -15,9 +15,9 @@ falsi on the crossing step's 7th-order dense output, then reached by one
 exact substep from the step's start and one first-order move along the
 flow onto the boundary.  Lens-map fans, each level of a broken transport,
 the recovery experiment and each round of lockstep distance solves are each
-traced as one batch, and launched with one batched root evaluation;
-``launch_state``, ``trace_state``, ``trace_leg`` and ``boundary_distance``
-are batches of one.
+traced as one batch, and launched from one ``boundary.RootCore``, as the
+boundary symbols are computed; ``launch_state``, ``trace_state``,
+``trace_leg`` and ``boundary_distance`` are batches of one.
 
 Distance solves, and the refine descents within each solve, are generators
 of traced rounds run by one lockstep driver.  A descent ends on a shot that
@@ -34,11 +34,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import (BoundaryCovector, boundary_covector, char_roots,
-                       mode_quadratics, root_covector, root_table)
+from .boundary import (BoundaryCovector, RootCore, boundary_covector,
+                       char_roots, mode_quadratics)
 from .engine import march
 from .errors import (DistanceError, ElastorayError, EvanescentModeError,
-                     GlancingError, GlancingExitError, _attempt)
+                     GlancingError, GlancingExitError)
 from .polarization import muting_annihilation_check
 from .symbols import MODES, _mode_coeff
 
@@ -220,24 +220,25 @@ def trace_state(m, state, ctrl=None, t_cap=None, collect=False,
 
 def _launch_states(m, gammas, modes, time_direction=1):
     """RayState per (gamma, mode) leg, or the ElastorayError launch_state
-    would raise for it; the roots of all legs come from one ``root_table``."""
+    would raise for it; the roots of all legs come from one RootCore."""
     if not gammas:
         return []
-    t = root_table(m, *(np.array([getattr(g, name) for g in gammas])
-                        for name in ("x", "nu", "xi_t", "tau")))
-    z = t.z_forward if time_direction >= 0 else t.z_backward
+    core = RootCore(m, *(np.array([getattr(g, name) for g in gammas])
+                         for name in ("x", "nu", "xi_t", "tau")))
+    t, xi = core.table, core.xi[0 if time_direction >= 0 else 1]
     out = []
     for i, (gamma, mode) in enumerate(zip(gammas, modes, strict=True)):
         k = MODES.index(mode)
-        if t.glancing[k, i]:
+        if t.nonpositive[i]:
+            out.append(t.form_error(i))
+        elif t.glancing[k, i]:
             out.append(t.glancing_error(k, i))
         elif not t.real[k, i]:
             out.append(EvanescentModeError(
                 f"mode {mode} is evanescent at this covector"))
         else:
-            xi = root_covector(gamma.xi_t, z[k, i].real, gamma.nu)
-            out.append(RayState(t=gamma.t, x=gamma.x, xi=xi, tau=gamma.tau,
-                                mode=mode))
+            out.append(RayState(t=gamma.t, x=gamma.x, xi=xi[k, i].real,
+                                tau=gamma.tau, mode=mode))
     return out
 
 
@@ -247,6 +248,7 @@ def launch_state(m, gamma, mode, time_direction=1):
     Uses the forward characteristic root (backward when tracing against
     time).  Raises GlancingError when the mode is glancing at gamma and
     EvanescentModeError when it is elliptic; the other mode may be either.
+    Raises ElastorayError where either mode's B(nu, nu) is not positive.
     """
     out = _launch_states(m, [gamma], [mode], time_direction)[0]
     if isinstance(out, ElastorayError):
@@ -331,6 +333,9 @@ def _hyperbolic_radius(m, mode, x, nu, u, tau):
     # at tau = 0 the quadratic's C is B(u, u) exactly
     b_nn, b_un, b_uu, _ = (float(v[MODES.index(mode)])
                            for v in mode_quadratics(m, x, nu, u, 0.0))
+    if not b_nn > 0:
+        raise ElastorayError(f"mode {mode} form B(nu, nu) is not positive "
+                             "at this covector")
     denom = b_nn * b_uu - b_un * b_un
     if denom <= 0:
         raise ElastorayError("degenerate tangential direction")
@@ -392,25 +397,23 @@ class ReflectionResult:
     glancing: list
 
 
-def _reflections(m, states):
+def _reflections(m, states, gammas):
     """ReflectionResult, or the ElastorayError ``reflect`` raises, per
-    outgoing state; both modes of every state launch in one batch."""
-    gammas = [_attempt(boundary_covector, m, st.t, st.x, st.tau, st.xi)
-              for st in states]
-    ok = [g for g in gammas if isinstance(g, BoundaryCovector)]
-    launched = iter(_launch_states(m, [g for g in ok for _ in MODES],
-                                   list(MODES) * len(ok)))
+    outgoing state and its exit covector; both modes of every state launch
+    in one batch."""
+    launched = iter(_launch_states(m, [g for g in gammas for _ in MODES],
+                                   list(MODES) * len(gammas)))
     out = []
-    for state, gamma in zip(states, gammas):
-        if isinstance(gamma, ElastorayError):
-            out.append(gamma)
-            continue
+    for state in states:
         result = ReflectionResult(states=[], evanescent=[], glancing=[])
         for mode, launch in [(mode, next(launched)) for mode in MODES]:
             if isinstance(launch, RayState):
                 result.states.append(launch)
             elif isinstance(launch, EvanescentModeError):
                 result.evanescent.append(mode)
+            elif not isinstance(launch, GlancingError):
+                result = launch
+                break
             elif mode == state.mode:
                 result = GlancingError(
                     f"incident mode {mode} glancing at reflection point",
@@ -428,9 +431,11 @@ def reflect(m, state):
     A batch of one of ``_reflections``: both modes launch on their forward
     roots at the exit covector.  Evanescent branches are reported, not
     traced.  A glancing incident mode raises GlancingError; a glancing
-    converted mode is reported and dropped.
+    converted mode is reported and dropped.  A covector where a mode's
+    B(nu, nu) is not positive raises its launch error.
     """
-    out = _reflections(m, [state])[0]
+    gamma = boundary_covector(m, state.t, state.x, state.tau, state.xi)
+    out = _reflections(m, [state], [gamma])[0]
     if isinstance(out, ElastorayError):
         raise out
     return out
@@ -498,7 +503,8 @@ def _transport(m, sources, depth, t_max, ctrl):
                      if item[2] < depth and not isinstance(out, ElastorayError)
                      and out[2] != "time_capped"]
         reflected = dict(zip(branching, _reflections(
-            m, [traced[k][0] for k in branching])))
+            m, [traced[k][0] for k in branching],
+            [traced[k][1].gamma_out for k in branching])))
         queued = []
         for k, ((i, state, n_refl, lineage), out) in enumerate(zip(level,
                                                                    traced)):

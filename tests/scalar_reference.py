@@ -7,6 +7,8 @@ so that the differential test in ``test_symbol_kernel.py`` compares the
 kernel against the code it replaces.  ``lopatinski_margin`` and
 ``sample_boundary_covectors`` are the one-pass scan and its sampler, with
 numpy's sums and norms, that the block-streamed scan replaced.
+``root_table`` is the batched root evaluation both of them read, before
+the roots moved into the kernel's root core.
 """
 
 from dataclasses import dataclass
@@ -16,8 +18,8 @@ import numpy as np
 from elastoray.boundary import (NORMAL_DERIVATIVE_SIGN, BoundaryCovector,
                                 CharRoots, CompanionReport, DnSymbol,
                                 LopatinskiReport, ModeRoots, QuadratureResult,
-                                ResidueData, normalized_product, root_covector,
-                                root_table)
+                                ResidueData, forward_roots, mode_quadratics,
+                                normalized_product)
 from elastoray.errors import (ContourError, FrameConditionError,
                               FrameDegenerateError, GlancingError,
                               LopatinskiError, NotOnBoundaryError,
@@ -88,6 +90,31 @@ def e_symbol(gamma):
     return float(np.sqrt(gamma.tau ** 2 + np.dot(gamma.xi_t, gamma.xi_t)))
 
 
+@dataclass
+class RootTable:
+    """Both modes' roots at a batch of covectors, mode on a leading (S, P)
+    axis; A and Bh give the root derivative 2 rho (Bh - A z)."""
+
+    z_forward: np.ndarray
+    z_backward: np.ndarray
+    real: np.ndarray
+    glancing: np.ndarray
+    d4: np.ndarray
+    big_a: np.ndarray
+    bh: np.ndarray
+
+
+def root_table(m, x, nu, xi_t, tau, glancing_tol=1e-10):
+    """RootTable at covectors batched over leading axes, from one
+    ``mode_quadratics`` and one ``forward_roots`` call.  A mode is glancing
+    where |Bh^2 - A C| < glancing_tol * scale2."""
+    big_a, bh, c, scale2 = mode_quadratics(m, x, nu, xi_t, tau)
+    z_fwd, z_bwd, real, d4 = forward_roots(big_a, bh, c, tau)
+    return RootTable(z_forward=z_fwd, z_backward=z_bwd, real=real,
+                     glancing=np.abs(d4) < glancing_tol * scale2, d4=d4,
+                     big_a=big_a, bh=bh)
+
+
 def char_roots(m, gamma):
     """Characteristic roots, selected covectors, and the Lopatinski product.
 
@@ -99,13 +126,14 @@ def char_roots(m, gamma):
     modes = []
     for k, mode in enumerate(MODES):
         if t.glancing[k]:
-            raise t.glancing_error(k)
+            raise GlancingError(f"mode {mode} is glancing at this covector",
+                                discriminant=float(t.d4[k]))
         # real roots stay real scalars, so their covectors are real arrays
         zs = [z.real.item() if t.real[k] else z.item()
               for z in (t.z_forward[k], t.z_backward[k])]
         c_z = [complex(2.0 * rho * (float(t.bh[k]) - float(t.big_a[k]) * z))
                for z in zs]
-        xi_z = [root_covector(gamma.xi_t, z, gamma.nu) for z in zs]
+        xi_z = [gamma.xi_t - z * gamma.nu for z in zs]
         modes.append(ModeRoots(mode, bool(t.real[k]), *map(complex, zs),
                                *c_z, *xi_z, float(t.d4[k])))
     s_roots, p_roots = modes
@@ -113,7 +141,7 @@ def char_roots(m, gamma):
                                             p_roots.xi_forward)
     if null:
         raise SingularResidueError("analytically null selected covector")
-    return CharRoots(gamma=gamma, s=s_roots, p=p_roots, xi_dot=complex(dot),
+    return CharRoots(s=s_roots, p=p_roots, xi_dot=complex(dot),
                      normalized_product=float(product))
 
 
@@ -458,7 +486,7 @@ def lopatinski_margin(m, params=None, sample_count=10000, seed=0,
     use = np.all(t.big_a > 0, axis=0) & ~glancing
     real, z_fwd = t.real, t.z_forward
     del t    # the quadratics are freed before the (n, 3) covectors
-    xi_s, xi_p = (root_covector(xi_t, z[:, None], nu) for z in z_fwd)
+    xi_s, xi_p = (xi_t - z[:, None] * nu for z in z_fwd)
     _, product, null = normalized_product(xi_s, xi_p)
     denom_ok = use & ~null
     norm_prod = np.where(denom_ok, product, np.inf)

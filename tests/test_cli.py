@@ -3,6 +3,7 @@
 import gzip
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import elastoray as er
 from elastoray import cli, rays
 
 SCHEMA_KEYS = {"command", "medium_digest", "params", "results", "failures"}
@@ -121,6 +123,39 @@ def test_scan_without_usable_samples_is_a_failure(media_dir, tmp_path):
     assert report["failures"] == [
         "lopatinski: no usable covector samples (all glancing/invalid)"]
     assert report["results"]["lopatinski"] is None
+
+
+def test_negative_s_form_rows_are_skipped(media_dir, tmp_path):
+    # on the same medium no covector has a forward S root: the classify and
+    # roots fans skip every row, classify reports that as one failure, and
+    # the scalar views and launches raise instead of selecting a root
+    doc = json.loads((media_dir / "constant_stress.json").read_text())
+    doc["residual_stress"]["matrix"] = (-2.0 * np.eye(3)).tolist()
+    path = tmp_path / "negative_s.json"
+    path.write_text(json.dumps(doc))
+    message = "mode S form B(nu, nu) is not positive at this covector"
+    for sub, extra, n_rows in (("classify", [], 3),
+                               ("roots", ["--samples", "100"], 5)):
+        out = tmp_path / f"{sub}.json"
+        rc = cli.main(["--medium", str(path), "--out", str(out), sub,
+                       "--fan-n", "3", *extra])
+        rows = json.loads(out.read_text())["results"]["rows"]
+        assert rc == 1
+        assert [row.get("skipped") for row in rows] == [message] * n_rows
+    report = json.loads((tmp_path / "roots.json").read_text())
+    assert report["failures"] == [
+        "lopatinski: no usable covector samples (all glancing/invalid)"]
+    report = json.loads((tmp_path / "classify.json").read_text())
+    assert report["results"]["region_counts"] == {}
+    assert report["failures"] == [f"3 of 3 covectors skipped: {message}"]
+    m = er.load_medium(path)
+    gamma = er.boundary_covector(m, 0.0, [0.0, 0.0, -1.0], 1.0,
+                                 [0.3, 0.0, 0.0])
+    for view in (er.char_roots, er.classify, er.dn_symbol,
+                 lambda m, g: er.launch_state(m, g, "P"),
+                 lambda m, g: er.launch_state(m, g, "S", -1)):
+        with pytest.raises(er.ElastorayError, match=re.escape(message)):
+            view(m, gamma)
 
 
 @pytest.mark.parametrize("args", [
@@ -297,7 +332,9 @@ def test_selftest_green(media_dir, tmp_path):
 def test_reports_are_byte_deterministic(media_dir, tmp_path):
     for args in (["recover", "--probes", "3"],
                  ["distance", "--points", "2", "--starts", "8"],
-                 ["lensmap", "--fan-n", "6"]):
+                 ["lensmap", "--fan-n", "6"],
+                 ["classify", "--fan-n", "200"], ["roots", "--fan-n", "200"],
+                 ["trace", "--depth", "3"]):
         _, _, out1 = run(media_dir, tmp_path, *args, name="a.json")
         _, _, out2 = run(media_dir, tmp_path, *args, name="b.json")
         assert out1.read_bytes() == out2.read_bytes(), args

@@ -366,16 +366,16 @@ def test_transport_reflects_each_level_in_one_batch(media_dir, monkeypatch):
     m = er.load_medium(media_dir / "gaussian_bump.json")
     g = er.probe_fan(m, 1, np.random.default_rng(0))[0]
     calls = []
-    table = rays.root_table
-    monkeypatch.setattr(rays, "root_table",
-                        lambda *a, **k: calls.append(1) or table(*a, **k))
+    core = rays.RootCore
+    monkeypatch.setattr(rays, "RootCore",
+                        lambda *a, **k: calls.append(1) or core(*a, **k))
     res = er.broken_transport(m, g, depth=3)
     # the launch, then one batch of reflections for each of three levels
     assert len(calls) == 4 and len(res.events) == 30
     # the same events and reports as reflecting one exit at a time
     batched = rays._reflections
-    monkeypatch.setattr(rays, "_reflections", lambda m, states: [
-        out for st in states for out in batched(m, [st])])
+    monkeypatch.setattr(rays, "_reflections", lambda m, states, gammas: [
+        out for st, g in zip(states, gammas) for out in batched(m, [st], [g])])
     one = er.broken_transport(m, g, depth=3)
     assert len(calls) == 4 + 1 + sum(ev.n_reflections < 3
                                      for ev in res.events)
@@ -387,6 +387,25 @@ def test_transport_reflects_each_level_in_one_batch(media_dir, monkeypatch):
     for a, b in zip(one.events, res.events):
         assert np.array_equal(a.gamma.x, b.gamma.x)
         assert np.array_equal(a.gamma.xi_t, b.gamma.xi_t)
+
+
+def test_transport_builds_each_exit_covector_once(media_dir, monkeypatch):
+    # a leg builds its entry and its exit covector, and a reflection reads
+    # the exit covector its leg reports instead of building it again
+    m = er.load_medium(media_dir / "gaussian_bump.json")
+    g = er.probe_fan(m, 1, np.random.default_rng(0))[0]
+    calls = []
+    build = rays.boundary_covector
+
+    def counted(m, t, x, tau, xi):
+        calls.append((t, *x, tau, *xi))
+        return build(m, t, x, tau, xi)
+
+    monkeypatch.setattr(rays, "boundary_covector", counted)
+    res = er.broken_transport(m, g, depth=3)
+    assert len(res.events) == 30
+    assert len(calls) == 2 * len(res.events)
+    assert len(set(calls)) == len(calls)
 
 
 # ----------------------------------------------------------------- distances
@@ -588,7 +607,7 @@ def test_probe_fan_gives_up_when_tau_squared_underflows(constant_medium, rng):
 
 # Frozen copy of ``launch_state`` as it was before legs launched as one
 # batch: the roots of one covector at a time, through ``_mode_roots``, the
-# per-covector root code that ``boundary.root_table`` replaced.
+# per-covector root code that the batched root evaluation replaced.
 
 def _mode_roots(m, gamma):
     """ModeRoots of the S and P modes at gamma, in that order; a glancing
@@ -654,13 +673,13 @@ def test_launch_states_match_per_leg_launch(name, media_dir, monkeypatch):
     gammas = [g for g in _launch_fan(m, seed=len(name)) for _ in "SP"]
     modes = ["S", "P"] * (len(gammas) // 2)
     calls = []
-    batched_quadratics = er.boundary.mode_quadratics
+    batched_core = rays.RootCore
 
     def counted(*args):
         calls.append(len(args[4]))
-        return batched_quadratics(*args)
+        return batched_core(*args)
 
-    monkeypatch.setattr(er.boundary, "mode_quadratics", counted)
+    monkeypatch.setattr(rays, "RootCore", counted)
     kinds = set()
     for direction in (1, -1):
         calls.clear()
