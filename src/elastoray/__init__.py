@@ -39,10 +39,7 @@ from .rays import (DistanceResult, LensMapEntry, RayState, RecoveryRecord,
                    broken_transport, incidence_covector, launch_state,
                    lens_map_table, probe_fan, recover_lens_maps, reflect,
                    trace_leg, trace_state)
-from .symbols import (metric_bilinear, metric_inv, metric_inv_grad,
-                      principal_symbol, principal_symbol_batch,
-                      principal_symbol_matrix, traction_normal_derivative,
-                      traction_symbol)
+from .symbols import principal_symbol_batch, traction_symbol
 
 __version__ = "0.1.0"
 

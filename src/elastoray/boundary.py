@@ -32,10 +32,10 @@ from .errors import (ContourError, DegenerateDirectionError, ElastorayError,
                      FrameDegenerateError, GlancingError, LopatinskiError,
                      NotOnBoundaryError, SingularResidueError)
 from .medium import check_class_membership
-# traction_symbol stays importable from this module
-from .symbols import (MODES, _apply, _fields, _mat, _mode_coeff,  # noqa: F401
-                      _mode_form, _off_boundary, _outer, _symbol_matrix,
-                      _traction, adot, traction_symbol)
+from .symbols import (MODES, _apply, _mat, _mode_coeff, _off_boundary, _outer,
+                      _traction, adot)
+# re-exported: perfbench's NAMED_COPIES reads it here (ROADMAP item 2(b))
+from .symbols import traction_symbol  # noqa: F401
 
 __all__ = [
     "BoundaryCovector",
@@ -142,6 +142,28 @@ def boundary_covector(m, t, x, tau, xi):
 # ---------------------------------------------------------------------------
 # mode quadratics and roots
 # ---------------------------------------------------------------------------
+
+def _fields(m, x):
+    """lambda, mu, rho and R at points x."""
+    return m.lam(x), m.mu(x), m.rho(x), m.stress.matrix(x)
+
+
+def _mode_form(a, r, rho, eta, zeta):
+    """The mode form B(eta, zeta) = (a eta.zeta + R eta.zeta) / rho from
+    evaluated fields; ``a`` may carry a leading mode axis."""
+    rz = np.einsum("...ij,...j->...i", r, zeta)
+    return (a * adot(eta, zeta) + adot(eta, rz)) / rho
+
+
+def _symbol_matrix(fields, tau, xi):
+    """Principal symbol in expanded form, p = rho tau^2 Id - (lambda + mu)
+    xi (x) xi - (mu xi.xi + R xi.xi) Id, from evaluated fields; defined for
+    every complex covector and broadcast over leading axes."""
+    lam, mu, rho, r = fields
+    # own order, not _mode_form's: that moves selftest's residue residuals
+    diag = rho * tau * tau - mu * adot(xi, xi) - adot(xi, _apply(r, xi))
+    return _mat(diag) * np.eye(3) - _mat(lam + mu) * _outer(xi, xi)
+
 
 def mode_quadratics(m, x, nu, xi_t, tau):
     """Coefficients (A, Bh, C, scale2) of both modes' root quadratics.

@@ -19,11 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# char_roots and traction_symbol stay importable from this module
-from .boundary import (_batched, _core_of, _fro, _run,  # noqa: F401
-                       char_roots, e_symbol, tangential_frequency)
+from .boundary import (_batched, _core_of, _fro, _run, e_symbol,
+                       tangential_frequency)
 from .errors import DegenerateMutingError, FrameConditionError, GlancingError
-from .symbols import _apply, _outer, traction_symbol  # noqa: F401
+from .symbols import _apply, _outer
+
+# re-exported: perfbench's NAMED_COPIES reads them here (ROADMAP item 2(b))
+from .boundary import char_roots  # noqa: F401
+from .symbols import traction_symbol  # noqa: F401
 
 __all__ = [
     "e_symbol",

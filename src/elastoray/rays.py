@@ -328,14 +328,17 @@ def incidence_covector(m, x, mode, theta, tau=1.0, direction=None, t=0.0):
     return BoundaryCovector(t=t, x=x, tau=float(tau), xi_t=xi_t, nu=nu)
 
 
-def _hyperbolic_radius(m, mode, x, nu, u, tau):
-    """Largest |xi_t| along u keeping the mode hyperbolic at (x, tau)."""
+def _hyperbolic_radius(m, mode, x, nu, u, tau, forms=None):
+    """Largest |xi_t| along u keeping the mode hyperbolic at (x, tau); raises
+    as ``RootTable.form_error`` at the first of the modes ``forms`` (default:
+    the mode) whose B(nu, nu) is not positive."""
     # at tau = 0 the quadratic's C is B(u, u) exactly
-    b_nn, b_un, b_uu, _ = (float(v[MODES.index(mode)])
-                           for v in mode_quadratics(m, x, nu, u, 0.0))
-    if not b_nn > 0:
-        raise ElastorayError(f"mode {mode} form B(nu, nu) is not positive "
-                             "at this covector")
+    quadratics = mode_quadratics(m, x, nu, u, 0.0)
+    for name in forms or (mode,):
+        if not quadratics[0][MODES.index(name)] > 0:
+            raise ElastorayError(f"mode {name} form B(nu, nu) is not "
+                                 "positive at this covector")
+    b_nn, b_un, b_uu, _ = (float(v[MODES.index(mode)]) for v in quadratics)
     denom = b_nn * b_uu - b_un * b_un
     if denom <= 0:
         raise ElastorayError("degenerate tangential direction")
@@ -352,7 +355,8 @@ def probe_fan(m, n, rng, tau=1.0, t=0.0):
 
     The tangential magnitude is a fraction of the compressional hyperbolic
     radius, uniform in PROBE_FRACTION, so both modes have real forward roots
-    and |xi_t| > 0.  Raises ElastorayError when that radius is 0 (tau = 0),
+    and |xi_t| > 0.  Raises ElastorayError at the first draw where either
+    mode's form B(nu, nu) is not positive, when that radius is 0 (tau = 0),
     so that no covector is hyperbolic, or when PROBE_MAX_REJECTS candidates
     in a row fail ``char_roots`` (at |tau| so small that tau^2 underflows).
     """
@@ -367,7 +371,7 @@ def probe_fan(m, n, rng, tau=1.0, t=0.0):
                 continue
             u = v / np.linalg.norm(v)
             frac = rng.uniform(*PROBE_FRACTION)
-            r_p = _hyperbolic_radius(m, "P", x, nu, u, tau)
+            r_p = _hyperbolic_radius(m, "P", x, nu, u, tau, forms=MODES)
             if not r_p > 0:
                 raise ElastorayError(f"no hyperbolic covector at tau = {tau}")
             gamma = BoundaryCovector(t=t, x=x, tau=float(tau),

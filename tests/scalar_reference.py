@@ -9,6 +9,13 @@ kernel against the code it replaces.  ``lopatinski_margin`` and
 numpy's sums and norms, that the block-streamed scan replaced.
 ``root_table`` is the batched root evaluation both of them read, before
 the roots moved into the kernel's root core.
+
+``metric_bilinear``, ``metric_inv``, ``metric_inv_grad`` and
+``principal_symbol`` are scalar views that ``elastoray.symbols`` once
+exported and only the tests called.  With ``principal_symbol_matrix`` and
+``traction_normal_derivative`` they are the scalar routes that the tests
+check the batched kernel, ``engine.Hamilton`` and
+``principal_symbol_batch`` against.
 """
 
 from dataclasses import dataclass
@@ -20,13 +27,75 @@ from elastoray.boundary import (NORMAL_DERIVATIVE_SIGN, BoundaryCovector,
                                 LopatinskiReport, ModeRoots, QuadratureResult,
                                 ResidueData, forward_roots, mode_quadratics,
                                 normalized_product)
+from elastoray.engine import Hamilton
 from elastoray.errors import (ContourError, FrameConditionError,
                               FrameDegenerateError, GlancingError,
                               LopatinskiError, NotOnBoundaryError,
-                              SingularResidueError)
+                              OutOfDomainError, SingularResidueError)
 from elastoray.medium import check_class_membership
 from elastoray.polarization import COND_LIMIT
-from elastoray.symbols import MODES, _mode_coeff, adot
+from elastoray.symbols import (MODES, _mode_coeff, adot,
+                               principal_symbol_batch)
+
+
+def _check_mode(mode):
+    if mode not in MODES:
+        raise ValueError(f"mode must be 'S' or 'P', got {mode!r}")
+
+
+def _require_in_domain(m, x):
+    if not np.all(m.domain.contains(x)):
+        raise OutOfDomainError(f"point {np.asarray(x)!r} outside the closed "
+                               "domain")
+
+
+def metric_bilinear(m, mode, x, eta, zeta):
+    """Polarization of the dual metric: (a eta.zeta + R eta.zeta) / rho.
+    Broadcasts over leading axes of ``x``, ``eta`` and ``zeta``."""
+    _check_mode(mode)
+    a, r, rho = _mode_coeff(m, mode, x), m.stress.matrix(x), m.rho(x)
+    rz = np.einsum("...ij,...j->...i", r, zeta)
+    return (a * adot(eta, zeta) + adot(eta, rz)) / rho
+
+
+def metric_inv(m, mode, x, xi):
+    """Dual mode metric g_mode(x, xi) = B(xi, xi), analytic in xi.
+
+    Vanishes iff xi = 0 for admissible media.  ``x`` must lie in the closed
+    domain.
+    """
+    _require_in_domain(m, x)
+    return metric_bilinear(m, mode, np.asarray(x, dtype=np.float64), xi, xi)
+
+
+def metric_inv_grad(m, mode, x, xi):
+    """Value of the dual metric plus its gradients in x and in xi.
+
+    Real covectors only; ``x`` must lie in the closed domain.  Returns
+    (value, d/dx, d/dxi).  A batch of one of the fused ``engine.Hamilton``
+    kernel, whose field is (-d/dxi, d/dx).
+    """
+    _check_mode(mode)
+    _require_in_domain(m, x)
+    y = np.concatenate([np.asarray(x, dtype=np.float64),
+                        np.asarray(xi, dtype=np.float64)])[None]
+    f, g = Hamilton(m, np.array([mode == "P"]))(y)
+    return g[0], f[0, 3:], -f[0, :3]
+
+
+def principal_symbol(m, x, tau, xi):
+    """Principal symbol of the operator and its cofactor-type partner.
+
+    Returns (p, p_tilde, q_S, q_P) where q_mode = rho (tau^2 - g_mode(x, xi)),
+    p = q_S (Id - pi) + q_P pi, p_tilde = q_P (Id - pi) + q_S pi, and
+    pi = (xi (x) xi) / (xi . xi).  They satisfy p_tilde p = q_S q_P Id and
+    det p = q_S^2 q_P.  Raises for xi . xi = 0 (pi is undefined there).
+    A batch of one of ``principal_symbol_batch``.
+    """
+    _require_in_domain(m, x)
+    batch = principal_symbol_batch(m, np.asarray(x, dtype=np.float64)[None],
+                                   np.array([tau]), np.asarray(xi)[None])
+    return tuple(v[0] for v in batch)
 
 
 def principal_symbol_matrix(m, x, tau, xi):

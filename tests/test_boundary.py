@@ -3,6 +3,7 @@ displacement-to-traction symbol on the boundary, and the companion reduction."""
 
 import numpy as np
 import pytest
+import scalar_reference as ref
 from numpy.testing import assert_allclose
 
 import elastoray as er
@@ -118,7 +119,7 @@ def test_roots_satisfy_characteristic_equation(constant_medium, stressed_medium,
                 continue
             for mode, mr in (("S", r.s), ("P", r.p)):
                 for xi in (mr.xi_forward, mr.xi_backward):
-                    resid = g.tau ** 2 - er.metric_inv(m, mode, g.x, xi)
+                    resid = g.tau ** 2 - ref.metric_inv(m, mode, g.x, xi)
                     assert abs(resid) <= 1e-10 * max(1.0, g.tau ** 2)
 
 
@@ -300,7 +301,7 @@ def test_dn_sign_calibration(constant_medium):
     rd = er.residue_matrices(m, g)
     dn = er.dn_symbol(m, g)
     s_t = er.traction_symbol(m, g.x, g.xi_t.astype(complex))
-    s_nu = er.traction_normal_derivative(m, g.x)
+    s_nu = ref.traction_normal_derivative(m, g.x)
     u1 = rd.a1 @ rd.a0_inv
     assert NORMAL_DERIVATIVE_SIGN == -1.0
     good = s_t + NORMAL_DERIVATIVE_SIGN * (s_nu @ u1)
@@ -433,7 +434,7 @@ def _differential_fan(m, seed, n=30):
     x, nu, xi_t, tau = er.sample_boundary_covectors(m, n, rng, 0.5)
     parts = [xi_t]
     for mode in ("S", "P"):
-        b_uu = er.metric_bilinear(m, mode, x, xi_t, xi_t)
+        b_uu = ref.metric_bilinear(m, mode, x, xi_t, xi_t)
         parts.append((np.abs(tau) / np.sqrt(b_uu))[:, None] * xi_t)
     return (np.tile(x, (3, 1)), np.tile(nu, (3, 1)), np.concatenate(parts),
             np.tile(tau, 3))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scalar_reference as ref
 from numpy.testing import assert_allclose
 
 import elastoray as er
@@ -99,7 +100,7 @@ def test_basis_vectors_solve_characteristic_system(constant_medium, stressed_med
                  "P+": roots.p.xi_forward, "P-": roots.p.xi_backward}
         for tag, basis in fr.bases.items():
             xi = xi_of[tag]
-            p = er.principal_symbol_matrix(m, g.x, g.tau, xi)
+            p = ref.principal_symbol_matrix(m, g.x, g.tau, xi)
             s = er.traction_symbol(m, g.x, xi)
             for col in basis.T:
                 a = col[:3] / e

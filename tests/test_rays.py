@@ -3,6 +3,7 @@ and the lens-map recovery experiment."""
 
 import numpy as np
 import pytest
+import scalar_reference as ref
 from numpy.testing import assert_allclose
 
 import elastoray as er
@@ -603,6 +604,20 @@ def test_probe_fan_gives_up_when_tau_squared_underflows(constant_medium, rng):
         er.probe_fan(constant_medium, 1, rng, tau=1e-300)
 
 
+def test_probe_fan_names_a_nonpositive_s_form_at_the_first_draw(rng):
+    # constant stress -2 I with mu = 1 makes the S form B(nu, nu) negative
+    # everywhere, while the P form stays positive: the first draw fails,
+    # naming the mode, instead of PROBE_MAX_REJECTS draws naming the limit
+    m = er.Medium(rho=1.0, lam=1.0, mu=1.0,
+                  stress=er.ConstantStress(-2.0 * np.eye(3)))
+    draws = []
+    sample = m.domain.sample_boundary
+    m.domain.sample_boundary = lambda n, rng: draws.append(n) or sample(n, rng)
+    with pytest.raises(er.ElastorayError, match="mode S form"):
+        er.probe_fan(m, 1, rng)
+    assert draws == [1]
+
+
 # ------------------------------- differential: the replaced per-leg launch
 
 # Frozen copy of ``launch_state`` as it was before legs launched as one
@@ -814,7 +829,7 @@ def test_kernel_matches_metric_gradient(name, request):
         assert g[i] == pytest.approx(val, rel=1e-13)
         assert_allclose(f[i, :3], -d_xi, rtol=1e-13, atol=1e-13)
         assert_allclose(f[i, 3:], d_x, rtol=1e-12, atol=1e-13)
-        val, d_x, d_xi = er.metric_inv_grad(m, mode, x[i], xi[i])
+        val, d_x, d_xi = ref.metric_inv_grad(m, mode, x[i], xi[i])
         assert val == g[i]
         assert np.array_equal(d_x, f[i, 3:])
         assert np.array_equal(d_xi, -f[i, :3])
@@ -1009,7 +1024,7 @@ def test_reflect_matches_char_roots(stressed_medium):
         u /= np.linalg.norm(u)
         tau = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
         for mode in ("S", "P"):
-            b_uu = er.metric_bilinear(m, mode, x, u, u)
+            b_uu = ref.metric_bilinear(m, mode, x, u, u)
             for frac in (rng.uniform(0.1, 0.9), 1.0):   # 1.0: C ~ 0
                 xi_t = frac * abs(tau) / np.sqrt(b_uu) * u
                 states.append(er.RayState(t=0.0, x=x, xi=xi_t + 0.4 * nu,
