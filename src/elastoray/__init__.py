@@ -14,9 +14,9 @@ from .boundary import (BoundaryCovector, CharRoots, CompanionReport, DnSymbol,
                        RegionLabel, ResidueData, SymbolBatch, boundary_covector,
                        char_roots, classify, companion_batch,
                        companion_symbol_check, dn_batch, dn_symbol,
-                       lopatinski_margin, quadrature_batch, residue_batch,
-                       residue_matrices, residue_quadrature,
-                       sample_boundary_covectors)
+                       lopatinski_margin, principal_symbol_batch,
+                       quadrature_batch, residue_batch, residue_matrices,
+                       residue_quadrature, sample_boundary_covectors)
 from .errors import (ContourError, DegenerateDirectionError,
                      DegenerateMutingError, DistanceError, ElastorayError,
                      EvanescentModeError, FrameConditionError,
@@ -39,7 +39,7 @@ from .rays import (DistanceResult, LensMapEntry, RayState, RecoveryRecord,
                    broken_transport, incidence_covector, launch_state,
                    lens_map_table, probe_fan, recover_lens_maps, reflect,
                    trace_leg, trace_state)
-from .symbols import principal_symbol_batch, traction_symbol
+from .symbols import traction_symbol
 
 __version__ = "0.1.0"
 

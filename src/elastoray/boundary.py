@@ -6,9 +6,11 @@ xi_t - z nu with z solving the quadratic
 
     B(nu, nu) z^2 - 2 B(xi_t, nu) z + (B(xi_t, xi_t) - tau^2) = 0,
 
-where B is the dual mode metric as a bilinear form.  Real roots are classified
-forward/backward by the sign of tau * B(xi_t - z nu, nu); complex roots come
-in conjugate pairs and the one with positive imaginary part is selected.
+where B is the mode form, rho B(eta, zeta) = a eta.zeta + R eta.zeta with a =
+mu or lambda + 2 mu; the principal symbol is p = q_S Id - (lambda + mu) xi (x)
+xi, q = rho tau^2 - rho B(xi, xi).  Real roots are classified forward/backward
+by the sign of tau * B(xi_t - z nu, nu); complex roots come in conjugate pairs
+and the one with positive imaginary part is selected.
 
 Residue matrices, contour quadrature, DN symbol and companion check run on
 one batched kernel: x, nu, xi_t of shape (n, 3) and tau of shape (n,) give
@@ -32,8 +34,8 @@ from .errors import (ContourError, DegenerateDirectionError, ElastorayError,
                      FrameDegenerateError, GlancingError, LopatinskiError,
                      NotOnBoundaryError, SingularResidueError)
 from .medium import check_class_membership
-from .symbols import (MODES, _apply, _mat, _mode_coeff, _off_boundary, _outer,
-                      _traction, adot)
+from .symbols import (MODES, _apply, _mat, _off_boundary, _outer, _traction,
+                      adot)
 # re-exported: perfbench's NAMED_COPIES reads it here (ROADMAP item 2(b))
 from .symbols import traction_symbol  # noqa: F401
 
@@ -51,6 +53,7 @@ __all__ = [
     "mode_quadratics",
     "forward_roots",
     "RootTable",
+    "principal_symbol_batch",
     "LopatinskiReport",
     "lopatinski_margin",
     "sample_boundary_covectors",
@@ -111,7 +114,12 @@ class BoundaryCovector:
 
     def in_gamma_delta(self, delta):
         """Time-like cone membership: |tau| >= delta |xi_t|."""
-        return abs(self.tau) >= delta * self.xi_t_norm
+        return _in_gamma_delta(self.tau, self.xi_t, delta)
+
+
+def _in_gamma_delta(tau, xi_t, delta):
+    """``BoundaryCovector.in_gamma_delta`` of one covector's tau and xi_t."""
+    return abs(float(tau)) >= delta * float(np.linalg.norm(xi_t))
 
 
 def tangential_frequency(tau, xi_t):
@@ -148,21 +156,44 @@ def _fields(m, x):
     return m.lam(x), m.mu(x), m.rho(x), m.stress.matrix(x)
 
 
-def _mode_form(a, r, rho, eta, zeta):
-    """The mode form B(eta, zeta) = (a eta.zeta + R eta.zeta) / rho from
-    evaluated fields; ``a`` may carry a leading mode axis."""
+def _mode_coeffs(lam, mu):
+    """The mode coefficients (mu, lambda + 2 mu) on a leading (S, P) axis."""
+    return np.array([mu, lam + 2.0 * mu])
+
+
+def _mode_form(a, r, eta, zeta):
+    """rho B(eta, zeta) = a eta.zeta + R eta.zeta, the mode form times rho,
+    from evaluated fields; ``a`` may carry a leading mode axis."""
     rz = np.einsum("...ij,...j->...i", r, zeta)
-    return (a * adot(eta, zeta) + adot(eta, rz)) / rho
+    return a * adot(eta, zeta) + adot(eta, rz)
 
 
 def _symbol_matrix(fields, tau, xi):
-    """Principal symbol in expanded form, p = rho tau^2 Id - (lambda + mu)
-    xi (x) xi - (mu xi.xi + R xi.xi) Id, from evaluated fields; defined for
+    """Principal symbol in expanded form, p = q_S Id - (lambda + mu) xi (x) xi
+    with q_S = rho tau^2 - rho B_S(xi, xi), from evaluated fields; defined for
     every complex covector and broadcast over leading axes."""
     lam, mu, rho, r = fields
-    # own order, not _mode_form's: that moves selftest's residue residuals
-    diag = rho * tau * tau - mu * adot(xi, xi) - adot(xi, _apply(r, xi))
-    return _mat(diag) * np.eye(3) - _mat(lam + mu) * _outer(xi, xi)
+    q_s = rho * tau * tau - _mode_form(mu, r, xi, xi)
+    return _mat(q_s) * np.eye(3) - _mat(lam + mu) * _outer(xi, xi)
+
+
+def principal_symbol_batch(m, x, tau, xi):
+    """Vectorized principal symbol over a batch of cotangent points.
+
+    ``x`` and ``xi`` have shape (n, 3), ``tau`` shape (n,); ``xi`` may be
+    complex (analytic continuation).  Returns stacked (p, p_tilde, q_S, q_P)
+    with matrix shape (n, 3, 3) and p_tilde = q_P Id + (lambda + mu) xi (x) xi.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    xi = np.asarray(xi)
+    xi = xi.astype(np.result_type(xi, np.float64))
+    tau = np.asarray(tau, dtype=np.float64)
+    if np.any(np.abs(adot(xi, xi)) < 1e-300):
+        raise DegenerateDirectionError("batch contains xi . xi = 0")
+    lam, mu, rho, r = fields = _fields(m, x)
+    q_s, q_p = rho * tau * tau - _mode_form(_mode_coeffs(lam, mu), r, xi, xi)
+    p_tilde = _mat(q_p) * np.eye(3) + _mat(lam + mu) * _outer(xi, xi)
+    return _symbol_matrix(fields, tau, xi), p_tilde, q_s, q_p
 
 
 def mode_quadratics(m, x, nu, xi_t, tau):
@@ -179,10 +210,10 @@ def mode_quadratics(m, x, nu, xi_t, tau):
 
 def _quadratics(fields, nu, xi_t, tau):
     lam, mu, rho, r = fields
-    a = np.array([mu, lam + 2.0 * mu])
-    big_a = _mode_form(a, r, rho, nu, nu)
-    bh = _mode_form(a, r, rho, xi_t, nu)
-    bxx = _mode_form(a, r, rho, xi_t, xi_t)
+    a = _mode_coeffs(lam, mu)
+    big_a = _mode_form(a, r, nu, nu) / rho
+    bh = _mode_form(a, r, xi_t, nu) / rho
+    bxx = _mode_form(a, r, xi_t, xi_t) / rho
     # tau * tau, not tau ** 2: a Python float squares through libm pow and
     # an array through x * x, which differ in the last bit for a few tau
     tau2 = tau * tau
@@ -262,9 +293,16 @@ class RootTable:
     def form_error(self, i):
         """The ElastorayError of a ``nonpositive`` covector i, naming its
         first mode whose B(nu, nu) is not positive."""
-        k = int(self.big_a[0, i] > 0)
-        return ElastorayError(f"mode {MODES[k]} form B(nu, nu) is not "
-                              "positive at this covector")
+        return self.first_form_error(self.big_a[:, i])
+
+    @staticmethod
+    def first_form_error(big_a, modes=MODES):
+        """The ElastorayError naming the first of ``modes`` whose B(nu, nu),
+        in ``big_a`` on a leading (S, P) axis, is not positive, or None."""
+        for name in modes:
+            if not big_a[MODES.index(name)] > 0:
+                return ElastorayError(f"mode {name} form B(nu, nu) is not "
+                                      "positive at this covector")
 
 
 def _root_table(quadratics, tau, glancing_tol=GLANCING_TOL):
@@ -387,7 +425,7 @@ def sample_boundary_covectors(m, n, rng, delta):
         bad = np.sqrt(adot(v, v)) < 1e-8
     xi_t = v / np.sqrt(adot(v, v))[:, None]
     pts = m.domain.grid(9)
-    c2 = _mode_coeff(m, "P", pts) * (1.0 + 0.5) / m.rho(pts)
+    c2 = _mode_coeffs(m.lam(pts), m.mu(pts))[1] * (1.0 + 0.5) / m.rho(pts)
     top = max(3.0 * float(np.sqrt(c2.max())), 2.0 * delta)
     u = np.exp(rng.uniform(np.log(delta), np.log(top), n))
     tau = u * rng.choice([-1.0, 1.0], n)

@@ -24,7 +24,6 @@ from . import polarization as pol
 from . import rays
 from .errors import ElastorayError
 from .medium import check_class_membership, load_medium, medium_digest
-from .symbols import principal_symbol_batch
 
 DEFAULT_TOL = {
     "symbol": 1e-10,
@@ -129,9 +128,8 @@ def cmd_classify(m, args):
     delta = m.class_params.delta if m.class_params is not None else None
 
     def describe(i, _):
-        # BoundaryCovector.in_gamma_delta at row i
         in_gd = (None if delta is None else
-                 abs(float(tau[i])) >= delta * float(np.linalg.norm(xi_t[i])))
+                 bd._in_gamma_delta(tau[i], xi_t[i], delta))
         return table.region_label(i, in_gd).to_dict()
 
     rows = _fan_rows(fan, [table.form_error(i) if bad else None
@@ -375,7 +373,7 @@ def cmd_selftest(m, args):
 
     # factorization identities of the principal symbol
     x, tau, xi = _interior_covectors(m, args.samples, rng)
-    p, pt, qs, qp = principal_symbol_batch(m, x, tau, xi)
+    p, pt, qs, qp = bd.principal_symbol_batch(m, x, tau, xi)
     prod = np.einsum("nij,njk->nik", pt, p)
     target = (qs * qp)[:, None, None] * np.eye(3)
     fact = np.abs(prod - target).max(axis=(1, 2))

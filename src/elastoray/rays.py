@@ -34,13 +34,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import (BoundaryCovector, RootCore, boundary_covector,
-                       char_roots, mode_quadratics)
+from .boundary import (BoundaryCovector, RootCore, RootTable, _mode_coeffs,
+                       boundary_covector, char_roots, mode_quadratics)
 from .engine import march
 from .errors import (DistanceError, ElastorayError, EvanescentModeError,
                      GlancingError, GlancingExitError)
 from .polarization import muting_annihilation_check
-from .symbols import MODES, _mode_coeff
+from .symbols import MODES
 
 __all__ = [
     "StepControl",
@@ -320,7 +320,8 @@ def incidence_covector(m, x, mode, theta, tau=1.0, direction=None, t=0.0):
     u = np.asarray(direction, dtype=np.float64)
     u = u - float(u @ nu) * nu
     u /= np.linalg.norm(u)
-    c = math.sqrt(float(_mode_coeff(m, mode, x)) / float(m.rho(x)))
+    a = _mode_coeffs(m.lam(x), m.mu(x))[MODES.index(mode)]
+    c = math.sqrt(float(a) / float(m.rho(x)))
     xi_t = (abs(tau) * math.sin(theta) / c) * u
     # the ray leaves along +u when xi_t points along -u for tau > 0
     if tau > 0:
@@ -330,14 +331,13 @@ def incidence_covector(m, x, mode, theta, tau=1.0, direction=None, t=0.0):
 
 def _hyperbolic_radius(m, mode, x, nu, u, tau, forms=None):
     """Largest |xi_t| along u keeping the mode hyperbolic at (x, tau); raises
-    as ``RootTable.form_error`` at the first of the modes ``forms`` (default:
-    the mode) whose B(nu, nu) is not positive."""
+    ``RootTable.first_form_error`` of the modes ``forms`` (default: the
+    mode), the first whose B(nu, nu) is not positive."""
     # at tau = 0 the quadratic's C is B(u, u) exactly
     quadratics = mode_quadratics(m, x, nu, u, 0.0)
-    for name in forms or (mode,):
-        if not quadratics[0][MODES.index(name)] > 0:
-            raise ElastorayError(f"mode {name} form B(nu, nu) is not "
-                                 "positive at this covector")
+    error = RootTable.first_form_error(quadratics[0], forms or (mode,))
+    if error is not None:
+        raise error
     b_nn, b_un, b_uu, _ = (float(v[MODES.index(mode)]) for v in quadratics)
     denom = b_nn * b_uu - b_un * b_un
     if denom <= 0:

@@ -1,22 +1,20 @@
-"""Shared symbol helpers: the analytic dot product, the mode coefficient,
-the principal symbol in projector form and the traction symbol.
+"""Shared symbol helpers: the analytic dot product and the traction symbol.
 
 Conventions: the analytic (bilinear, non-Hermitian) dot product a . b =
 sum_i a_i b_i is used throughout, so every formula extends holomorphically to
-complex covectors.  Mode labels are the strings "S" and "P".  The mode form,
-its root quadratics and the expanded principal symbol live with the
-boundary kernel (``boundary``), and the ray Hamiltonian in ``engine``.
+complex covectors.  Mode labels are the strings "S" and "P".  The mode
+coefficients and form, the root quadratics and the principal symbol live
+with the boundary kernel (``boundary``), the ray Hamiltonian in ``engine``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateDirectionError, NotOnBoundaryError
+from .errors import NotOnBoundaryError
 
 __all__ = [
     "adot",
-    "principal_symbol_batch",
     "traction_symbol",
 ]
 
@@ -38,40 +36,6 @@ def adot(a, b):
     for k in range(1, p.shape[-1]):
         out += p[..., k]
     return out
-
-
-def _mode_coeff(m, mode, x):
-    """Stiffness coefficient of the mode: mu for S, lambda + 2 mu for P."""
-    if mode == "S":
-        return m.mu(x)
-    return m.lam(x) + 2.0 * m.mu(x)
-
-
-def principal_symbol_batch(m, x, tau, xi):
-    """Vectorized principal symbol over a batch of cotangent points.
-
-    ``x`` and ``xi`` have shape (n, 3), ``tau`` shape (n,); ``xi`` may be
-    complex (analytic continuation).  Returns stacked (p, p_tilde, q_S, q_P)
-    with matrix shape (n, 3, 3).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    xi = np.asarray(xi)
-    xi = xi.astype(np.result_type(xi, np.float64))
-    tau = np.asarray(tau, dtype=np.float64)
-    xx = np.sum(xi * xi, axis=-1)
-    if np.any(np.abs(xx) < 1e-300):
-        raise DegenerateDirectionError("batch contains xi . xi = 0")
-    rho = m.rho(x)
-    r = m.stress.matrix(x)
-    rxx = np.einsum("...i,...ij,...j->...", xi, r, xi)
-    # own order, not boundary._mode_form's: that moves selftest's residuals
-    q_s, q_p = (rho * tau ** 2 - _mode_coeff(m, mode, x) * xx - rxx
-                for mode in MODES)
-    eye = np.eye(3)
-    pi = xi[..., :, None] * xi[..., None, :] / xx[..., None, None]
-    p = q_s[..., None, None] * (eye - pi) + q_p[..., None, None] * pi
-    p_tilde = q_p[..., None, None] * (eye - pi) + q_s[..., None, None] * pi
-    return p, p_tilde, q_s, q_p
 
 
 def _mat(a):

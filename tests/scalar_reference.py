@@ -15,7 +15,9 @@ the roots moved into the kernel's root core.
 exported and only the tests called.  With ``principal_symbol_matrix`` and
 ``traction_normal_derivative`` they are the scalar routes that the tests
 check the batched kernel, ``engine.Hamilton`` and
-``principal_symbol_batch`` against.
+``principal_symbol_batch`` against.  ``projector_symbol_batch`` is the
+projector-form body of ``principal_symbol_batch`` that the expanded form
+built from the kernel's mode form replaced.
 """
 
 from dataclasses import dataclass
@@ -26,16 +28,16 @@ from elastoray.boundary import (NORMAL_DERIVATIVE_SIGN, BoundaryCovector,
                                 CharRoots, CompanionReport, DnSymbol,
                                 LopatinskiReport, ModeRoots, QuadratureResult,
                                 ResidueData, forward_roots, mode_quadratics,
-                                normalized_product)
+                                normalized_product, principal_symbol_batch)
 from elastoray.engine import Hamilton
-from elastoray.errors import (ContourError, FrameConditionError,
-                              FrameDegenerateError, GlancingError,
-                              LopatinskiError, NotOnBoundaryError,
-                              OutOfDomainError, SingularResidueError)
+from elastoray.errors import (ContourError, DegenerateDirectionError,
+                              FrameConditionError, FrameDegenerateError,
+                              GlancingError, LopatinskiError,
+                              NotOnBoundaryError, OutOfDomainError,
+                              SingularResidueError)
 from elastoray.medium import check_class_membership
 from elastoray.polarization import COND_LIMIT
-from elastoray.symbols import (MODES, _mode_coeff, adot,
-                               principal_symbol_batch)
+from elastoray.symbols import MODES, adot
 
 
 def _check_mode(mode):
@@ -53,7 +55,8 @@ def metric_bilinear(m, mode, x, eta, zeta):
     """Polarization of the dual metric: (a eta.zeta + R eta.zeta) / rho.
     Broadcasts over leading axes of ``x``, ``eta`` and ``zeta``."""
     _check_mode(mode)
-    a, r, rho = _mode_coeff(m, mode, x), m.stress.matrix(x), m.rho(x)
+    a = m.mu(x) if mode == "S" else m.lam(x) + 2.0 * m.mu(x)
+    r, rho = m.stress.matrix(x), m.rho(x)
     rz = np.einsum("...ij,...j->...i", r, zeta)
     return (a * adot(eta, zeta) + adot(eta, rz)) / rho
 
@@ -83,19 +86,48 @@ def metric_inv_grad(m, mode, x, xi):
     return g[0], f[0, 3:], -f[0, :3]
 
 
-def principal_symbol(m, x, tau, xi):
+def principal_symbol(m, x, tau, xi, batch=principal_symbol_batch):
     """Principal symbol of the operator and its cofactor-type partner.
 
     Returns (p, p_tilde, q_S, q_P) where q_mode = rho (tau^2 - g_mode(x, xi)),
     p = q_S (Id - pi) + q_P pi, p_tilde = q_P (Id - pi) + q_S pi, and
     pi = (xi (x) xi) / (xi . xi).  They satisfy p_tilde p = q_S q_P Id and
     det p = q_S^2 q_P.  Raises for xi . xi = 0 (pi is undefined there).
-    A batch of one of ``principal_symbol_batch``.
+    A batch of one of ``batch``: ``principal_symbol_batch``, or the frozen
+    ``projector_symbol_batch``.
     """
     _require_in_domain(m, x)
-    batch = principal_symbol_batch(m, np.asarray(x, dtype=np.float64)[None],
-                                   np.array([tau]), np.asarray(xi)[None])
+    batch = batch(m, np.asarray(x, dtype=np.float64)[None],
+                  np.array([tau]), np.asarray(xi)[None])
     return tuple(v[0] for v in batch)
+
+
+def projector_symbol_batch(m, x, tau, xi):
+    """Vectorized principal symbol over a batch of cotangent points, in
+    projector form: p = q_S (Id - pi) + q_P pi, p_tilde = q_P (Id - pi) +
+    q_S pi, pi = (xi (x) xi) / (xi . xi).
+
+    ``x`` and ``xi`` have shape (n, 3), ``tau`` shape (n,); ``xi`` may be
+    complex (analytic continuation).  Returns stacked (p, p_tilde, q_S, q_P)
+    with matrix shape (n, 3, 3).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    xi = np.asarray(xi)
+    xi = xi.astype(np.result_type(xi, np.float64))
+    tau = np.asarray(tau, dtype=np.float64)
+    xx = np.sum(xi * xi, axis=-1)
+    if np.any(np.abs(xx) < 1e-300):
+        raise DegenerateDirectionError("batch contains xi . xi = 0")
+    rho = m.rho(x)
+    r = m.stress.matrix(x)
+    rxx = np.einsum("...i,...ij,...j->...", xi, r, xi)
+    q_s, q_p = (rho * tau ** 2 - a * xx - rxx
+                for a in (m.mu(x), m.lam(x) + 2.0 * m.mu(x)))
+    eye = np.eye(3)
+    pi = xi[..., :, None] * xi[..., None, :] / xx[..., None, None]
+    p = q_s[..., None, None] * (eye - pi) + q_p[..., None, None] * pi
+    p_tilde = q_p[..., None, None] * (eye - pi) + q_s[..., None, None] * pi
+    return p, p_tilde, q_s, q_p
 
 
 def principal_symbol_matrix(m, x, tau, xi):
@@ -524,7 +556,7 @@ def sample_boundary_covectors(m, n, rng, delta):
         bad = np.linalg.norm(v, axis=-1) < 1e-8
     xi_t = v / np.linalg.norm(v, axis=-1, keepdims=True)
     pts = m.domain.grid(9)
-    c2 = _mode_coeff(m, "P", pts) * (1.0 + 0.5) / m.rho(pts)
+    c2 = (m.lam(pts) + 2.0 * m.mu(pts)) * (1.0 + 0.5) / m.rho(pts)
     top = max(3.0 * float(np.sqrt(c2.max())), 2.0 * delta)
     u = np.exp(rng.uniform(np.log(delta), np.log(top), n))
     tau = u * rng.choice([-1.0, 1.0], n)

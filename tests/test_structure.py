@@ -1,11 +1,14 @@
 """Structure guard: the private names one ``src/elastoray`` module takes from
-another, and every ``noqa`` comment, checked against allowlists.
+another, every ``noqa`` comment and every unused import, checked against
+allowlists.
 
 A private name that crosses a module boundary, by import or as a module
 attribute (``rays._hyperbolic_radius``), is allowed only where it is listed
 below with its reason; so is a ``noqa`` comment, which may only mark a
 one-name import kept as a re-export.  A new crossing fails here until it is
-listed, and a listed one that is gone fails until it is dropped.
+listed, and a listed one that is gone fails until it is dropped.  A name a
+module imports must be used there, listed in its ``__all__`` or be one of
+the listed re-exports (no pyflakes-style checker is a dependency).
 """
 
 import ast
@@ -18,17 +21,14 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "elastoray"
 # "module._name": (the modules that take it, why it crosses)
 PRIVATE = {
     "symbols._apply": (("boundary", "polarization"),
-                       "R xi column by column, shared by the symbol, "
-                       "traction and frame formulas"),
+                       "R xi column by column, shared by the DN, traction "
+                       "and frame formulas"),
     "symbols._mat": (("boundary",),
                      "scalars as stacks of matrices, shared by the symbol "
                      "and traction formulas"),
     "symbols._outer": (("boundary", "polarization"),
                        "outer products over leading axes, shared by the "
                        "symbol, traction and frame formulas"),
-    "symbols._mode_coeff": (("boundary", "rays"),
-                            "mu or lambda + 2 mu, shared by the principal "
-                            "symbol, the covector sampler and incidence"),
     "symbols._off_boundary": (("boundary",),
                               "boundary-point errors, shared by "
                               "traction_symbol and SymbolBatch.traction"),
@@ -37,6 +37,11 @@ PRIVATE = {
                           "and SymbolBatch.traction"),
     "boundary._batched": (("polarization",), "kernel plumbing: frame_batch "
                           "runs on a fresh root core"),
+    "boundary._in_gamma_delta": (("cli",), "the time-like cone rule, which "
+                                 "classify's fan applies row by row"),
+    "boundary._mode_coeffs": (("rays",), "mu and lambda + 2 mu, shared by "
+                              "the root quadratics, the principal symbol, "
+                              "the covector sampler and incidence"),
     "boundary._core_of": (("polarization",), "kernel plumbing: "
                           "polarization_frame reads the scalar views' "
                           "shared root core"),
@@ -117,6 +122,25 @@ def _noqa(name, source):
     return found
 
 
+def _unused_imports(name, source):
+    """(module, name) of each name module ``name`` imports but neither reads
+    nor lists in its ``__all__``."""
+    tree = ast.parse(source)
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    return {(name, n) for n in imported - used - exported}
+
+
 def _expected(allowlist):
     return {(user, key) for key, (users, _) in allowlist.items()
             for user in users}
@@ -134,6 +158,14 @@ def test_noqa_marks_only_listed_one_name_reexports():
     assert sorted(_expected(REEXPORTS) - found) == [], "stale allowlist entry"
 
 
+def test_every_import_is_used_exported_or_listed():
+    found = set().union(*(_unused_imports(n, s)
+                          for n, s in _modules().items() if n != "__init__"))
+    reexported = {(user, key.split(".")[1])
+                  for user, key in _expected(REEXPORTS)}
+    assert sorted(found - reexported) == [], "unused import"
+
+
 def test_guard_sees_each_kind_of_crossing():
     source = ("from . import rays as r\n"
               "from .boundary import _core_of, char_roots  # noqa: F401\n"
@@ -144,3 +176,12 @@ def test_guard_sees_each_kind_of_crossing():
     assert _noqa("m", source) == {("m", "line 2: # noqa: F401"),
                                   ("m", "symbols.adot"),
                                   ("m", "line 4: # noqa")}
+    source = ("from __future__ import annotations\n"
+              "import numpy as np\n"
+              "import os.path\n"
+              "from .errors import ElastorayError, GlancingError\n"
+              "from . import rays as r\n"
+              "__all__ = ['GlancingError']\n"
+              "x = np.zeros(3), r.probe_fan\n")
+    assert _unused_imports("m", source) == {("m", "os"),
+                                            ("m", "ElastorayError")}

@@ -172,7 +172,8 @@ def test_two_symbol_routes_agree(stressed_medium, potential_medium, rng):
             x = 0.5 * (rng.random(3) - 0.5)
             tau = rng.uniform(0.2, 3.0)
             xi = rng.standard_normal(3)
-            p, _, _, _ = ref.principal_symbol(m, x, tau, xi)
+            p, _, _, _ = ref.principal_symbol(
+                m, x, tau, xi, batch=ref.projector_symbol_batch)
             p2 = ref.principal_symbol_matrix(m, x, tau, xi)
             assert_allclose(p2, p, rtol=1e-12, atol=1e-12)
 
@@ -194,10 +195,51 @@ def test_symbol_batch_matches_scalar(potential_medium, rng):
 def test_principal_symbol_complex_covector(constant_medium):
     # analytic continuation: the factorization survives complex xi
     xi = np.array([1.0, 0.0, 0.5j])
-    p, pt, qs, qp = ref.principal_symbol(constant_medium, np.zeros(3), 1.3, xi)
+    p, pt, qs, qp = ref.principal_symbol(constant_medium, np.zeros(3), 1.3, xi,
+                                         batch=ref.projector_symbol_batch)
     assert_allclose(pt @ p, qs * qp * np.eye(3), atol=1e-12)
     p2 = ref.principal_symbol_matrix(constant_medium, np.zeros(3), 1.3, xi)
     assert_allclose(p2, p, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["constant", "constant_stress",
+                                  "gaussian_bump", "potential_stress"])
+def test_symbol_matches_replaced_projector_form(name, media_dir):
+    # the expanded form from the kernel's mode form against the frozen
+    # projector-form body it replaced, at real and complex covectors
+    m = er.load_medium(media_dir / f"{name}.json")
+    rng = np.random.default_rng(len(name))
+    n = 200
+    x = m.domain.sample_interior(n, rng)
+    tau = rng.uniform(0.1, 3.0, n) * rng.choice([-1.0, 1.0], n)
+    xi = rng.standard_normal((n, 3))
+    for cov in (xi, xi + 0.5j * rng.standard_normal((n, 3))):
+        new = er.principal_symbol_batch(m, x, tau, cov)
+        old = ref.projector_symbol_batch(m, x, tau, cov)
+        for a, b in zip(new, old, strict=True):
+            assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
+def test_mode_form_hand_values():
+    # rho = 2, mu = 1, lam + 2 mu = 3, and a stress coupling the normal to
+    # the tangent plane, so that Bh = B(xi_t, nu) is not zero
+    r = np.array([[0.5, 0.25, 0.125], [0.25, 0.0, 0.0], [0.125, 0.0, -0.5]])
+    m = er.Medium(rho=2.0, lam=1.0, mu=1.0, stress=er.ConstantStress(r))
+    nu, xi_t, tau = NORTH, np.array([1.0, 2.0, 0.0]), 3.0
+    big_a, bh, c, _ = er.boundary.mode_quadratics(m, np.zeros(3), nu, xi_t,
+                                                  tau)
+    # B(eta, zeta) = (a eta.zeta + eta.R zeta) / rho: nu.R nu = -1/2,
+    # xi_t.R nu = 1/8, xi_t.xi_t = 5 and xi_t.R xi_t = 3/2
+    for got, want in ((big_a, [0.25, 1.25]), (bh, [0.0625, 0.0625]),
+                      (c, [3.25 - 9.0, 8.25 - 9.0])):
+        assert_allclose(got, want, rtol=1e-15, atol=0.0)
+    # q = rho tau^2 - a xi.xi - xi.R xi: 18 - 6 - 3 and 18 - 18 - 3
+    xi = np.array([[2.0, 1.0, 1.0]])
+    _, _, q_s, q_p = er.principal_symbol_batch(m, np.zeros((1, 3)),
+                                               np.array([tau]), xi)
+    for q, a, want in ((q_s, 1.0, 9.0), (q_p, 3.0, -3.0)):
+        assert 2.0 * tau ** 2 - a * xi[0] @ xi[0] - xi[0] @ r @ xi[0] == want
+        assert_allclose(q, [want], rtol=1e-15, atol=0.0)
 
 
 # ---------------------------------------------------------------- traction
