@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import (ContourError, DegenerateDirectionError, ElastorayError,
                      FrameDegenerateError, GlancingError, LopatinskiError,
-                     NotOnBoundaryError, SingularResidueError)
-from .medium import check_class_membership
+                     NotOnBoundaryError, SingularResidueError, _checked)
+from .medium import _mode_coeffs, check_class_membership
 from .symbols import (MODES, _apply, _mat, _off_boundary, _outer, _traction,
                       adot)
 # re-exported: perfbench's NAMED_COPIES reads it here (ROADMAP item 2(b))
@@ -135,16 +135,24 @@ def e_symbol(gamma):
 
 def boundary_covector(m, t, x, tau, xi):
     """Build a validated BoundaryCovector, projecting xi onto the tangent plane."""
-    x = np.asarray(x, dtype=np.float64)
-    if not m.domain.on_boundary(x):
-        raise NotOnBoundaryError(
-            f"covector base point off the boundary: |phi| = {abs(float(m.domain.phi(x))):.2e}")
+    return _checked(_boundary_covectors(
+        m, np.array([t]), np.array([x], dtype=float), np.array([tau]),
+        np.array([xi], dtype=float))[0])
+
+
+def _boundary_covectors(m, t, x, tau, xi):
+    """``boundary_covector`` per row of (n,) t and tau and (n, 3) x and xi:
+    the BoundaryCovector, or the ElastorayError it raises for that row."""
+    phi = m.domain.phi(x)
     nu = m.domain.normal(x)
-    xi = np.asarray(xi, dtype=np.float64)
-    xi_t = xi - np.dot(xi, nu) * nu
-    if tau ** 2 + np.dot(xi_t, xi_t) == 0.0:
-        raise DegenerateDirectionError("(tau, xi_t) must be nonzero")
-    return BoundaryCovector(t=t, x=x, tau=tau, xi_t=xi_t, nu=nu)
+    xi_t = xi - adot(xi, nu)[:, None] * nu
+    zero = tau * tau + adot(xi_t, xi_t) == 0.0
+    return [NotOnBoundaryError("covector base point off the boundary: "
+                               f"|phi| = {abs(phi[i]):.2e}") if not on
+            else DegenerateDirectionError("(tau, xi_t) must be nonzero")
+            if zero[i] else BoundaryCovector(t=t[i], x=x[i], tau=tau[i],
+                                             xi_t=xi_t[i], nu=nu[i])
+            for i, on in enumerate(m.domain.on_boundary(x))]
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +162,6 @@ def boundary_covector(m, t, x, tau, xi):
 def _fields(m, x):
     """lambda, mu, rho and R at points x."""
     return m.lam(x), m.mu(x), m.rho(x), m.stress.matrix(x)
-
-
-def _mode_coeffs(lam, mu):
-    """The mode coefficients (mu, lambda + 2 mu) on a leading (S, P) axis."""
-    return np.array([mu, lam + 2.0 * mu])
 
 
 def _mode_form(a, r, eta, zeta):

@@ -28,8 +28,11 @@ from .medium import (ConstantField, ConstantStress, GaussianBumpField,
 # DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10): row i of _A builds
 # stage i, _A[12] is the 8th-order solution and rows 13-15 the dense output's
 # extra stages; _E5 and _E3 weigh the 5th- and 3rd-order error estimates and
-# _D the last four coefficients of the 7th-order dense output
-_A = (
+# _D the last four coefficients of the 7th-order dense output.  A sum over
+# the stage axis, which numpy accumulates in index order, adds the nonzero
+# terms as a loop over them would; the zero terms change at most the sign of
+# an exact zero
+_A = np.array([row + (0,) * (16 - len(row)) for row in (
     (), (0.05260015195876773,), (0.0197250569845379, 0.0591751709536137),
     (0.02958758547680685, 0, 0.08876275643042054),
     (0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792),
@@ -61,14 +64,15 @@ _A = (
     (-0.42889630158379194, 0, 0, 0, 0, -4.697621415361164, 7.683421196062599,
      4.06898981839711, 0.3567271874552811, 0, 0, 0, -0.0013990241651590145,
      2.9475147891527724, -9.15095847217987),
-)
+)])
 _E5 = (0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044,
        -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
        0.3341791187130175, 0.08192320648511571, -0.022355307863886294)
 _E3 = tuple(b - c for b, c in zip(_A[12], (
     0.2440944881889764, 0, 0, 0, 0, 0, 0, 0, 0.7338466882816118, 0, 0,
     0.022058823529411766)))
-_D = (
+_E = np.array([_E5, _E3])
+_D = np.array((
     (-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777, -3.0689499459498917,
      2.38466765651207, 2.117034582445028, -0.871391583777973,
      2.2404374302607883, 0.6315787787694688, -0.08899033645133331,
@@ -85,7 +89,7 @@ _D = (
      357.6391179106141, 93.40532418362432, -37.45832313645163,
      104.0996495089623, 29.8402934266605, -43.53345659001114,
      96.32455395918828, -39.17726167561544, -149.72683625798564),
-)
+))
 
 # rejected steps are counted by cause, in this order
 REJECT_CAUSES = ("error", "drift", "entry")
@@ -95,29 +99,14 @@ EXIT_TOL = 1e-12
 TANGENT_TOL = 1e-6
 
 
-def _dot3(a, b):
-    """Row-wise dot product of (N, 3) arrays, summed term by term."""
-    p = a * b
-    return p[:, 0] + p[:, 1] + p[:, 2]
+def _dot(a, b):
+    """Dot products over the last axis; numpy adds the terms in order."""
+    return np.add.reduce(a * b, axis=-1)
 
 
-def _sq6(a):
-    """Row-wise squared norm of an (N, 6) array, summed term by term."""
-    q = a * a
-    return q[:, 0] + q[:, 1] + q[:, 2] + q[:, 3] + q[:, 4] + q[:, 5]
-
-
-def _combine(coefs, arrays):
-    """sum_j c_j a_j over the nonzero c_j, accumulated in order."""
-    acc = None
-    for c, a in zip(coefs, arrays):
-        if c:
-            acc = c * a if acc is None else acc + c * a
-    return acc
-
-
-def _add(acc, term):
-    return term if acc is None else acc + term
+def _stages(c, k):
+    """sum_j c_j k_j over the stage axis of k, for a row or rows c."""
+    return np.add.reduce(c[..., None, None] * k, axis=-3)
 
 
 # ---------------------------------------------------------------------------
@@ -125,14 +114,14 @@ def _add(acc, term):
 # ---------------------------------------------------------------------------
 
 def _bump(center, width):
-    """exp(-|x - c|^2 / (2 w^2)) and its gradient."""
+    """x -> (exp(-|x - c|^2 / (2 w^2)), x - c, s), with gradient s (x - c)."""
     c = np.array(center)
     w2 = width * width
 
     def evaluate(x):
         d = x - c
-        e = np.exp(-_dot3(d, d) / (2.0 * w2))
-        return e, d * (-e / w2)[:, None]
+        e = np.exp(_dot(d, d) / (-2.0 * w2))
+        return e, d, e / -w2
 
     return evaluate
 
@@ -163,9 +152,11 @@ class Hamilton:
     per-row constants, Gaussian bumps that share a center and width share
     one exp, and any other scalar field is evaluated through its own
     ``value_and_gradient`` (for a PolynomialField, one monomial table).  A
-    constant stress is one matrix, a PotentialStress one monomial table for
-    R and its derivative.  Calling the kernel maps an
-    (N, 6) state to (F, g) with F = (-dg/dxi, dg/dx).
+    term's gradient is a per-row scalar times a vector (x - c for a bump),
+    so each term adds one such product to dg/dx.  A constant stress is one
+    matrix, a PotentialStress one monomial table for R and its derivative.
+    Calling the kernel maps an (N, 6) state to (F, g) with
+    F = (-dg/dxi, dg/dx), F written into ``out`` when it is given.
     """
 
     def __init__(self, m, is_p):
@@ -182,14 +173,17 @@ class Hamilton:
                 key = (tuple(fld.center.tolist()), fld.width)
                 bumps[key] = bumps.get(key, 0.0) + fld.amplitude * w
             else:
-                terms.append((fld.value_and_gradient, w))
+                terms.append((lambda x, f=fld: (*f.value_and_gradient(x),
+                                                1.0), w))
         terms = [(_bump(*key), w) for key, w in bumps.items()] + terms
         weights = np.array([w for _, w in terms]).reshape(len(terms), 3)
         is_p = np.asarray(is_p, dtype=bool)
-        self._terms = [(ev, bool(w[0] or w[1]), w[2])
-                       for (ev, _), w in zip(terms, weights)]
+        self._terms = [(ev, w[2]) for (ev, _), w in zip(terms, weights)]
+        # per-row a0 and term weights in a (None: not in a), cut by rows()
         self._a0 = np.where(is_p, const[1], const[0])
-        self._w_a = np.where(is_p[:, None], weights[:, 1], weights[:, 0])
+        w_a = np.where(is_p[:, None], weights[:, 1], weights[:, 0])
+        self._w_a = [w_a[:, b] if w[0] or w[1] else None
+                     for b, w in enumerate(weights)]
         self._rho0 = const[2]
         self._stress = _stress_term(m.stress)
 
@@ -198,49 +192,44 @@ class Hamilton:
         sub = object.__new__(Hamilton)
         sub.__dict__.update(self.__dict__)
         sub._a0 = self._a0[idx]
-        sub._w_a = self._w_a[idx]
+        sub._w_a = [None if w is None else w[idx] for w in self._w_a]
         return sub
 
-    def __call__(self, y):
-        x = y[:, :3]
-        xi = y[:, 3:]
-        a, da = self._a0, None
-        rho, drho = self._rho0, None
-        for b, (evaluate, in_a, w_rho) in enumerate(self._terms):
-            v, dv = evaluate(x)
-            if in_a:
-                w = self._w_a[:, b]
-                a = a + w * v
-                da = _add(da, w[:, None] * dv)
+    def __call__(self, y, out=None):
+        x, xi = y[:, :3], y[:, 3:]
+        a, rho = self._a0, self._rho0
+        fields = []
+        for (evaluate, w_rho), w_a in zip(self._terms, self._w_a):
+            v, vec, s = evaluate(x)
+            fields.append((vec, s, w_a, w_rho))
+            if w_a is not None:
+                a = a + w_a * v
             if w_rho:
                 rho = rho + w_rho * v
-                drho = _add(drho, w_rho * dv)
-        xx = _dot3(xi, xi)
+        xx = _dot(xi, xi)
         mxi = a[:, None] * xi
         num = a * xx
-        dnum = None if da is None else da * xx[:, None]
+        dnum = None
         if self._stress is not None:
             r, dr = self._stress(x)
-            if r.ndim == 2:
-                rxi = xi[:, :1] * r[:, 0] + xi[:, 1:2] * r[:, 1] \
-                    + xi[:, 2:] * r[:, 2]
-            else:
-                rxi = r[:, :, 0] * xi[:, :1] + r[:, :, 1] * xi[:, 1:2] \
-                    + r[:, :, 2] * xi[:, 2:]
+            rxi = np.add.reduce(r * xi[:, None], axis=2)
             mxi = mxi + rxi
-            num = num + _dot3(xi, rxi)
+            num = num + _dot(xi, rxi)
             if dr is not None:
-                # sum_ij dR_ij/dx_k xi_i xi_j, one index at a time
-                t = dr[:, 0] * xi[:, 0, None, None] \
-                    + dr[:, 1] * xi[:, 1, None, None] \
-                    + dr[:, 2] * xi[:, 2, None, None]
-                dnum = _add(dnum, t[:, 0] * xi[:, :1] + t[:, 1] * xi[:, 1:2]
-                            + t[:, 2] * xi[:, 2:])
+                # sum_ij dR_ij/dx_k xi_i xi_j: a sum over i, then one over j
+                t = np.add.reduce(dr * xi[:, :, None, None], axis=1)
+                dnum = np.add.reduce(t * xi[:, :, None], axis=1)
         g = num / rho
-        if drho is not None:
-            dnum = _add(dnum, -g[:, None] * drho)
-        rho_c = rho[:, None] if np.ndim(rho) else rho
-        out = np.empty((len(y), 6))
+        # each term's part of d(num)/dx - g d(rho)/dx: a per-row scalar
+        # times the term's vector
+        for vec, s, w_a, w_rho in fields:
+            c = 0.0 if w_a is None else w_a * xx
+            if w_rho:
+                c = c - w_rho * g
+            t = (c * s)[:, None] * vec
+            dnum = t if dnum is None else dnum + t
+        rho_c = rho[:, None] if isinstance(rho, np.ndarray) else rho
+        out = np.empty((len(y), 6)) if out is None else out
         out[:, :3] = (-2.0 / rho_c) * mxi          # dx/ds = -dg/dxi
         out[:, 3:] = 0.0 if dnum is None else dnum / rho_c   # dxi/ds = dg/dx
         return out, g
@@ -253,35 +242,46 @@ class Hamilton:
 def dop853_step(kern, y, k1, h):
     """One DOP853 step of per-row size h from y, with k1 = f(y).
 
-    Returns the 8th-order solution, the thirteen stage derivatives (the last
-    one is f at the solution) and g at the solution.
+    Returns the 8th-order solution, the (16, N, 6) stage buffer whose first
+    thirteen rows hold the stage derivatives (row 12 is f at the solution;
+    ``_dense`` fills the last three), and g at the solution.
     """
     hc = h[:, None]
-    k = [k1]
+    k = np.empty((16,) + y.shape)
+    k[0] = k1
     for i in range(1, 12):
-        k.append(kern(y + hc * _combine(_A[i], k))[0])
-    y8 = y + hc * _combine(_A[12], k)
-    f8, g8 = kern(y8)
-    return y8, k + [f8], g8
+        kern(y + hc * _stages(_A[i, :i], k[:i]), k[i])
+    y8 = y + hc * _stages(_A[12, :12], k[:12])
+    return y8, k, kern(y8, k[12])[1]
+
+
+def _error_norm(h, k, scale):
+    """Scaled RMS of a step's 5th-order error estimate, damped where the
+    3rd-order one is small (Hairer et al., II.10)."""
+    e = h[:, None] * _stages(_E, k[:12]) / scale
+    n5, n3 = _dot(e, e)
+    return n5 / np.sqrt(6.0 * np.maximum(n5 + 0.01 * n3, 1e-300))
 
 
 def _dense(kern, y, y8, h, k):
-    """(N, 7, 3) coefficients of a step's 7th-order dense output of x."""
+    """(N, 7, 3) coefficients of a step's 7th-order dense output of x; fills
+    the last three rows of the stage buffer k."""
     hc = h[:, None]
     for i in range(13, 16):
-        k = k + [kern(y + hc * _combine(_A[i], k))[0]]
-    dy = y8 - y
-    f = [dy, hc * k[0] - dy, 2.0 * dy - hc * (k[12] + k[0])]
-    f += [hc * _combine(d, k) for d in _D]
-    return np.stack([a[:, :3] for a in f], axis=1)
+        kern(y + hc * _stages(_A[i, :i], k[:i]), k[i])
+    kx = k[:, :, :3]
+    dy = y8[:, :3] - y[:, :3]
+    return np.stack([dy, hc * kx[0] - dy, 2.0 * dy - hc * (kx[12] + kx[0]),
+                     *(hc * _stages(_D, kx))], axis=1)
 
 
 def _dense_x(x0, dense, theta):
     """x at per-row theta in [0, 1] on the dense output from x0."""
     th = theta[:, None]
+    factors = (1.0 - th, th)
     acc = dense[:, 6]
     for i in range(5, -1, -1):
-        acc = dense[:, i] + (th if i % 2 else 1.0 - th) * acc
+        acc = dense[:, i] + factors[i % 2] * acc
     return x0 + th * acc
 
 
@@ -309,13 +309,15 @@ class Leg:
     y_exit: np.ndarray
     drift_max: float
     n_steps: int
+    n_evals: int           # kernel calls whose batch held the row
     rejected: dict
     samples: list | None = None
 
 
 def _leg(rows, j, status):
     return Leg(status, float(rows.s[j]), rows.y[j], float(rows.drift_max[j]),
-               int(rows.n_steps[j]), dict(zip(REJECT_CAUSES, rows.rej[j].tolist())))
+               int(rows.n_steps[j]), int(rows.n_evals[j]),
+               dict(zip(REJECT_CAUSES, rows.rej[j].tolist())))
 
 
 def march(m, is_p, y0, tau, sgn, s_cap, ctrl, collect=False):
@@ -331,10 +333,10 @@ def march(m, is_p, y0, tau, sgn, s_cap, ctrl, collect=False):
     kern_all = Hamilton(m, is_p)
     dom = m.domain
     f0, g0 = kern_all(y0)
-    speed = np.sqrt(_dot3(f0[:, :3], f0[:, :3]))
+    speed = np.sqrt(_dot(f0[:, :3], f0[:, :3]))
     gphi = dom.grad_phi(y0[:, :3])
-    tangential = (speed != 0.0) & (sgn * _dot3(gphi, f0[:, :3]) > (
-        -TANGENT_TOL * np.sqrt(_dot3(gphi, gphi)) * speed))
+    tangential = (speed != 0.0) & (sgn * _dot(gphi, f0[:, :3]) > (
+        -TANGENT_TOL * np.sqrt(_dot(gphi, gphi)) * speed))
     for i in np.flatnonzero(speed == 0.0):
         out[i] = StepControlError("zero ray speed at launch")
     for i in np.flatnonzero(tangential):
@@ -342,17 +344,17 @@ def march(m, is_p, y0, tau, sgn, s_cap, ctrl, collect=False):
 
     ok = (speed != 0.0) & ~tangential
     n = int(ok.sum())
-    # no step crosses more than half the shortest semi-axis at the launch
+    # no step crosses more than the domain's shortest diameter at the launch
     # speed; the first step follows from the tolerances (II.4 of Hairer et al.)
-    h_limit = 0.5 * float(np.min(dom.semi_axes)) / speed[ok]
+    h_limit = 2.0 * float(np.min(dom.semi_axes)) / speed[ok]
     kern = kern_all.rows(np.flatnonzero(ok))
     y, f = y0[ok], f0[ok]
     scale = ctrl.atol + ctrl.rtol * np.abs(y)
-    d0, d1 = (np.sqrt(_sq6(a / scale) / 6.0) for a in (y, f))
+    d0, d1 = (np.sqrt(_dot(a, a) / 6.0) for a in (y / scale, f / scale))
     h0 = np.minimum(np.where(np.minimum(d0, d1) < 1e-5, 1e-6, 0.01 * d0 / d1),
                     h_limit)
-    df = kern(y + (sgn[ok] * h0)[:, None] * f)[0] - f
-    d12 = np.maximum(d1, np.sqrt(_sq6(df / scale) / 6.0) / h0)
+    df = (kern(y + (sgn[ok] * h0)[:, None] * f)[0] - f) / scale
+    d12 = np.maximum(d1, np.sqrt(_dot(df, df) / 6.0) / h0)
     h1 = np.where(d12 <= 1e-15, np.maximum(1e-6, 1e-3 * h0),
                   (0.01 / np.maximum(d12, 1e-15)) ** 0.125)
     tau2 = tau[ok] * tau[ok]
@@ -363,6 +365,7 @@ def march(m, is_p, y0, tau, sgn, s_cap, ctrl, collect=False):
                  entered=np.zeros(n, dtype=bool),
                  drift_max=np.abs(tau2 - g0[ok]) / tau2,
                  n_steps=np.zeros(n, dtype=np.int64),
+                 n_evals=np.full(n, 2, dtype=np.int64),  # launch, h0 probe
                  rej=np.zeros((n, 3), dtype=np.int64))
     history = [(rows.ids, rows.s, rows.y)] if collect else None
     crossings = []
@@ -383,14 +386,11 @@ def march(m, is_p, y0, tau, sgn, s_cap, ctrl, collect=False):
                 break
 
         y8, k, g8 = dop853_step(kern, rows.y, rows.k1, rows.h)
-        scale = ctrl.atol + ctrl.rtol * np.maximum(np.abs(rows.y), np.abs(y8))
-        # the 5th-order estimate, damped where the 3rd-order one is small
-        n5, n3 = (_sq6(rows.h[:, None] * _combine(e, k) / scale)
-                  for e in (_E5, _E3))
-        err_norm = n5 / np.sqrt(6.0 * np.maximum(n5 + 0.01 * n3, 1e-300))
+        rows.n_evals += 12
+        err_norm = _error_norm(rows.h, k, ctrl.atol + ctrl.rtol * np.maximum(
+            np.abs(rows.y), np.abs(y8)))
         drift = np.abs(rows.tau2 - g8) / rows.tau2
-        with np.errstate(divide="ignore"):
-            fac = 0.9 * err_norm ** -0.125
+        fac = 0.9 * np.maximum(err_norm, 1e-300) ** -0.125
         bad_err = err_norm > 1.0
         bad_drift = ~bad_err & (drift > ctrl.drift_tol)
         accepted = ~(bad_err | bad_drift)
@@ -399,10 +399,11 @@ def march(m, is_p, y0, tau, sgn, s_cap, ctrl, collect=False):
         no_entry = crossed & ~rows.entered
         advance = accepted & ~crossed
         rows.n_steps += advance | exited
-        rows.rej += np.stack([bad_err, bad_drift, no_entry], axis=1)
+        rows.rej += np.array([bad_err, bad_drift, no_entry]).T
 
-        # rejected and failed-entry steps shrink, advancing ones grow
-        h = rows.h * np.where(advance, np.minimum(5.0, fac),
+        # rejected and failed-entry steps shrink, advancing ones grow at most
+        # tenfold, as scipy's DOP853 does
+        h = rows.h * np.where(advance, np.minimum(10.0, fac),
                               np.where(bad_err, np.maximum(0.2, fac), 0.5))
         h = np.where(advance, rows.sgn * np.minimum(np.abs(h), rows.h_limit),
                      h)
@@ -412,10 +413,10 @@ def march(m, is_p, y0, tau, sgn, s_cap, ctrl, collect=False):
         finished = advance & capped
         if exited.any():
             c = rows.take(exited)
-            k_c = [kj[exited] for kj in k]
             c.y8 = y8[exited]
             c.dense = _dense(kern.rows(np.flatnonzero(exited)), c.y, c.y8,
-                             c.h, k_c)
+                             c.h, k[:, exited])
+            c.n_evals += 3
             crossings.append(c)
 
         step = advance[:, None]
@@ -491,11 +492,12 @@ def _locate_exits(kern_all, dom, c, out):
 
     eta = theta * c.h
     y_e, k, g_e = dop853_step(kern_all.rows(c.ids), c.y, c.k1, eta)
+    c.n_evals += 12
     f_e = k[12]
     gphi = dom.grad_phi(y_e[:, :3])
-    v_n = _dot3(gphi, f_e[:, :3])
-    glancing = np.abs(v_n) < (TANGENT_TOL * np.sqrt(_dot3(gphi, gphi))
-                              * np.sqrt(_dot3(f_e[:, :3], f_e[:, :3])))
+    v_n = _dot(gphi, f_e[:, :3])
+    glancing = np.abs(v_n) < (TANGENT_TOL * np.sqrt(_dot(gphi, gphi))
+                              * np.sqrt(_dot(f_e[:, :3], f_e[:, :3])))
     d_eta = np.zeros(n)
     d_eta[~glancing] = -dom.phi(y_e[~glancing, :3]) / v_n[~glancing]
     c.s, c.y = c.s + eta + d_eta, y_e + d_eta[:, None] * f_e

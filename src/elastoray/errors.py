@@ -5,6 +5,13 @@ class ElastorayError(Exception):
     """Base class for all errors raised by this package."""
 
 
+def _checked(out):
+    """A batch-of-one view's row ``out``, raised if it is an error."""
+    if isinstance(out, ElastorayError):
+        raise out
+    return out
+
+
 class MediumFormatError(ElastorayError):
     """Medium description file or parameters are malformed."""
 

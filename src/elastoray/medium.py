@@ -601,6 +601,11 @@ class ClassReport:
         }
 
 
+def _mode_coeffs(lam, mu):
+    """The mode coefficients (mu, lambda + 2 mu) on a leading (S, P) axis."""
+    return np.array([mu, lam + 2.0 * mu])
+
+
 def check_class_membership(m, params=None, grid_resolution=21):
     """Check the ellipticity, smallness, and admissibility conditions on a grid.
 
@@ -624,7 +629,7 @@ def check_class_membership(m, params=None, grid_resolution=21):
     spec = np.abs(eigs).max(axis=-1)
     lam_min = eigs.min(axis=-1)
 
-    worst = np.max(np.stack([lam + 2 * mu, 1.0 / mu, 1.0 / rho]))
+    worst = np.max(np.stack([_mode_coeffs(lam, mu)[1], 1 / mu, 1 / rho]))
     lame_margin = float(params.L - worst)
     stress_margin = float(np.min(params.eps * mu - spec))
     positivity_margin = float(np.min(mu + lam_min))

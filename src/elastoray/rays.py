@@ -34,11 +34,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import (BoundaryCovector, RootCore, RootTable, _mode_coeffs,
-                       boundary_covector, char_roots, mode_quadratics)
-from .engine import march
+from .boundary import (BoundaryCovector, RootCore, RootTable, SymbolBatch,
+                       _boundary_covectors, boundary_covector,
+                       mode_quadratics)
+# re-exported: perfbench's NAMED_COPIES reads it here (ROADMAP item 2(b))
+from .boundary import char_roots  # noqa: F401
+from .engine import Leg, march
 from .errors import (DistanceError, ElastorayError, EvanescentModeError,
-                     GlancingError, GlancingExitError)
+                     GlancingError, GlancingExitError, _checked)
+from .medium import _mode_coeffs
 from .polarization import muting_annihilation_check
 from .symbols import MODES
 
@@ -108,7 +112,8 @@ class LensMapEntry:
     ``n_steps`` counts the accepted steps and ``rejected_steps`` the
     rejected ones, by cause: the error estimate, the on-shell drift, or a
     first step that failed to enter the domain.  Their total is the number
-    of attempts that ``StepControl.max_steps`` bounds.
+    of attempts that ``StepControl.max_steps`` bounds.  ``n_evals`` counts
+    the evaluations of the Hamilton field whose batch held the leg.
     """
 
     gamma_in: BoundaryCovector
@@ -119,6 +124,7 @@ class LensMapEntry:
     drift_max: float = 0.0
     samples: np.ndarray | None = None   # dense (s, t, x1..x3, xi1..xi3) rows
     rejected_steps: dict = field(default_factory=dict)
+    n_evals: int = 0
 
     def to_dict(self):
         g0, g1 = self.gamma_in, self.gamma_out
@@ -129,7 +135,8 @@ class LensMapEntry:
             "xi_t_in": g0.xi_t.tolist(),
             "t_out": g1.t, "x_out": g1.x.tolist(),
             "xi_t_out": g1.xi_t.tolist(),
-            "n_steps": self.n_steps, "drift_max": self.drift_max,
+            "n_steps": self.n_steps, "n_evals": self.n_evals,
+            "drift_max": self.drift_max,
             "rejected_steps": dict(self.rejected_steps),
         }
 
@@ -138,25 +145,36 @@ class LensMapEntry:
 # legs: batched tracing and its scalar views
 # ---------------------------------------------------------------------------
 
-def _finish_leg(m, state, leg, collect):
-    """(exit RayState, LensMapEntry, "exited") of a marched leg."""
-    dt = 2.0 * state.tau * leg.s_exit
-    gamma_out = boundary_covector(m, state.t + dt,
-                                  m.domain.radial_project(leg.y_exit[:3]),
-                                  state.tau, leg.y_exit[3:])
-    exit_state = RayState(t=state.t + dt, x=gamma_out.x, xi=leg.y_exit[3:],
-                          tau=state.tau, mode=state.mode)
-    samples = None
-    if collect:
-        rows = [(s, state.t + 2.0 * state.tau * s, *y[:3], *y[3:])
-                for s, y in leg.samples]
-        samples = np.array(rows)
-    gamma_in = boundary_covector(m, state.t, state.x, state.tau, state.xi)
-    entry = LensMapEntry(gamma_in=gamma_in, gamma_out=gamma_out,
-                         mode=state.mode, travel_time=dt,
-                         n_steps=leg.n_steps, drift_max=leg.drift_max,
-                         samples=samples, rejected_steps=leg.rejected)
-    return exit_state, entry, "exited"
+def _finish_legs(m, states, legs, collect):
+    """(exit RayState, LensMapEntry, "exited"), or the ElastorayError raised,
+    per marched leg that exited; all their exit and entry covectors are
+    built as one batch."""
+    if not legs:
+        return []
+    t, tau, x, xi = _columns(states, "t", "tau", "x", "xi")
+    y, dt = _columns(legs, "y_exit", "s_exit")
+    dt = 2.0 * tau * dt
+    gammas = _boundary_covectors(
+        m, np.concatenate([t + dt, t]),
+        np.concatenate([m.domain.radial_project(y[:, :3]), x]),
+        np.concatenate([tau, tau]), np.concatenate([y[:, 3:], xi]))
+    out = []
+    for state, leg, gamma_out, gamma_in, dt_i in zip(
+            states, legs, gammas, gammas[len(legs):], dt.tolist()):
+        err = gamma_out if isinstance(gamma_out, ElastorayError) else gamma_in
+        if isinstance(err, ElastorayError):
+            out.append(err)
+            continue
+        samples = np.array([(s, state.t + 2.0 * state.tau * s, *y_s)
+                            for s, y_s in leg.samples]) if collect else None
+        out.append((RayState(t=gamma_out.t, x=gamma_out.x, xi=leg.y_exit[3:],
+                             tau=state.tau, mode=state.mode),
+                    LensMapEntry(gamma_in=gamma_in, gamma_out=gamma_out,
+                                 mode=state.mode, travel_time=dt_i,
+                                 n_steps=leg.n_steps, n_evals=leg.n_evals,
+                                 drift_max=leg.drift_max, samples=samples,
+                                 rejected_steps=leg.rejected), "exited"))
+    return out
 
 
 def _trace_states(m, states, ctrl=None, t_cap=None, collect=False,
@@ -168,39 +186,26 @@ def _trace_states(m, states, ctrl=None, t_cap=None, collect=False,
     """
     if ctrl is None:
         ctrl = DEFAULT_STEP
-    direction = 1 if time_direction >= 0 else -1
-    out = [None] * len(states)
-    run = []
-    sgn = []
-    s_cap = []
-    for i, state in enumerate(states):
-        sg = (1.0 if state.tau > 0 else -1.0) * direction
-        cap = sg * math.inf
-        if t_cap is not None:
-            cap = (t_cap - state.t) / (2.0 * state.tau)
-            if sg * cap <= 0:
-                out[i] = (None, None, "time_capped")
-                continue
-        run.append(i)
-        sgn.append(sg)
-        s_cap.append(cap)
-    if not run:
+    t, tau = _columns(states, "t", "tau")
+    sgn = np.where(tau > 0, 1.0, -1.0) * (1.0 if time_direction >= 0 else -1.0)
+    s_cap = sgn * math.inf if t_cap is None else (t_cap - t) / (2.0 * tau)
+    # a state at or past the time cap is capped before its first step
+    run = np.flatnonzero(~(sgn * s_cap <= 0))
+    out = [(None, None, "time_capped")] * len(states)
+    if not len(run):
         return out
     picked = [states[i] for i in run]
     legs = march(m, np.array([st.mode != "S" for st in picked]),
                  np.array([np.concatenate([st.x, st.xi]) for st in picked]),
-                 np.array([st.tau for st in picked]), np.array(sgn),
-                 np.array(s_cap), ctrl, collect=collect)
-    for i, state, leg in zip(run, picked, legs):
-        if isinstance(leg, ElastorayError):
-            out[i] = leg
-        elif leg.status == "time_capped":
-            out[i] = (None, None, "time_capped")
-        else:
-            try:
-                out[i] = _finish_leg(m, state, leg, collect)
-            except ElastorayError as exc:
-                out[i] = exc
+                 tau[run], sgn[run], s_cap[run], ctrl, collect=collect)
+    exited = [k for k, leg in enumerate(legs)
+              if isinstance(leg, Leg) and leg.status == "exited"]
+    for k, res in zip(exited, _finish_legs(m, [picked[k] for k in exited],
+                                           [legs[k] for k in exited],
+                                           collect)):
+        legs[k] = res
+    for i, leg in zip(run, legs):
+        out[i] = (None, None, "time_capped") if isinstance(leg, Leg) else leg
     return out
 
 
@@ -212,10 +217,14 @@ def trace_state(m, state, ctrl=None, t_cap=None, collect=False,
     status is "exited" or "time_capped"; on a time cap both payloads are
     None.
     """
-    out = _trace_states(m, [state], ctrl, t_cap, collect, time_direction)[0]
-    if isinstance(out, ElastorayError):
-        raise out
-    return out
+    return _checked(_trace_states(m, [state], ctrl, t_cap, collect,
+                                  time_direction)[0])
+
+
+def _columns(items, *names):
+    """An array per attribute in ``names``, with a row per item."""
+    return (np.array([getattr(item, name) for item in items])
+            for name in names)
 
 
 def _launch_states(m, gammas, modes, time_direction=1):
@@ -223,8 +232,7 @@ def _launch_states(m, gammas, modes, time_direction=1):
     would raise for it; the roots of all legs come from one RootCore."""
     if not gammas:
         return []
-    core = RootCore(m, *(np.array([getattr(g, name) for g in gammas])
-                         for name in ("x", "nu", "xi_t", "tau")))
+    core = RootCore(m, *_columns(gammas, "x", "nu", "xi_t", "tau"))
     t, xi = core.table, core.xi[0 if time_direction >= 0 else 1]
     out = []
     for i, (gamma, mode) in enumerate(zip(gammas, modes, strict=True)):
@@ -250,10 +258,7 @@ def launch_state(m, gamma, mode, time_direction=1):
     EvanescentModeError when it is elliptic; the other mode may be either.
     Raises ElastorayError where either mode's B(nu, nu) is not positive.
     """
-    out = _launch_states(m, [gamma], [mode], time_direction)[0]
-    if isinstance(out, ElastorayError):
-        raise out
-    return out
+    return _checked(_launch_states(m, [gamma], [mode], time_direction)[0])
 
 
 def _trace_legs(m, gammas, modes, ctrl=None, collect=False, time_direction=1):
@@ -274,10 +279,8 @@ def _trace_legs(m, gammas, modes, ctrl=None, collect=False, time_direction=1):
 
 def trace_leg(m, gamma, mode, ctrl=None, collect=False, time_direction=1):
     """Trace the single interior leg leaving gamma in the given mode."""
-    out = _trace_legs(m, [gamma], [mode], ctrl, collect, time_direction)[0]
-    if isinstance(out, ElastorayError):
-        raise out
-    return out
+    return _checked(_trace_legs(m, [gamma], [mode], ctrl, collect,
+                                time_direction)[0])
 
 
 def lens_map_table(m, mode, gammas, ctrl=None, skip_errors=False):
@@ -359,32 +362,38 @@ def probe_fan(m, n, rng, tau=1.0, t=0.0):
     mode's form B(nu, nu) is not positive, when that radius is 0 (tau = 0),
     so that no covector is hyperbolic, or when PROBE_MAX_REJECTS candidates
     in a row fail ``char_roots`` (at |tau| so small that tau^2 underflows).
+    Candidates are drawn as a one-at-a-time search draws them, as many as
+    it would at least still draw, and checked on one RootCore.
     """
     probes = []
+    rejects = 0         # draws since the last accepted candidate
     while len(probes) < n:
-        for _ in range(PROBE_MAX_REJECTS):
+        drawn = []
+        while len(drawn) < min(n - len(probes), PROBE_MAX_REJECTS - rejects):
             x = m.domain.sample_boundary(1, rng)[0]
             nu = m.domain.normal(x)
             v = rng.standard_normal(3)
             v -= float(v @ nu) * nu
             if np.linalg.norm(v) < 1e-8:
+                drawn.append(None)
                 continue
             u = v / np.linalg.norm(v)
             frac = rng.uniform(*PROBE_FRACTION)
             r_p = _hyperbolic_radius(m, "P", x, nu, u, tau, forms=MODES)
             if not r_p > 0:
                 raise ElastorayError(f"no hyperbolic covector at tau = {tau}")
-            gamma = BoundaryCovector(t=t, x=x, tau=float(tau),
-                                     xi_t=frac * r_p * u, nu=nu)
-            try:
-                char_roots(m, gamma)
-            except ElastorayError:
-                continue
-            break
-        else:
-            raise ElastorayError(f"no hyperbolic covector at tau = {tau} in "
-                                 f"{PROBE_MAX_REJECTS} consecutive draws")
-        probes.append(gamma)
+            drawn.append(BoundaryCovector(t=t, x=x, tau=float(tau),
+                                          xi_t=frac * r_p * u, nu=nu))
+        gammas = [g for g in drawn if g is not None]
+        ok = iter(SymbolBatch(RootCore(m, *_columns(
+            gammas, "x", "nu", "xi_t", "tau"))).ok if gammas else ())
+        for gamma in drawn:
+            if gamma is not None and next(ok):
+                probes.append(gamma)
+                rejects = 0
+            elif (rejects := rejects + 1) == PROBE_MAX_REJECTS:
+                raise ElastorayError(f"no hyperbolic covector at tau = {tau} "
+                                     f"in {rejects} consecutive draws")
     return probes
 
 
@@ -439,10 +448,7 @@ def reflect(m, state):
     B(nu, nu) is not positive raises its launch error.
     """
     gamma = boundary_covector(m, state.t, state.x, state.tau, state.xi)
-    out = _reflections(m, [state], [gamma])[0]
-    if isinstance(out, ElastorayError):
-        raise out
-    return out
+    return _checked(_reflections(m, [state], [gamma])[0])
 
 
 @dataclass(frozen=True)
@@ -783,10 +789,10 @@ def boundary_distances(m, jobs, ctrl=None):
     Each job is a dict of ``boundary_distance``'s arguments after ``m``
     (``mode``, ``x_from``, ``y_to`` and any of the optional ones but
     ``ctrl``).  The solves run under ``_lockstep``: every round traces the
-    pending legs of every live solve as one batch, so the solves take as
-    many rounds as the longest of them, and each result is bitwise the one
-    its solo call returns.  A job whose endpoints coincide raises
-    DistanceError before any leg is traced.
+    pending legs of every live solve as one batch, each distinct leg once,
+    so the solves take as many rounds as the longest of them, and each
+    result is bitwise the one its solo call returns.  A job whose endpoints
+    coincide raises DistanceError before any leg is traced.
     """
     run = _lockstep([_distance_solve(m, **job) for job in jobs])
     outs = None
@@ -795,8 +801,13 @@ def boundary_distances(m, jobs, ctrl=None):
             batch = run.send(outs)
         except StopIteration as stop:
             return stop.value
-        outs = _trace_legs(m, [gamma for gamma, _ in batch],
-                           [mode for _, mode in batch], ctrl)
+        # a leg asked for twice in a round, as by the start scans of two
+        # solves from one source, is traced once
+        keys = [(mode, g.t, g.tau, g.x.tobytes() + g.xi_t.tobytes()
+                 + g.nu.tobytes()) for g, mode in batch]
+        legs = dict(zip(keys, batch))
+        traced = dict(zip(legs, _trace_legs(m, *zip(*legs.values()), ctrl)))
+        outs = [traced[key] for key in keys]
 
 
 def boundary_distance(m, mode, x_from, y_to, tau=1.0, n_starts=64,

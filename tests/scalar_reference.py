@@ -18,6 +18,11 @@ check the batched kernel, ``engine.Hamilton`` and
 ``principal_symbol_batch`` against.  ``projector_symbol_batch`` is the
 projector-form body of ``principal_symbol_batch`` that the expanded form
 built from the kernel's mode form replaced.
+
+``dop853_step``, ``dense`` and ``error_norm`` are the DOP853 step, dense
+output and error estimate that kept the stages in a list and combined them
+term by term, over the nonzero coefficients, before ``engine`` kept them in
+one stage buffer.
 """
 
 from dataclasses import dataclass
@@ -29,7 +34,7 @@ from elastoray.boundary import (NORMAL_DERIVATIVE_SIGN, BoundaryCovector,
                                 LopatinskiReport, ModeRoots, QuadratureResult,
                                 ResidueData, forward_roots, mode_quadratics,
                                 normalized_product, principal_symbol_batch)
-from elastoray.engine import Hamilton
+from elastoray.engine import _A, _D, _E3, _E5, Hamilton
 from elastoray.errors import (ContourError, DegenerateDirectionError,
                               FrameConditionError, FrameDegenerateError,
                               GlancingError, LopatinskiError,
@@ -619,3 +624,51 @@ def lopatinski_margin(m, params=None, sample_count=10000, seed=0,
         raise LopatinskiError(
             f"Lopatinski product vanished ({min_val}) for an admissible medium")
     return report
+
+
+def _combine(coefs, arrays):
+    """sum_j c_j a_j over the nonzero c_j, accumulated in order."""
+    acc = None
+    for c, a in zip(coefs, arrays):
+        if c:
+            acc = c * a if acc is None else acc + c * a
+    return acc
+
+
+def dop853_step(kern, y, k1, h):
+    """One DOP853 step of per-row size h from y, with k1 = f(y).
+
+    Returns the 8th-order solution, the thirteen stage derivatives (the last
+    one is f at the solution) and g at the solution.
+    """
+    hc = h[:, None]
+    k = [k1]
+    for i in range(1, 12):
+        k.append(kern(y + hc * _combine(_A[i], k))[0])
+    y8 = y + hc * _combine(_A[12], k)
+    f8, g8 = kern(y8)
+    return y8, k + [f8], g8
+
+
+def dense(kern, y, y8, h, k):
+    """(N, 7, 3) coefficients of a step's 7th-order dense output of x."""
+    hc = h[:, None]
+    for i in range(13, 16):
+        k = k + [kern(y + hc * _combine(_A[i], k))[0]]
+    dy = y8 - y
+    f = [dy, hc * k[0] - dy, 2.0 * dy - hc * (k[12] + k[0])]
+    f += [hc * _combine(d, k) for d in _D]
+    return np.stack([a[:, :3] for a in f], axis=1)
+
+
+def error_norm(h, k, scale):
+    """The step's scaled error norm: the 5th-order estimate, damped where
+    the 3rd-order one is small."""
+    n5, n3 = (_sq6(h[:, None] * _combine(e, k) / scale) for e in (_E5, _E3))
+    return n5 / np.sqrt(6.0 * np.maximum(n5 + 0.01 * n3, 1e-300))
+
+
+def _sq6(a):
+    """Row-wise squared norm of an (N, 6) array, summed term by term."""
+    q = a * a
+    return q[:, 0] + q[:, 1] + q[:, 2] + q[:, 3] + q[:, 4] + q[:, 5]

@@ -1,6 +1,8 @@
 """Bicharacteristic tracing, lens maps, reflection, transport, distances,
 and the lens-map recovery experiment."""
 
+import json
+
 import numpy as np
 import pytest
 import scalar_reference as ref
@@ -143,10 +145,26 @@ def test_drift_and_exact_frequency(bump_medium, stressed_medium):
                     g.t + entry.travel_time, abs=1e-12)
 
 
-@pytest.mark.parametrize("name", ["gaussian_bump", "potential_stress"])
+# the four reference media, and two of them on the ellipsoid ELLIPSOID
+ELLIPSOID = (1.0, 0.8, 0.6)
+ALL_MEDIA = ("constant", "constant_stress", "potential_stress",
+             "gaussian_bump", "constant_stress_ellipsoid",
+             "gaussian_bump_ellipsoid")
+
+
+def reference_medium(media_dir, name):
+    # "<medium>_ellipsoid" is the reference medium on the ellipsoid
+    spec = json.loads((media_dir / f"{name.removesuffix('_ellipsoid')}.json")
+                      .read_text())
+    if name.endswith("_ellipsoid"):
+        spec["domain"] = {"kind": "ellipsoid", "semi_axes": list(ELLIPSOID)}
+    return er.medium_from_dict(spec)
+
+
+@pytest.mark.parametrize("name", ALL_MEDIA)
 def test_legs_match_tight_tolerance_legs(name, media_dir):
     # the default step control is within 5e-11 of a far tighter one
-    m = er.load_medium(media_dir / f"{name}.json")
+    m = reference_medium(media_dir, name)
     gammas = [g for g in chord_fan(m, 8, seed=3) for _ in "SP"]
     modes = ["S", "P"] * 8
     tight = er.StepControl(rtol=1e-14, atol=1e-16)
@@ -156,11 +174,12 @@ def test_legs_match_tight_tolerance_legs(name, media_dir):
         assert np.abs(a.gamma_out.x - b.gamma_out.x).max() <= 5e-11
 
 
-def test_near_grazing_exits_land_on_the_boundary(media_dir):
+@pytest.mark.parametrize("name", ALL_MEDIA)
+def test_near_grazing_exits_land_on_the_boundary(name, media_dir):
     # launches just inside each mode's hyperbolic radius leave along short,
     # curved chords: the exit move puts every one on the boundary to
     # rounding, and still within 5e-11 of a far tighter step control
-    m = er.load_medium(media_dir / "gaussian_bump.json")
+    m = reference_medium(media_dir, name)
     gammas, modes = [], []
     for g in chord_fan(m, 8, seed=5):
         u = g.xi_t / np.linalg.norm(g.xi_t)
@@ -183,6 +202,41 @@ def test_near_grazing_exits_land_on_the_boundary(media_dir):
         assert abs(m.domain.phi(a.y_exit[None, :3])[0]) <= 1e-15
         assert abs(2.0 * t * (a.s_exit - b.s_exit)) <= 5e-11
         assert np.abs(a.y_exit[:3] - b.y_exit[:3]).max() <= 5e-11
+
+
+@pytest.mark.parametrize("name", ["constant", "constant_stress",
+                                  "potential_stress"])
+def test_straight_legs_take_three_steps(name, media_dir):
+    # a leg whose error estimate is rounding grows its step tenfold, up to
+    # the domain's diameter, and exits on its third step with 53
+    # evaluations of the field (two at the launch, twelve per step, three
+    # for the dense output and twelve for the exit substep).  Where a
+    # coordinate is near 0, the estimate's rounding against the absolute
+    # tolerance there holds the growth of a few legs below tenfold, and
+    # those take a fourth step.  The fans are those of the lensmap reports
+    # the benchmark traces, and a wider one
+    m = reference_medium(media_dir, name)
+    counts = []
+    for seed, n in [(seed, 4) for seed in range(24)] + [(5, 64)]:
+        probes = er.probe_fan(m, n, np.random.default_rng(seed))
+        counts += [(e.n_steps, e.n_evals) for e in rays._trace_legs(
+            m, [g for g in probes for _ in "SP"], ["S", "P"] * n)]
+    assert all(steps <= 4 and evals <= 65 for steps, evals in counts)
+    assert sum(steps == 4 for steps, _ in counts) <= 0.02 * len(counts)
+    assert sum(evals <= 53 for _, evals in counts) >= 0.98 * len(counts)
+
+
+@pytest.mark.parametrize("name", ALL_MEDIA)
+def test_evaluation_counts_add_up(name, media_dir):
+    # two evaluations at the launch, twelve per attempted step, and fifteen
+    # to locate the exit; the lensmap report carries the count
+    m = reference_medium(media_dir, name)
+    probes = chord_fan(m, 8, seed=7)
+    for e in rays._trace_legs(m, [g for g in probes for _ in "SP"],
+                              ["S", "P"] * 8):
+        attempts = e.n_steps + sum(e.rejected_steps.values())
+        assert e.n_evals == 2 + 12 * attempts + 15
+        assert e.to_dict()["n_evals"] == e.n_evals
 
 
 def test_time_reversal(constant_medium, bump_medium):
@@ -395,14 +449,21 @@ def test_transport_builds_each_exit_covector_once(media_dir, monkeypatch):
     # the exit covector its leg reports instead of building it again
     m = er.load_medium(media_dir / "gaussian_bump.json")
     g = er.probe_fan(m, 1, np.random.default_rng(0))[0]
+    # the covectors a leg makes pass through ``_boundary_covectors``, one
+    # row each; any made one at a time count too
     calls = []
-    build = rays.boundary_covector
+    build, build_one = rays._boundary_covectors, rays.boundary_covector
 
     def counted(m, t, x, tau, xi):
-        calls.append((t, *x, tau, *xi))
+        calls.extend((t[i], *x[i], tau[i], *xi[i]) for i in range(len(t)))
         return build(m, t, x, tau, xi)
 
-    monkeypatch.setattr(rays, "boundary_covector", counted)
+    def counted_one(m, t, x, tau, xi):
+        calls.append((t, *x, tau, *xi))
+        return build_one(m, t, x, tau, xi)
+
+    monkeypatch.setattr(rays, "_boundary_covectors", counted)
+    monkeypatch.setattr(rays, "boundary_covector", counted_one)
     res = er.broken_transport(m, g, depth=3)
     assert len(res.events) == 30
     assert len(calls) == 2 * len(res.events)
@@ -770,6 +831,33 @@ def test_dop853_tableau():
     # the dense output's extra stages sit at c = 0.1, 0.2 and 7/9
     assert_allclose([sum(row) for row in engine._A[13:]], [0.1, 0.2, 7 / 9],
                     rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("name", ["constant", "constant_stress",
+                                  "potential_stress", "gaussian_bump"])
+def test_stage_buffer_step_matches_term_by_term_step(name, media_dir):
+    # the stage-buffer step, its dense output and its error estimate are
+    # bitwise those of the step that combined listed stages term by term,
+    # on the same kernel (array_equal takes -0.0 for 0.0)
+    m = reference_medium(media_dir, name)
+    probes = er.probe_fan(m, 32, np.random.default_rng(83))
+    states = rays._launch_states(m, [g for g in probes for _ in "SP"],
+                                 ["S", "P"] * 32)
+    y_all = np.array([np.hstack([st.x, st.xi]) for st in states])
+    h_all = np.random.default_rng(89).uniform(0.02, 0.4, len(y_all))
+    for n in (1, 3, 64):
+        y, h = y_all[:n], h_all[:n]
+        kern = Hamilton(m, np.array([st.mode == "P" for st in states[:n]]))
+        k1 = kern(y)[0]
+        y8, k, g8 = engine.dop853_step(kern, y, k1, h)
+        y8_ref, k_ref, g8_ref = ref.dop853_step(kern, y, k1, h)
+        assert np.array_equal(y8, y8_ref) and np.array_equal(g8, g8_ref)
+        assert np.array_equal(k[:13], np.array(k_ref))
+        scale = 1e-12 + 1e-10 * np.maximum(np.abs(y), np.abs(y8))
+        assert np.array_equal(engine._error_norm(h, k, scale),
+                              ref.error_norm(h, k_ref, scale))
+        assert np.array_equal(engine._dense(kern, y, y8, h, k),
+                              ref.dense(kern, y, y8_ref, h, k_ref))
 
 
 def test_dense_output_spans_the_step(bump_medium):

@@ -39,9 +39,14 @@ PRIVATE = {
                           "runs on a fresh root core"),
     "boundary._in_gamma_delta": (("cli",), "the time-like cone rule, which "
                                  "classify's fan applies row by row"),
-    "boundary._mode_coeffs": (("rays",), "mu and lambda + 2 mu, shared by "
-                              "the root quadratics, the principal symbol, "
-                              "the covector sampler and incidence"),
+    "boundary._boundary_covectors": (("rays",), "boundary_covector over "
+                                     "a batch, which finishes legs"),
+    "errors._checked": (("boundary", "rays"), "a batch-of-one view's row, "
+                        "raised if it is an error"),
+    "medium._mode_coeffs": (("boundary", "rays"), "mu and lambda + 2 mu, "
+                            "shared by the Lame bound, the root quadratics, "
+                            "the principal symbol, the covector sampler and "
+                            "incidence"),
     "boundary._core_of": (("polarization",), "kernel plumbing: "
                           "polarization_frame reads the scalar views' "
                           "shared root core"),
@@ -58,7 +63,7 @@ REEXPORTS = {
     "symbols.traction_symbol": (("boundary", "polarization"),
                                 "perfbench NAMED_COPIES reads it there, "
                                 "until ROADMAP item 2(b)"),
-    "boundary.char_roots": (("polarization",),
+    "boundary.char_roots": (("polarization", "rays"),
                             "perfbench NAMED_COPIES reads it there, until "
                             "ROADMAP item 2(b)"),
 }
