@@ -108,10 +108,6 @@ class BoundaryCovector:
         object.__setattr__(self, "t", float(self.t))
         object.__setattr__(self, "tau", float(self.tau))
 
-    @property
-    def xi_t_norm(self):
-        return float(np.linalg.norm(self.xi_t))
-
     def in_gamma_delta(self, delta):
         """Time-like cone membership: |tau| >= delta |xi_t|."""
         return _in_gamma_delta(self.tau, self.xi_t, delta)

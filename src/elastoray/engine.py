@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import GlancingExitError, MaxStepsError, StepControlError
 from .medium import (ConstantField, ConstantStress, GaussianBumpField,
-                     PotentialStress)
+                     _mode_coeffs)
 
 # DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10): row i of _A builds
 # stage i, _A[12] is the 8th-order solution and rows 13-15 the dense output's
@@ -113,35 +113,12 @@ def _stages(c, k):
 # fused Hamilton kernel
 # ---------------------------------------------------------------------------
 
-def _bump(center, width):
-    """x -> (exp(-|x - c|^2 / (2 w^2)), x - c, s), with gradient s (x - c)."""
-    c = np.array(center)
-    w2 = width * width
-
-    def evaluate(x):
-        d = x - c
-        e = np.exp(_dot(d, d) / (-2.0 * w2))
-        return e, d, e / -w2
-
-    return evaluate
-
-
 def _stress_term(stress):
     """x -> (R, dR or None), or None for a stress that vanishes."""
     if isinstance(stress, ConstantStress):
         r = np.array(stress.r)
         return (lambda x: (r, None)) if np.any(r) else None
-    if isinstance(stress, PotentialStress):
-        table = stress.table
-
-        def evaluate(x):
-            out = table(x)
-            n = len(out)
-            return (out[:, :9].reshape(n, 3, 3),
-                    out[:, 9:].reshape(n, 3, 3, 3))
-
-        return evaluate
-    return lambda x: (stress.matrix(x), stress.derivative(x))
+    return stress.matrix_and_derivative
 
 
 class Hamilton:
@@ -150,11 +127,12 @@ class Hamilton:
     g = (a |xi|^2 + xi.R xi) / rho with a = mu on S rows and lam + 2 mu on
     P rows.  Each field contributes one term: constant fields fold into
     per-row constants, Gaussian bumps that share a center and width share
-    one exp, and any other scalar field is evaluated through its own
+    one ``profile``, and any other scalar field is evaluated through its own
     ``value_and_gradient`` (for a PolynomialField, one monomial table).  A
     term's gradient is a per-row scalar times a vector (x - c for a bump),
     so each term adds one such product to dg/dx.  A constant stress is one
-    matrix, a PotentialStress one monomial table for R and its derivative.
+    matrix; any other stress is read through its ``matrix_and_derivative``
+    (for a PotentialStress, one monomial table).
     Calling the kernel maps an (N, 6) state to (F, g) with
     F = (-dg/dxi, dg/dx), F written into ``out`` when it is given.
     """
@@ -163,19 +141,22 @@ class Hamilton:
         const = np.zeros(3)              # weights in (a_S, a_P, rho)
         bumps = {}
         terms = []
-        for fld, w in ((m.mu, (1.0, 2.0, 0.0)), (m.lam, (0.0, 1.0, 0.0)),
-                       (m.rho, (0.0, 0.0, 1.0))):
-            w = np.array(w)
+        # each field's unit in (lambda, mu, rho)
+        for fld, (lam, mu, rho) in ((m.mu, (0.0, 1.0, 0.0)),
+                                    (m.lam, (1.0, 0.0, 0.0)),
+                                    (m.rho, (0.0, 0.0, 1.0))):
+            w = np.array([*_mode_coeffs(lam, mu), rho])
             if isinstance(fld, ConstantField):
                 const += fld.value * w
             elif isinstance(fld, GaussianBumpField):
                 const += fld.base * w
                 key = (tuple(fld.center.tolist()), fld.width)
-                bumps[key] = bumps.get(key, 0.0) + fld.amplitude * w
+                profile, amp = bumps.get(key, (fld.profile, 0.0))
+                bumps[key] = (profile, amp + fld.amplitude * w)
             else:
                 terms.append((lambda x, f=fld: (*f.value_and_gradient(x),
                                                 1.0), w))
-        terms = [(_bump(*key), w) for key, w in bumps.items()] + terms
+        terms = list(bumps.values()) + terms
         weights = np.array([w for _, w in terms]).reshape(len(terms), 3)
         is_p = np.asarray(is_p, dtype=bool)
         self._terms = [(ev, w[2]) for (ev, _), w in zip(terms, weights)]
@@ -302,9 +283,8 @@ class _Rows:
 
 @dataclass
 class Leg:
-    """A marched leg that exited or reached its time cap."""
+    """A marched leg that exited the domain."""
 
-    status: str            # "exited" or "time_capped"
     s_exit: float
     y_exit: np.ndarray
     drift_max: float
@@ -314,8 +294,8 @@ class Leg:
     samples: list | None = None
 
 
-def _leg(rows, j, status):
-    return Leg(status, float(rows.s[j]), rows.y[j], float(rows.drift_max[j]),
+def _leg(rows, j):
+    return Leg(float(rows.s[j]), rows.y[j], float(rows.drift_max[j]),
                int(rows.n_steps[j]), int(rows.n_evals[j]),
                dict(zip(REJECT_CAUSES, rows.rej[j].tolist())))
 
@@ -325,9 +305,10 @@ def march(m, is_p, y0, tau, sgn, s_cap, ctrl, collect=False):
 
     Row i starts on the boundary at y0[i] and marches in s with sign sgn[i]
     (sign(tau) for forward-in-time legs) until it exits or reaches s_cap[i]
-    (+-inf for no cap).  Returns one Leg or ElastorayError per row.  A step
-    costs a fixed number of array operations whatever the batch size; a
-    ray's row leaves the arrays when the ray finishes or fails.
+    (+-inf for no cap).  Returns per row a Leg, an ElastorayError, or None
+    for a leg that reached its cap.  A step costs a fixed number of array
+    operations whatever the batch size; a ray's row leaves the arrays when
+    the ray finishes or fails.
     """
     out = [None] * len(y0)
     kern_all = Hamilton(m, is_p)
@@ -378,8 +359,6 @@ def march(m, is_p, y0, tau, sgn, s_cap, ctrl, collect=False):
         done = capped & (np.abs(rows.h) < 1e-16 * np.maximum(
             np.abs(rows.s_cap), 1.0))
         if done.any():
-            for j in np.flatnonzero(done):
-                out[rows.ids[j]] = _leg(rows, j, "time_capped")
             rows, capped = rows.take(~done), capped[~done]
             kern = kern_all.rows(rows.ids)
             if not len(rows.ids):
@@ -439,8 +418,6 @@ def march(m, is_p, y0, tau, sgn, s_cap, ctrl, collect=False):
             for j in np.flatnonzero(glanced):
                 out[rows.ids[j]] = GlancingExitError(
                     "ray failed to enter the domain")
-            for j in np.flatnonzero(finished):
-                out[rows.ids[j]] = _leg(rows, j, "time_capped")
             rows = rows.take(~gone)
             kern = kern_all.rows(rows.ids)
 
@@ -454,8 +431,7 @@ def march(m, is_p, y0, tau, sgn, s_cap, ctrl, collect=False):
             if isinstance(leg, Leg):
                 mine = ids == i
                 leg.samples = list(zip(s_all[mine].tolist(), y_all[mine]))
-                if leg.status == "exited":
-                    leg.samples.append((leg.s_exit, leg.y_exit))
+                leg.samples.append((leg.s_exit, leg.y_exit))
     return out
 
 
@@ -504,4 +480,4 @@ def _locate_exits(kern_all, dom, c, out):
     c.drift_max = np.maximum(c.drift_max, np.abs(c.tau2 - g_e) / c.tau2)
     for j in range(n):
         out[c.ids[j]] = (GlancingExitError("ray leaves the domain tangentially")
-                         if glancing[j] else _leg(c, j, "exited"))
+                         if glancing[j] else _leg(c, j))

@@ -82,24 +82,29 @@ class Poly3:
             return 0
         return int(self.exps.sum(axis=1).max())
 
+    def _terms(self):
+        """(exponent tuple, coefficient) pairs as plain Python numbers."""
+        return zip(map(tuple, self.exps.tolist()), self.coefs.tolist())
+
     def __call__(self, x):
         return _MonomialTable([self])(x)[..., 0]
 
-    def diff(self, axis):
-        terms = {}
-        for (i, j, k), c in zip(map(tuple, self.exps), self.coefs):
-            e = [i, j, k]
-            if e[axis] == 0:
-                continue
-            c2 = c * e[axis]
-            e[axis] -= 1
-            key = tuple(e)
-            terms[key] = terms.get(key, 0.0) + c2
+    def __add__(self, other):
+        terms = dict(self._terms())
+        for k, c in other._terms():
+            terms[k] = terms.get(k, 0.0) + c
         return Poly3(terms)
 
+    def __sub__(self, other):
+        return self + Poly3({k: -c for k, c in other._terms()})
+
+    def diff(self, axis):
+        # distinct terms stay distinct after one derivative: none collide
+        return Poly3({e[:axis] + (e[axis] - 1,) + e[axis + 1:]: c * e[axis]
+                      for e, c in self._terms() if e[axis]})
+
     def to_dict(self):
-        return {",".join(map(str, k)): c for k, c in zip(map(tuple, self.exps),
-                                                         self.coefs.tolist())}
+        return {",".join(map(str, k)): c for k, c in self._terms()}
 
     @classmethod
     def from_dict(cls, d):
@@ -173,8 +178,6 @@ class _MonomialTable:
 class ScalarField:
     """Scalar coefficient with analytic gradient."""
 
-    family = "abstract"
-
     def __call__(self, x):
         raise NotImplementedError
 
@@ -189,8 +192,6 @@ class ScalarField:
 
 
 class ConstantField(ScalarField):
-    family = "constant"
-
     def __init__(self, value):
         self.value = float(value)
         if not math.isfinite(self.value):
@@ -214,8 +215,6 @@ class PolynomialField(ScalarField):
     The value and the three partials are the four columns of one monomial
     table, so a point's value does not depend on the other points of a batch.
     """
-
-    family = "polynomial"
 
     def __init__(self, poly):
         if not isinstance(poly, Poly3):
@@ -241,9 +240,11 @@ class PolynomialField(ScalarField):
 
 
 class GaussianBumpField(ScalarField):
-    """base + amplitude * exp(-|x - center|^2 / (2 width^2))."""
+    """base + amplitude * exp(-|x - center|^2 / (2 width^2)).
 
-    family = "gaussian_bump"
+    The value and the gradient are built on ``profile``, which the ray
+    kernel reads directly.
+    """
 
     def __init__(self, base, amplitude, center=(0.0, 0.0, 0.0), width=1.0):
         self.base = float(base)
@@ -254,18 +255,20 @@ class GaussianBumpField(ScalarField):
             raise MediumFormatError("gaussian bump width must be positive")
         self.center.setflags(write=False)
 
-    def _bump(self, x):
-        d = np.asarray(x, dtype=np.float64) - self.center
-        r2 = np.sum(d * d, axis=-1)
-        return d, self.amplitude * np.exp(-r2 / (2.0 * self.width ** 2))
+    def profile(self, x):
+        """(e, x - c, -e / w^2) with e = exp(-|x - c|^2 / (2 w^2)); the
+        gradient of e is the third value times the second."""
+        w2 = self.width * self.width
+        d = x - self.center
+        e = np.exp(np.add.reduce(d * d, axis=-1) / (-2.0 * w2))
+        return e, d, e / -w2
 
     def __call__(self, x):
-        _, b = self._bump(x)
-        return self.base + b
+        return self.base + self.amplitude * self.profile(x)[0]
 
     def gradient(self, x):
-        d, b = self._bump(x)
-        return d * (-b / self.width ** 2)[..., None]
+        _, d, s = self.profile(x)
+        return (self.amplitude * s)[..., None] * d
 
     def to_dict(self):
         return {"family": "gaussian_bump", "base": self.base,
@@ -302,17 +305,18 @@ class ResidualStressField:
     """Symmetric divergence-free 3x3 tensor field.
 
     ``matrix(x)`` returns R with shape (..., 3, 3); ``derivative(x)`` returns
-    D with D[..., i, j, k] = dR_ij/dx_k; ``divergence(x)`` contracts the first
-    index against the derivative.
+    D with D[..., i, j, k] = dR_ij/dx_k; ``matrix_and_derivative(x)`` returns
+    both; ``divergence(x)`` contracts the first index against the derivative.
     """
-
-    kind = "abstract"
 
     def matrix(self, x):
         raise NotImplementedError
 
     def derivative(self, x):
         raise NotImplementedError
+
+    def matrix_and_derivative(self, x):
+        return self.matrix(x), self.derivative(x)
 
     def divergence(self, x):
         d = self.derivative(x)
@@ -323,8 +327,6 @@ class ResidualStressField:
 
 
 class ConstantStress(ResidualStressField):
-    kind = "constant"
-
     def __init__(self, matrix):
         r = np.array(matrix, dtype=np.float64)
         if r.shape != (3, 3):
@@ -351,11 +353,10 @@ class PotentialStress(ResidualStressField):
 
     This family is symmetric and divergence-free by construction:
     div(Hess psi) = grad(Laplace psi) cancels the second term exactly.
-    ``table`` evaluates R and its derivative together as 36 columns;
-    ``matrix`` and ``derivative`` are slices of it.
+    ``table`` evaluates R and its derivative together as 36 columns, which
+    ``matrix_and_derivative`` reads; ``matrix`` and ``derivative`` are
+    slices of it.
     """
-
-    kind = "potential"
 
     def __init__(self, psi):
         if isinstance(psi, PolynomialField):
@@ -372,23 +373,10 @@ class PotentialStress(ResidualStressField):
                 f"stress potential degree {poly.degree} exceeds {MAX_POLY_DEGREE}")
         self.psi = poly
         hess = [[poly.diff(i).diff(j) for j in range(3)] for i in range(3)]
-        lap_terms = {}
-        for i in range(3):
-            for key, c in zip(map(tuple, hess[i][i].exps), hess[i][i].coefs):
-                lap_terms[key] = lap_terms.get(key, 0.0) + c
-        lap = Poly3(lap_terms)
-        r = [[None] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(3):
-                terms = {tuple(k): c for k, c in zip(map(tuple, hess[i][j].exps),
-                                                     hess[i][j].coefs)}
-                if i == j:
-                    for key, c in zip(map(tuple, lap.exps), lap.coefs):
-                        terms[key] = terms.get(key, 0.0) - c
-                r[i][j] = Poly3(terms)
-        entries = [r[i][j] for i in range(3) for j in range(3)]
-        entries += [r[i][j].diff(k) for i in range(3) for j in range(3)
-                    for k in range(3)]
+        lap = hess[0][0] + hess[1][1] + hess[2][2]
+        r = [hess[i][j] - lap if i == j else hess[i][j]
+             for i in range(3) for j in range(3)]
+        entries = r + [r_ij.diff(k) for r_ij in r for k in range(3)]
         # R in columns 0..8, dR_ij/dx_k in columns 9..35, row-major
         self.table = _MonomialTable(entries)
         self._r_table = self.table.columns(slice(0, 9))
@@ -401,6 +389,12 @@ class PotentialStress(ResidualStressField):
     def derivative(self, x):
         x = np.asarray(x, dtype=np.float64)
         return self._dr_table(x).reshape(x.shape[:-1] + (3, 3, 3))
+
+    def matrix_and_derivative(self, x):
+        out = self.table(x)
+        lead = out.shape[:-1]
+        return (out[..., :9].reshape(lead + (3, 3)),
+                out[..., 9:].reshape(lead + (3, 3, 3)))
 
     def to_dict(self):
         return {"kind": "potential", "coefficients": self.psi.to_dict()}

@@ -198,14 +198,14 @@ def _trace_states(m, states, ctrl=None, t_cap=None, collect=False,
     legs = march(m, np.array([st.mode != "S" for st in picked]),
                  np.array([np.concatenate([st.x, st.xi]) for st in picked]),
                  tau[run], sgn[run], s_cap[run], ctrl, collect=collect)
-    exited = [k for k, leg in enumerate(legs)
-              if isinstance(leg, Leg) and leg.status == "exited"]
+    exited = [k for k, leg in enumerate(legs) if isinstance(leg, Leg)]
     for k, res in zip(exited, _finish_legs(m, [picked[k] for k in exited],
                                            [legs[k] for k in exited],
                                            collect)):
         legs[k] = res
     for i, leg in zip(run, legs):
-        out[i] = (None, None, "time_capped") if isinstance(leg, Leg) else leg
+        if leg is not None:
+            out[i] = leg
     return out
 
 

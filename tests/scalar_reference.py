@@ -23,6 +23,12 @@ built from the kernel's mode form replaced.
 output and error estimate that kept the stages in a list and combined them
 term by term, over the nonzero coefficients, before ``engine`` kept them in
 one stage buffer.
+
+``poly_diff`` and ``potential_stress_table`` are the ``Poly3.diff`` and the
+``PotentialStress`` assembly of Delta psi and R by hand-written dict merges,
+and ``bump_value`` and ``bump_gradient`` the ``GaussianBumpField`` value and
+gradient (with width ** 2), that polynomial arithmetic and the field's
+Gaussian profile replaced.
 """
 
 from dataclasses import dataclass
@@ -40,7 +46,7 @@ from elastoray.errors import (ContourError, DegenerateDirectionError,
                               GlancingError, LopatinskiError,
                               NotOnBoundaryError, OutOfDomainError,
                               SingularResidueError)
-from elastoray.medium import check_class_membership
+from elastoray.medium import Poly3, _MonomialTable, check_class_membership
 from elastoray.polarization import COND_LIMIT
 from elastoray.symbols import MODES, adot
 
@@ -672,3 +678,60 @@ def _sq6(a):
     """Row-wise squared norm of an (N, 6) array, summed term by term."""
     q = a * a
     return q[:, 0] + q[:, 1] + q[:, 2] + q[:, 3] + q[:, 4] + q[:, 5]
+
+
+def poly_diff(p, axis):
+    """d p / d x_axis, accumulated term by term."""
+    terms = {}
+    for (i, j, k), c in zip(map(tuple, p.exps), p.coefs):
+        e = [i, j, k]
+        if e[axis] == 0:
+            continue
+        c2 = c * e[axis]
+        e[axis] -= 1
+        key = tuple(e)
+        terms[key] = terms.get(key, 0.0) + c2
+    return Poly3(terms)
+
+
+def potential_stress_table(poly):
+    """The 36-column monomial table of R = Hess psi - (Laplace psi) Id and
+    its derivative, R in columns 0..8 and dR_ij/dx_k in 9..35, row-major."""
+    hess = [[poly_diff(poly_diff(poly, i), j) for j in range(3)]
+            for i in range(3)]
+    lap_terms = {}
+    for i in range(3):
+        for key, c in zip(map(tuple, hess[i][i].exps), hess[i][i].coefs):
+            lap_terms[key] = lap_terms.get(key, 0.0) + c
+    lap = Poly3(lap_terms)
+    r = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(3):
+            terms = {tuple(k): c for k, c in zip(map(tuple, hess[i][j].exps),
+                                                 hess[i][j].coefs)}
+            if i == j:
+                for key, c in zip(map(tuple, lap.exps), lap.coefs):
+                    terms[key] = terms.get(key, 0.0) - c
+            r[i][j] = Poly3(terms)
+    entries = [r[i][j] for i in range(3) for j in range(3)]
+    entries += [poly_diff(r[i][j], k) for i in range(3) for j in range(3)
+                for k in range(3)]
+    return _MonomialTable(entries)
+
+
+def _bump(f, x):
+    d = np.asarray(x, dtype=np.float64) - f.center
+    r2 = np.sum(d * d, axis=-1)
+    return d, f.amplitude * np.exp(-r2 / (2.0 * f.width ** 2))
+
+
+def bump_value(f, x):
+    """base + amplitude exp(-|x - c|^2 / (2 width^2)) of a GaussianBumpField."""
+    _, b = _bump(f, x)
+    return f.base + b
+
+
+def bump_gradient(f, x):
+    """The gradient of a GaussianBumpField's value."""
+    d, b = _bump(f, x)
+    return d * (-b / f.width ** 2)[..., None]

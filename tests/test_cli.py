@@ -340,6 +340,21 @@ def test_reports_are_byte_deterministic(media_dir, tmp_path):
         assert out1.read_bytes() == out2.read_bytes(), args
 
 
+@pytest.mark.parametrize("medium", ["constant.json", "constant_stress.json",
+                                    "gaussian_bump.json",
+                                    "potential_stress.json"])
+def test_trace_stops_branches_at_the_time_cap(media_dir, tmp_path, medium):
+    args = ["trace", "--depth", "3", "--tmax", "2.5", "--seed", "0"]
+    rc, doc, out1 = run(media_dir, tmp_path, *args, medium=medium,
+                        name="a.json")
+    _, _, out2 = run(media_dir, tmp_path, *args, medium=medium, name="b.json")
+    assert rc == 0 and doc["params"]["tmax"] == 2.5
+    assert all(ev["gamma"]["t"] <= 2.5 for ev in doc["results"]["events"])
+    assert any(note.endswith(": time cap reached before boundary")
+               for note in doc["results"]["reports"])
+    assert out1.read_bytes() == out2.read_bytes()
+
+
 def test_distance_solves_at_the_given_tau(media_dir, tmp_path, monkeypatch):
     jobs = []
     real = rays.boundary_distances

@@ -1,20 +1,31 @@
 """Coefficient fields, residual stress construction, domains, class membership."""
 
 import json
+import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import elastoray as er
+import scalar_reference as ref
 from elastoray.medium import Poly3
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-6
 
 coords = st.floats(min_value=-0.5, max_value=0.5)
+# every exponent triple of a stress potential's term (degree <= 4)
+POTENTIAL_EXPS = [(i, j, k) for i in range(5) for j in range(5)
+                  for k in range(5) if i + j + k <= 4]
+
+
+def ball_points(rng, n):
+    """n points of the closed unit ball, of mixed radii."""
+    u = rng.standard_normal((n, 3))
+    return u / np.linalg.norm(u, axis=1, keepdims=True) * rng.random((n, 1))
 
 
 def fd_gradient(f, x, h=FD_STEP):
@@ -59,6 +70,38 @@ def test_gaussian_bump_gradient_fd(x1, x2, x3):
     x = np.array([x1, x2, x3])
     assert f(x) > 0.0
     assert_allclose(f.gradient(x), fd_gradient(f, x), rtol=FD_RTOL, atol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(width=st.floats(min_value=0.1, max_value=2.0),
+       center=st.tuples(*[st.floats(min_value=-0.5, max_value=0.5)] * 3),
+       # |amplitude| >= 1e-3 keeps the gradient normal: a subnormal product
+       # has fewer significant bits than any relative bound assumes
+       amplitude=st.floats(min_value=-0.4, max_value=0.4).filter(
+           lambda a: abs(a) >= 1e-3),
+       base=st.floats(min_value=1.0, max_value=2.0),
+       seed=st.integers(0, 2**32 - 1))
+# two widths whose square differs in the last bit between the two formulas
+@example(width=0.903105720275551, center=(0.1, -0.2, 0.3), amplitude=-0.3,
+         base=1.0, seed=1)
+@example(width=0.29035142080890297, center=(0.5, -0.5, 0.5), amplitude=0.4,
+         base=1.0, seed=2)
+def test_gaussian_bump_matches_replaced_formula(width, center, amplitude,
+                                               base, seed):
+    # the profile squares the width as width * width, the replaced field as
+    # width ** 2; the two are one number at the media's width 0.55
+    f = er.GaussianBumpField(base, amplitude, center=center, width=width)
+    x = ball_points(np.random.default_rng(seed), 32)
+    for pts in (x, x[0]):
+        value, want = f(pts), ref.bump_value(f, pts)
+        if width ** 2 == width * width:
+            assert np.array_equal(value, want)
+        else:
+            assert_allclose(value, want, rtol=1e-15, atol=0.0)
+        # the gradient's product is associated anew
+        assert_allclose(f.gradient(pts), ref.bump_gradient(f, pts),
+                        rtol=1e-13, atol=0.0)
+    assert 0.55 ** 2 == 0.55 * 0.55
 
 
 def test_poly3_dict_round_trip_and_one_evaluator():
@@ -117,6 +160,33 @@ def test_stress_derivative_matches_fd():
         e[k] = FD_STEP
         fd = (stress.matrix(x + e) - stress.matrix(x - e)) / (2.0 * FD_STEP)
         assert_allclose(dr[:, :, k], fd, rtol=FD_RTOL, atol=1e-10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(terms=st.dictionaries(st.sampled_from(POTENTIAL_EXPS),
+                             st.floats(min_value=-1e3, max_value=1e3),
+                             max_size=6))
+def test_potential_table_matches_replaced_assembly(terms):
+    table = er.stress_from_potential(Poly3(terms)).table
+    want = ref.potential_stress_table(Poly3(terms))
+    assert table.exps == want.exps
+    assert np.array_equal(table.coefs, want.coefs)
+
+
+@pytest.mark.parametrize("stress", [
+    er.ConstantStress(0.1 * np.diag([1.0, 0.0, -1.0])),
+    er.stress_from_potential(Poly3({(1, 1, 1): 0.05})),
+    er.stress_from_potential(Poly3({(1, 1, 1): 0.05, (2, 2, 0): 0.01,
+                                    (0, 2, 2): 0.01, (4, 0, 0): 0.005})),
+], ids=["constant", "xyz", "degree4"])
+def test_matrix_and_derivative_match_the_separate_views(stress):
+    x = ball_points(np.random.default_rng(7), 50)
+    for pts in (x, x[0]):
+        r, dr = stress.matrix_and_derivative(pts)
+        assert r.shape == pts.shape[:-1] + (3, 3)
+        assert dr.shape == pts.shape[:-1] + (3, 3, 3)
+        assert np.array_equal(r, stress.matrix(pts))
+        assert np.array_equal(dr, stress.derivative(pts))
 
 
 def test_zero_potential_gives_zero_stress():
@@ -242,6 +312,15 @@ def test_dict_roundtrip(stressed_medium, potential_medium, bump_medium):
         assert m2.mu(x) == pytest.approx(m.mu(x))
         if m.stress is not None:
             assert_allclose(m2.stress.matrix(x), m.stress.matrix(x))
+
+
+def test_media_pickle(stressed_medium, potential_medium, bump_medium):
+    # a medium holds no nested function, so it can be sent to a worker
+    x = np.array([0.2, -0.3, 0.4])
+    for m in (stressed_medium, potential_medium, bump_medium):
+        m2 = pickle.loads(pickle.dumps(m))
+        assert er.medium_digest(m2) == er.medium_digest(m)
+        assert m2.mu(x) == m.mu(x)
 
 
 def test_file_roundtrip(tmp_path, potential_medium):

@@ -43,10 +43,11 @@ PRIVATE = {
                                      "a batch, which finishes legs"),
     "errors._checked": (("boundary", "rays"), "a batch-of-one view's row, "
                         "raised if it is an error"),
-    "medium._mode_coeffs": (("boundary", "rays"), "mu and lambda + 2 mu, "
-                            "shared by the Lame bound, the root quadratics, "
-                            "the principal symbol, the covector sampler and "
-                            "incidence"),
+    "medium._mode_coeffs": (("boundary", "engine", "rays"), "mu and "
+                            "lambda + 2 mu, shared by the Lame bound, the "
+                            "root quadratics, the principal symbol, the "
+                            "covector sampler, incidence and the Hamilton "
+                            "kernel's weights"),
     "boundary._core_of": (("polarization",), "kernel plumbing: "
                           "polarization_frame reads the scalar views' "
                           "shared root core"),
